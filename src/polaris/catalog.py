@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 
 from .errors import UsageError
+from .polar import DEFAULT_POINT_CAP
 from .specfile import build_space_from_spec, parse_spec
 
 PRESETS = {
@@ -162,7 +163,7 @@ def point_cap() -> int:
     """Point-count cap, overridable through POLARIS_POINT_CAP."""
     raw = os.environ.get("POLARIS_POINT_CAP")
     if raw is None:
-        return 1000
+        return DEFAULT_POINT_CAP
     try:
         return int(raw)
     except ValueError:
@@ -170,10 +171,10 @@ def point_cap() -> int:
 
 
 def build_preset(name: str, cap: int | None = None):
+    """The built preset, cached per name and resolved point cap."""
     key = resolve_preset(name)
-    cache_key = (key, cap)
-    if cache_key not in _SPACE_CACHE:
+    cap = point_cap() if cap is None else cap
+    if (key, cap) not in _SPACE_CACHE:
         spec = parse_spec(PRESETS[key])
-        _SPACE_CACHE[cache_key] = build_space_from_spec(
-            spec, cap=point_cap() if cap is None else cap, label=key)
-    return _SPACE_CACHE[cache_key]
+        _SPACE_CACHE[key, cap] = build_space_from_spec(spec, cap=cap, label=key)
+    return _SPACE_CACHE[key, cap]

@@ -19,7 +19,7 @@ from .embed import (
     quotient_embedding,
     universal_embedding,
 )
-from .errors import PolarisError, SpecError, UsageError
+from .errors import PolarisError, UsageError
 from .forms import polarize, radical_of_form
 from .polar import (
     PointSet,
@@ -342,13 +342,7 @@ def main(argv=None, out=None, err=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return run(args, out)
-    except (UsageError, SpecError) as exc:
-        print(f"polaris: error: {exc}", file=err)
-        return 2
-    except PolarisError as exc:
-        print(f"polaris: error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (PolarisError, OSError) as exc:
         print(f"polaris: error: {exc}", file=err)
         return 2
 

@@ -28,7 +28,14 @@ from .forms import (
     radical_of_form,
     sesquilinear_form,
 )
-from .polar import PointSet, PolarSpace, _bits, _iter_bits, build_polar_space
+from .polar import (
+    PointSet,
+    PolarSpace,
+    _bits,
+    _iter_bits,
+    _require_subspace,
+    build_polar_space,
+)
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,17 @@ def projective_span(emb: Embedding, X) -> tuple:
 
 
 def preimage(emb: Embedding, W) -> PointSet:
-    """All points whose representative vector lies in the span of W."""
+    """All points whose representative vector lies in the span of W:
+    those killed by every functional of the annihilator of W."""
     F = emb.space.field
-    rows = linalg.rref(F, list(W))
+    dot = linalg.dot
+    annihilator = linalg.right_kernel(F, W, emb.dim)
     bits = 0
     for i, v in enumerate(emb.vectors):
-        if linalg.in_span(F, rows, v):
+        for a in annihilator:
+            if dot(F, a, v):
+                break
+        else:
             bits |= 1 << i
     return PointSet(emb.space, bits)
 
@@ -105,10 +117,7 @@ class ArisesVerdict:
 
 def arises_from(emb: Embedding, S) -> ArisesVerdict:
     """Compare S with the preimage of the span of its image."""
-    space = emb.space
-    Sset = PointSet(space, _bits(space, S))
-    if not Sset.is_subspace:
-        raise GeometryError("arises_from needs a subspace")
+    Sset = _require_subspace(emb.space, S)
     rows = projective_span(emb, Sset)
     pre = preimage(emb, rows)
     extra = pre.bits & ~Sset.bits
@@ -160,7 +169,7 @@ def quotient_embedding(emb: Embedding, X, cap: int | None = None) -> QuotientRes
     for a in range(e):
         row = bil.functional(comp[a])
         for b in range(e):
-            g[a][b] = sum_dot(F, row, comp[b])
+            g[a][b] = linalg.dot(F, row, comp[b])
     induced = sesquilinear_form(F, g, "alternating")
     label = f"{space.label}/quotient" if space.label else None
     qspace = build_polar_space(induced, cap=cap, label=label)
@@ -189,14 +198,6 @@ def quotient_embedding(emb: Embedding, X, cap: int | None = None) -> QuotientRes
     out = Embedding(space, e, tuple(qvecs), "quotient", kernel=Xrows)
     validate_embedding(out)
     return QuotientResult(out, qspace, tuple(qmap))
-
-
-def sum_dot(F, row, v):
-    acc = 0
-    for c, x in zip(row, v):
-        if c and x:
-            acc = F.add(acc, F.mul(c, x))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def _symplectic_basis(space: PolarSpace):
             if u is None:
                 u = v
                 continue
-            pairing = sum_dot(F, form.functional(u), v)
+            pairing = linalg.dot(F, form.functional(u), v)
             if pairing:
                 v = linalg.vec_scale(F, v, F.inv(pairing))
                 basis.extend([u, v])

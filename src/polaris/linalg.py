@@ -22,6 +22,15 @@ def vec_scale(F: Field, u, t: int):
     return tuple(F.mul(a, t) for a in u)
 
 
+def dot(F: Field, u, v) -> int:
+    """Sum of the products u_i v_i."""
+    acc = 0
+    for a, b in zip(u, v):
+        if a and b:
+            acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
 def is_zero_vec(v) -> bool:
     return all(a == 0 for a in v)
 

@@ -315,18 +315,33 @@ def perp(space: PolarSpace, X) -> PointSet:
     return PointSet(space, acc)
 
 
-def closure(space: PolarSpace, X) -> PointSet:
-    """Least subspace containing X: saturate lines meeting the set twice."""
-    bits = _bits(space, X)
-    changed = True
-    while changed:
-        changed = False
-        for lb in space.line_bits:
+def closure(space: PolarSpace, X, closed=0) -> PointSet:
+    """Least subspace containing X and `closed`.
+
+    `closed` must already be a subspace; this is assumed, not checked.
+    Every line meeting the set in two points but not contained in it
+    then passes through a point outside `closed`, so a worklist of the
+    added points visits only their lines (`space.lines_at`), saturating
+    each line met twice and queueing the points it adds.  The result is
+    marked as a subspace.
+    """
+    closed = _bits(space, closed)
+    bits = closed | _bits(space, X)
+    todo = bits & ~closed
+    all_bits = space.all_bits
+    line_bits, lines_at = space.line_bits, space.lines_at
+    while todo and bits != all_bits:
+        low = todo & -todo
+        todo ^= low
+        for li in lines_at[low.bit_length() - 1]:
+            lb = line_bits[li]
             inter = lb & bits
-            if inter and inter != lb and inter & (inter - 1):
+            if inter != lb and inter & (inter - 1):
+                todo |= lb & ~bits
                 bits |= lb
-                changed = True
-    return PointSet(space, bits)
+    out = PointSet(space, bits)
+    out._subspace = True
+    return out
 
 
 def is_subspace(space: PolarSpace, X) -> bool:
@@ -420,7 +435,7 @@ def is_maximal_subspace(space: PolarSpace, S) -> bool:
     """True iff adding any outside point generates the whole space."""
     S = _require_proper_subspace(space, S)
     for p in _iter_bits(space.all_bits & ~S.bits):
-        if closure(space, S.bits | (1 << p)).bits != space.all_bits:
+        if closure(space, 1 << p, S.bits).bits != space.all_bits:
             return False
     return True
 
@@ -568,17 +583,9 @@ def _solve_in_subspace(F, basis, constraint_rows):
     mat = []
     for r in constraint_rows:
         mat.append(tuple(
-            _row_dot(F, r, bv) for bv in basis
+            linalg.dot(F, r, bv) for bv in basis
         ))
     return linalg.right_kernel(F, mat, len(basis))
-
-
-def _row_dot(F, row, v):
-    acc = 0
-    for c, x in zip(row, v):
-        if c and x:
-            acc = F.add(acc, F.mul(c, x))
-    return acc
 
 
 def _coeff_points(F, kernel, basis):
@@ -616,7 +623,7 @@ def extend_frame(space: PolarSpace, fr: PartialFrame) -> PartialFrame:
         y = None
         fx = bil.functional(x)
         for cand in _coeff_points(F, u_kernel, N):
-            if _row_dot(F, fx, cand) != 0:
+            if linalg.dot(F, fx, cand) != 0:
                 y = cand
                 break
         if y is None:

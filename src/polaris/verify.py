@@ -176,7 +176,7 @@ def _grow_to_maximal(space: PolarSpace, S: PointSet) -> PointSet:
     while True:
         grown = None
         for p in _iter_bits(space.all_bits & ~S.bits):
-            c = closure(space, S.bits | (1 << p))
+            c = closure(space, 1 << p, S.bits)
             if c.bits != space.all_bits:
                 grown = c
                 break

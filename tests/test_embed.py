@@ -88,6 +88,42 @@ def test_preimage_is_always_a_subspace(space):
         assert is_subspace(Q, preimage(emb, rows))
 
 
+def _preimage_by_enumeration(emb, W):
+    F = emb.space.field
+    span = set(linalg.subspace_points(F, W))
+    return {i for i, v in enumerate(emb.vectors)
+            if linalg.normalize_point(F, v) in span}
+
+
+@pytest.mark.parametrize("name", ["Q4_2", "H3_4", "W5_2"])
+def test_preimage_matches_span_enumeration(name, space):
+    # natural embeddings of Q4_2 and H3_4, the hull embedding of W5_2
+    sp = space(name)
+    emb = universal_embedding(sp)
+    F, d = sp.field, emb.dim
+    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    rng = random.Random(4)
+
+    def vec():
+        return tuple(rng.randrange(F.q) for _ in range(d))
+
+    u, v = vec(), vec()
+    cases = [
+        [],                                               # empty
+        [u, u, v, linalg.vec_add(F, u, v)],               # duplicate, dependent
+        [(0,) * d, v],                                    # zero row
+        [unit[-1], unit[0]],                              # not in RREF
+        unit[::-1],                                       # spans V
+        [emb.vectors[i] for i in sp.lines[0]],            # a line
+    ]
+    cases += [[vec() for _ in range(rng.randint(1, d))] for _ in range(20)]
+    for W in cases:
+        got = preimage(emb, W)
+        assert set(got.indices()) == _preimage_by_enumeration(emb, W)
+    assert preimage(emb, []).bits == 0
+    assert preimage(emb, unit).bits == sp.all_bits
+
+
 # ---------------------------------------------------------------------------
 # arises_from
 # ---------------------------------------------------------------------------
@@ -129,6 +165,8 @@ def test_arises_requires_subspace(space):
     bad = list(W.lines[0])[:-1]
     with pytest.raises(GeometryError):
         arises_from(natural_embedding(W), bad)
+    with pytest.raises(GeometryError):
+        arises_from(natural_embedding(W), PointSet.of(W, bad))
 
 
 def test_arises_invariant_under_rescaling(space):

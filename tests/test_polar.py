@@ -209,6 +209,39 @@ def test_closure_equals_subspace_intersection_small(space):
         assert closure(G, bits).bits == inter
 
 
+def _oracle_closure(line_bits, bits):
+    """Saturate the given lines until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for lb in line_bits:
+            inter = lb & bits
+            if inter != lb and inter & (inter - 1):
+                bits |= lb
+                changed = True
+    return bits
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "Sp4_3", "H3_4"])
+def test_closure_from_closed_base_matches_oracle(name, space):
+    # lines of 3, 4 and 5 points; the line set comes from the oracle
+    sp = space(name)
+    _, lines = oracle_points_and_lines(sp.form)
+    oracle_lines = [sum(1 << sp.index[v] for v in line) for line in lines]
+    N = len(sp.points)
+    rng = random.Random(11)
+    for _ in range(60):
+        seeds = PointSet.of(sp, rng.sample(range(N), rng.randint(0, 3)))
+        S = _oracle_closure(oracle_lines, seeds.bits)
+        X = PointSet.of(sp, rng.sample(range(N), rng.randint(0, 3))).bits
+        want = _oracle_closure(oracle_lines, X | S)
+        from_base = closure(sp, X, S)
+        cold = closure(sp, X | S)
+        assert from_base.bits == cold.bits == want
+        assert from_base.is_subspace == is_subspace(sp, from_base.bits) is True
+        assert cold.is_subspace == is_subspace(sp, cold.bits) is True
+
+
 # ---------------------------------------------------------------------------
 # subspace, singularity, ranks
 # ---------------------------------------------------------------------------

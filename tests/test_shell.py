@@ -8,7 +8,7 @@ from polaris.catalog import (
     preset_text,
     resolve_preset,
 )
-from polaris.errors import SpecError, UsageError
+from polaris.errors import GeometryError, SpecError, UsageError
 from polaris.specfile import (
     build_form,
     build_space_from_spec,
@@ -107,6 +107,14 @@ def test_point_cap_env(monkeypatch):
         point_cap()
     monkeypatch.delenv("POLARIS_POINT_CAP")
     assert point_cap() == 1000
+
+
+def test_build_preset_honours_a_changed_point_cap(monkeypatch):
+    monkeypatch.delenv("POLARIS_POINT_CAP", raising=False)
+    assert len(build_preset("H4_4").points) == 165
+    monkeypatch.setenv("POLARIS_POINT_CAP", "50")
+    with pytest.raises(GeometryError, match="cap"):
+        build_preset("H4_4")
 
 
 def test_build_is_deterministic_across_rebuilds():
