@@ -20,7 +20,7 @@ from .embed import (
     universal_embedding,
 )
 from .errors import PolarisError, UsageError
-from .forms import polarize, radical_of_form
+from .forms import radical_of_form
 from .polar import (
     PointSet,
     check_partial_frame,
@@ -289,7 +289,7 @@ def run(args, out) -> int:
     if cmd == "quotient":
         space = _load_space(args)
         emb = natural_embedding(space)
-        res = quotient_embedding(emb, radical_of_form(polarize(space.form)))
+        res = quotient_embedding(emb, radical_of_form(space.bilinear))
         w.emit("quotient", [
             ("space", space.label or "custom"),
             ("kernel-dim", len(res.embedding.kernel)),

@@ -137,10 +137,12 @@ class QuotientResult:
     point_map: tuple              # original point index -> quotient point index
 
 
-def quotient_embedding(emb: Embedding, X, cap: int | None = None) -> QuotientResult:
+def quotient_embedding(emb: Embedding, X) -> QuotientResult:
     """Project a universal quadratic embedding from a nonzero subspace X
     of the radical of its bilinearization; over a finite field this
-    forces X = rad(f_Q) and the quotient is the alternating embedding."""
+    forces X = rad(f_Q) and the quotient is the alternating embedding.
+    The quotient space is in bijection with the given one, so it is built
+    under a cap of the given point count."""
     space = emb.space
     if emb.tag != "universal" or space.kind != "quadratic":
         raise EmbeddingError("quotients are taken from the universal quadratic embedding")
@@ -172,7 +174,7 @@ def quotient_embedding(emb: Embedding, X, cap: int | None = None) -> QuotientRes
             g[a][b] = linalg.dot(F, row, comp[b])
     induced = sesquilinear_form(F, g, "alternating")
     label = f"{space.label}/quotient" if space.label else None
-    qspace = build_polar_space(induced, cap=cap, label=label)
+    qspace = build_polar_space(induced, cap=len(space.points), label=label)
 
     qvecs = []
     qmap = []
@@ -219,16 +221,11 @@ def _symplectic_basis(space: PolarSpace):
     form = space.form
     d = space.dim
     basis = []
-    sub = tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
     while len(basis) < d:
-        rows = [form.functional(b) for b in basis]
-        kernel = linalg.right_kernel(F, rows, d) if rows else sub
+        kernel = linalg.right_kernel(F, [form.functional(b) for b in basis], d)
         u = None
         for coeffs in linalg.projective_reps(F, len(kernel)):
-            v = (0,) * d
-            for c, kr in zip(coeffs, kernel):
-                if c:
-                    v = linalg.vec_add(F, v, linalg.vec_scale(F, kr, c))
+            v = linalg.combine(F, coeffs, kernel)
             if u is None:
                 u = v
                 continue
@@ -242,9 +239,11 @@ def _symplectic_basis(space: PolarSpace):
     return basis
 
 
-def hull_of_symplectic_char2(space: PolarSpace, cap: int | None = None) -> HullResult:
+def hull_of_symplectic_char2(space: PolarSpace) -> HullResult:
     """Rebuild the parabolic quadric whose nucleus quotient is this
-    symplectic space and return the induced point bijection."""
+    symplectic space and return the induced point bijection.  The quadric
+    is in bijection with the space, so it is built under a cap of the
+    space's point count."""
     if space.kind != "alternating" or space.field.char != 2:
         raise GeometryError(
             "hull construction applies to alternating spaces in characteristic 2; "
@@ -258,18 +257,13 @@ def hull_of_symplectic_char2(space: PolarSpace, cap: int | None = None) -> HullR
         U[2 * i + 1][2 * i + 2] = 1
     Q = quadratic_form(F, U)
     label = f"{space.label}/hull" if space.label else None
-    qspace = build_polar_space(Q, cap=cap, label=label)
-    qres = quotient_embedding(natural_embedding(qspace), radical_of_form(polarize(Q)),
-                              cap=cap)
+    qspace = build_polar_space(Q, cap=len(space.points), label=label)
+    qres = quotient_embedding(natural_embedding(qspace), radical_of_form(polarize(Q)))
     sympl = _symplectic_basis(space)
     to_quad = [None] * len(space.points)
     from_quad = [None] * len(qspace.points)
     for qi, quot_idx in enumerate(qres.point_map):
-        coords = qres.quotient_space.points[quot_idx]
-        v = (0,) * space.dim
-        for c, bv in zip(coords, sympl):
-            if c:
-                v = linalg.vec_add(F, v, linalg.vec_scale(F, bv, c))
+        v = linalg.combine(F, qres.quotient_space.points[quot_idx], sympl)
         si = space.index[linalg.normalize_point(F, v)]
         if to_quad[si] is not None:
             raise GeometryError("hull bijection collapsed two points")
@@ -290,16 +284,19 @@ def hull_of_symplectic_char2(space: PolarSpace, cap: int | None = None) -> HullR
     return HullResult(qspace, tuple(to_quad), tuple(from_quad), universal)
 
 
-def universal_embedding(space: PolarSpace, cap: int | None = None) -> Embedding:
+def universal_embedding(space: PolarSpace) -> Embedding:
     """The universal embedding: natural when already tagged universal,
-    hull-composed for characteristic-2 symplectic spaces."""
-    emb = natural_embedding(space)
-    if emb.tag == "universal":
-        return emb
-    if emb.tag == "quotient":
-        return hull_of_symplectic_char2(space, cap=cap).universal
-    raise EmbeddingError(
-        "no designated universal embedding for this space (grid case)")
+    hull-composed for characteristic-2 symplectic spaces.  Built once per
+    space and kept in its write-once `_universal` slot."""
+    if space._universal is None:
+        emb = natural_embedding(space)
+        if emb.tag == "quotient":
+            emb = hull_of_symplectic_char2(space).universal
+        elif emb.tag != "universal":
+            raise EmbeddingError(
+                "no designated universal embedding for this space (grid case)")
+        space._universal = emb
+    return space._universal
 
 
 # ---------------------------------------------------------------------------

@@ -256,14 +256,7 @@ def radical_of_quadratic(Q: QuadraticForm):
     # linear equation in the coefficients.
     roots = [F.sqrt_char2(eval_quadratic(Q, u)) for u in radf]
     coeff_basis = linalg.right_kernel(F, (tuple(roots),), len(radf))
-    vecs = []
-    for coeffs in coeff_basis:
-        v = (0,) * Q.dim
-        for c, u in zip(coeffs, radf):
-            if c:
-                v = linalg.vec_add(F, v, linalg.vec_scale(F, u, c))
-        vecs.append(v)
-    return linalg.rref(F, vecs)
+    return linalg.rref(F, [linalg.combine(F, coeffs, radf) for coeffs in coeff_basis])
 
 
 @dataclass(frozen=True)
@@ -363,18 +356,12 @@ def _orthogonality_rows(form, vectors):
 
 def _iter_constrained(F, form, basis_rows, dim):
     """Candidate vectors in the solution space of the orthogonality rows."""
-    kernel = linalg.right_kernel(F, basis_rows, dim) if basis_rows else \
-        tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
+    kernel = linalg.right_kernel(F, basis_rows, dim)
     e = len(kernel)
-    count = (F.q**e - 1) // (F.q - 1) if e else 0
-    if count > VECTOR_ENUM_CAP:
+    if (F.q**e - 1) // (F.q - 1) > VECTOR_ENUM_CAP:
         raise FormError("ambient space too large for isotropic enumeration")
-    for coeffs in linalg.projective_reps(F, e) if e else ():
-        v = (0,) * dim
-        for c, row in zip(coeffs, kernel):
-            if c:
-                v = linalg.vec_add(F, v, linalg.vec_scale(F, row, c))
-        yield v
+    for coeffs in linalg.projective_reps(F, e):
+        yield linalg.combine(F, coeffs, kernel)
 
 
 def witt_index(form) -> int:

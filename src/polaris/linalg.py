@@ -31,6 +31,15 @@ def dot(F: Field, u, v) -> int:
     return acc
 
 
+def combine(F: Field, coeffs, rows):
+    """Sum of c * row over paired coefficients and rows; rows must be nonempty."""
+    v = (0,) * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            v = vec_add(F, v, vec_scale(F, row, c))
+    return v
+
+
 def is_zero_vec(v) -> bool:
     return all(a == 0 for a in v)
 
@@ -150,14 +159,8 @@ def subspace_vectors(F: Field, basis):
     from itertools import product
     if not basis:
         return [()]
-    out = []
-    for coeffs in product(range(F.q), repeat=len(basis)):
-        v = (0,) * len(basis[0])
-        for c, row in zip(coeffs, basis):
-            if c:
-                v = vec_add(F, v, vec_scale(F, row, c))
-        out.append(v)
-    return out
+    return [combine(F, coeffs, basis)
+            for coeffs in product(range(F.q), repeat=len(basis))]
 
 
 def subspace_points(F: Field, basis):

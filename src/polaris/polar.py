@@ -9,8 +9,10 @@ point-index tuples.  Collinearity lives in per-point bitsets, with
 p in perp(p) by convention, so closure and perp are pure integer
 bitset work.
 
-Spaces are immutable after construction; PointSet caches are
-write-once.  Everything here is safe to query concurrently.
+Spaces are immutable after construction, apart from the write-once
+`_universal` slot that `embed.universal_embedding` fills; PointSet
+caches are write-once too.  Everything here is safe to query
+concurrently: two threads filling one cache write equal values.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class PolarSpace:
 
     __slots__ = ("field", "form", "kind", "bilinear", "dim", "q", "n",
                  "points", "index", "adj", "lines", "line_bits", "lines_at",
-                 "all_bits", "is_grid", "label")
+                 "all_bits", "is_grid", "label", "_universal")
 
     def __init__(self, field, form, kind, bilinear, dim, n, points, index,
                  adj, lines, line_bits, lines_at, is_grid, label):
@@ -74,6 +76,7 @@ class PolarSpace:
         self.all_bits = (1 << len(points)) - 1
         self.is_grid = is_grid
         self.label = label
+        self._universal = None   # write-once cache of embed.universal_embedding
 
     def __len__(self):
         return len(self.points)
@@ -577,27 +580,14 @@ def _dfs_disjoint_maximal(space, seed_ids, avoid_bits):
 
 def _solve_in_subspace(F, basis, constraint_rows):
     """Coefficient-space kernel basis for 'x in span(basis), rows(x) = 0'."""
-    if not constraint_rows:
-        e = len(basis)
-        return tuple(tuple(1 if i == j else 0 for i in range(e)) for j in range(e))
-    mat = []
-    for r in constraint_rows:
-        mat.append(tuple(
-            linalg.dot(F, r, bv) for bv in basis
-        ))
+    mat = [tuple(linalg.dot(F, r, bv) for bv in basis) for r in constraint_rows]
     return linalg.right_kernel(F, mat, len(basis))
 
 
 def _coeff_points(F, kernel, basis):
     """Vectors of the coefficient-kernel subspace, in projective lex order."""
     for coeffs in linalg.projective_reps(F, len(kernel)):
-        v = (0,) * len(basis[0])
-        for c, krow in zip(coeffs, kernel):
-            if c:
-                for cc, bv in zip(krow, basis):
-                    if cc:
-                        v = linalg.vec_add(F, v, linalg.vec_scale(F, bv, F.mul(c, cc)))
-        yield v
+        yield linalg.combine(F, linalg.combine(F, coeffs, kernel), basis)
 
 
 def extend_frame(space: PolarSpace, fr: PartialFrame) -> PartialFrame:
@@ -725,7 +715,9 @@ class StarSpace:
     line_members: tuple
 
 
-def star_space(space: PolarSpace, R, cap: int | None = None) -> StarSpace:
+def star_space(space: PolarSpace, R) -> StarSpace:
+    """The star of the singular subspace R; its residue is smaller than the
+    space, so it is built under a cap of the space's point count."""
     Rset = PointSet(space, _bits(space, R))
     if Rset.bits == 0:
         members = tuple(PointSet(space, 1 << i) for i in range(len(space.points)))
@@ -761,15 +753,12 @@ def star_space(space: PolarSpace, R, cap: int | None = None) -> StarSpace:
         from .forms import sesquilinear_form
         induced = sesquilinear_form(F, g, space.kind, pair=space.form.pair)
     label = f"{space.label}/star" if space.label else None
-    residue = build_polar_space(induced, cap=cap, label=label)
+    residue = build_polar_space(induced, cap=len(space.points), label=label)
     if residue.n != space.n - r:
         raise GeometryError("residue rank mismatch")  # unreachable
     members = []
     for pvec in residue.points:
-        x = (0,) * space.dim
-        for c, bv in zip(pvec, comp):
-            if c:
-                x = linalg.vec_add(F, x, linalg.vec_scale(F, bv, c))
+        x = linalg.combine(F, pvec, comp)
         bits = 0
         for pt in linalg.subspace_points(F, list(W) + [x]):
             bits |= 1 << space.index[pt]

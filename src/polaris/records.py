@@ -8,7 +8,8 @@ never prints timing, so identical runs are byte-identical.
 
 from __future__ import annotations
 
-from .verify import SKIP_REASONS, CheckReport
+# printed in every check report, zero or not; other reasons follow, sorted
+SKIP_REASONS = ("improper", "singular", "rank_nd_lt_2", "duplicate")
 
 
 def fmt_value(v) -> str:
@@ -35,7 +36,8 @@ class RecordWriter:
             print(f"{key}: {fmt_value(value)}", file=self.out)
         print(file=self.out)
 
-    def emit_report(self, report: CheckReport):
+    def emit_report(self, report):
+        """One check-report record of a `verify.CheckReport`."""
         fields = [
             ("check", report.check),
             ("space", report.space),

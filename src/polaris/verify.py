@@ -1,26 +1,41 @@
 """Seeded samplers and exhaustive enumerators for the subspace-embedding
 checks.
 
+Each check is a candidate stream and a judge, run by one driver
+(`_drive`) that does all the report bookkeeping.  Every candidate counts
+as sampled; one whose dedup key the run has met before is skipped as a
+duplicate.  The judge returns a skip reason when the candidate fails a
+hypothesis, None when it passes, or a witness dict when it fails.  The
+open-problem commands are experimental: their reports file the dicts as
+exhibits, count those candidates as passed and never count failures.
+
 Every sampled check draws each sample from its own deterministic
 substream (indexed by sample number), so identical plans replay
-identical sample sequences and reports, and samples may be evaluated in
-any order.  Candidate subspaces are closures of random seed sets with
-sizes uniform in [2, 2n+2]; duplicates within a run are skipped.
+identical sample sequences and reports.  Candidate subspaces are
+closures of random seed sets with sizes uniform in [2, 2n+2].
 Exhaustive mode enumerates the full subspace lattice and is selected
 automatically on spaces with at most 15 points.
 
 Failure witnesses carry enough indices to replay the failing call in
-isolation.  The open-problem commands are experimental: they report
-exhibits and never count failures.
+isolation.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .embed import Embedding, arises_from, natural_embedding, preimage
+from . import linalg
+from .embed import (
+    Embedding,
+    arises_from,
+    natural_embedding,
+    preimage,
+    universal_embedding,
+)
 from .errors import UsageError
 from .polar import (
     PointSet,
@@ -37,8 +52,6 @@ from .polar import (
 
 EXHAUSTIVE_POINT_LIMIT = 15   # auto-exhaustive at or below this many points
 ENUMERATION_COST_LIMIT = 2**20
-
-SKIP_REASONS = ("improper", "singular", "rank_nd_lt_2", "duplicate")
 
 
 @dataclass(frozen=True)
@@ -100,29 +113,53 @@ def _label(space: PolarSpace) -> str:
     return space.label or f"{space.kind}-{space.dim}-q{space.q}"
 
 
-def iter_candidate_subspaces(space: PolarSpace, plan: SamplePlan, report: CheckReport):
-    """Candidate subspaces with duplicate accounting already applied."""
-    mode = plan.resolved_mode(space)
+def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidates,
+           judge, key=attrgetter("bits"), experimental: bool = False) -> CheckReport:
+    """Judge every candidate and file the verdicts in one timed report.
+
+    Each candidate counts as sampled; one whose `key` was met before is
+    skipped as a duplicate without being judged.  `judge(candidate)`
+    returns a skip reason, None for a pass, or a witness dict for a
+    failure; an experimental report files the dict as an exhibit and
+    counts the candidate as passed."""
+    report = CheckReport(check, _label(space), mode, plan.seed, plan.samples,
+                         experimental=experimental)
+    seen = set()
+    start = time.perf_counter()
+    for cand in candidates:
+        report.sampled += 1
+        k = key(cand)
+        verdict = "duplicate" if k in seen else judge(cand)
+        seen.add(k)
+        if isinstance(verdict, str):
+            report.skip(verdict)
+            continue
+        report.applicable += 1
+        if verdict is None:
+            report.passed += 1
+        elif experimental:
+            report.passed += 1
+            report.exhibits.append(verdict)
+        else:
+            report.failed += 1
+            report.witnesses.append(verdict)
+    report.duration = time.perf_counter() - start
+    return report
+
+
+def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
+    """Every subspace in exhaustive mode, else closures of random seed sets."""
     if mode == "exhaustive":
         for bits in enumerate_subspaces(space, ENUMERATION_COST_LIMIT):
-            report.sampled += 1
             yield PointSet(space, bits)
         return
     N = len(space.points)
     hi = plan.max_size if plan.max_size is not None else 2 * space.n + 2
     hi = max(plan.min_size, min(hi, N))
-    seen = set()
     for idx in range(plan.samples):
         rng = plan.rng_for(idx)
         size = rng.randint(plan.min_size, hi)
-        ids = rng.sample(range(N), size)
-        S = closure(space, ids)
-        report.sampled += 1
-        if S.bits in seen:
-            report.skip("duplicate")
-            continue
-        seen.add(S.bits)
-        yield S
+        yield closure(space, rng.sample(range(N), size))
 
 
 def classify_subspace(space: PolarSpace, S: PointSet) -> str | None:
@@ -136,6 +173,19 @@ def classify_subspace(space: PolarSpace, S: PointSet) -> str | None:
     return None
 
 
+def _non_arising(emb: Embedding, S: PointSet, kind: str) -> dict | None:
+    """None when S arises from emb, else a witness of the given kind."""
+    verdict = arises_from(emb, S)
+    if verdict.arises:
+        return None
+    return {
+        "kind": kind,
+        "points": S.indices(),
+        "preimage": verdict.preimage.indices(),
+        "witness": verdict.witness,
+    }
+
+
 def check_theorem1(space: PolarSpace, emb: Embedding, plan: SamplePlan) -> CheckReport:
     """Every proper non-singular subspace of non-degenerate rank >= 2 must
     equal the preimage of the span of its image under the universal
@@ -147,28 +197,13 @@ def check_theorem1(space: PolarSpace, emb: Embedding, plan: SamplePlan) -> Check
             "no universal embedding designated for this space (grid case)")
     if emb.space is not space:
         raise UsageError("embedding belongs to a different space")
-    report = CheckReport("theorem1", _label(space), plan.resolved_mode(space),
-                         plan.seed, plan.samples)
-    start = time.perf_counter()
-    for S in iter_candidate_subspaces(space, plan, report):
-        reason = classify_subspace(space, S)
-        if reason:
-            report.skip(reason)
-            continue
-        report.applicable += 1
-        verdict = arises_from(emb, S)
-        if verdict.arises:
-            report.passed += 1
-        else:
-            report.failed += 1
-            report.witnesses.append({
-                "kind": "non-arising subspace",
-                "points": S.indices(),
-                "preimage": verdict.preimage.indices(),
-                "witness": verdict.witness,
-            })
-    report.duration = time.perf_counter() - start
-    return report
+    mode = plan.resolved_mode(space)
+
+    def judge(S):
+        return classify_subspace(space, S) or \
+            _non_arising(emb, S, "non-arising subspace")
+
+    return _drive("theorem1", space, plan, mode, _subspaces(space, plan, mode), judge)
 
 
 def _grow_to_maximal(space: PolarSpace, S: PointSet) -> PointSet:
@@ -186,127 +221,77 @@ def _grow_to_maximal(space: PolarSpace, S: PointSet) -> PointSet:
 
 
 def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
-    """Every maximal proper subspace of rank >= 2 must meet all lines."""
-    report = CheckReport("corollary2", _label(space), plan.resolved_mode(space),
-                         plan.seed, plan.samples)
-    start = time.perf_counter()
+    """Every maximal proper subspace of rank >= 2 must meet all lines.
+
+    Exhaustive mode tests each subspace for maximality; sampled mode
+    grows each candidate to a maximal subspace and skips a grown
+    subspace met before as a duplicate."""
     mode = plan.resolved_mode(space)
-    if mode == "exhaustive":
-        for bits in enumerate_subspaces(space, ENUMERATION_COST_LIMIT):
-            report.sampled += 1
-            S = PointSet(space, bits)
-            if S.bits == space.all_bits:
-                report.skip("improper")
-                continue
-            if rank_of(space, S) < 2:
-                report.skip("rank_lt_2")
-                continue
-            if not is_maximal_subspace(space, S):
-                report.skip("not_maximal")
-                continue
-            report.applicable += 1
-            if is_hyperplane(space, S):
-                report.passed += 1
-            else:
-                report.failed += 1
-                report.witnesses.append({
-                    "kind": "maximal non-hyperplane",
-                    "points": S.indices(),
-                    "missed_line": next(li for li, lb in enumerate(space.line_bits)
-                                        if not lb & S.bits),
-                })
-    else:
-        seen = set()
-        for S in iter_candidate_subspaces(space, plan, report):
-            if S.bits == space.all_bits:
-                report.skip("improper")
-                continue
-            M = _grow_to_maximal(space, S)
-            if M.bits in seen:
-                report.skip("duplicate")
-                continue
-            seen.add(M.bits)
-            if rank_of(space, M) < 2:
-                report.skip("rank_lt_2")
-                continue
-            report.applicable += 1
-            if is_hyperplane(space, M):
-                report.passed += 1
-            else:
-                report.failed += 1
-                report.witnesses.append({
-                    "kind": "maximal non-hyperplane",
-                    "points": M.indices(),
-                    "missed_line": next(li for li, lb in enumerate(space.line_bits)
-                                        if not lb & M.bits),
-                })
-    report.duration = time.perf_counter() - start
-    return report
+    exhaustive = mode == "exhaustive"
+    grown = set()
 
+    def judge(S):
+        if S.bits == space.all_bits:
+            return "improper"
+        if not exhaustive:
+            S = _grow_to_maximal(space, S)
+            if S.bits in grown:
+                return "duplicate"
+            grown.add(S.bits)
+        if rank_of(space, S) < 2:
+            return "rank_lt_2"
+        if exhaustive and not is_maximal_subspace(space, S):
+            return "not_maximal"
+        if is_hyperplane(space, S):
+            return None
+        return {
+            "kind": "maximal non-hyperplane",
+            "points": S.indices(),
+            "missed_line": next(li for li, lb in enumerate(space.line_bits)
+                                if not lb & S.bits),
+        }
 
-def _sampled_hyperplanes(space: PolarSpace, emb: Embedding, plan: SamplePlan,
-                         report: CheckReport):
-    """Preimages of sampled projective hyperplanes, deduplicated."""
-    F = space.field
-    d = emb.dim
-    seen = set()
-    for idx in range(plan.samples):
-        rng = plan.rng_for(idx)
-        while True:
-            functional = tuple(rng.randrange(F.q) for _ in range(d))
-            if any(functional):
-                break
-        from . import linalg
-        functional = linalg.normalize_point(F, functional)
-        report.sampled += 1
-        if functional in seen:
-            report.skip("duplicate")
-            continue
-        seen.add(functional)
-        kernel = linalg.right_kernel(F, (functional,), d)
-        H = preimage(emb, kernel)
-        yield H
+    return _drive("corollary2", space, plan, mode, _subspaces(space, plan, mode), judge)
 
 
 def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """In rank n > 2, every hyperplane must be maximal of rank n-1 or n:
     scanned over all singular hyperplanes plus sampled hyperplane
-    preimages under the universal embedding."""
+    preimages under the universal embedding, deduplicated on the
+    normalized functional."""
     if space.n <= 2:
         raise UsageError("corollary3 needs ambient rank > 2")
-    from .embed import universal_embedding
     emb = universal_embedding(space)
-    report = CheckReport("corollary3", _label(space), "mixed",
-                         plan.seed, plan.samples)
-    start = time.perf_counter()
+    F, d = space.field, emb.dim
     rank_hist: dict = {}
 
-    def handle(H: PointSet, origin: str):
-        if H.bits == space.all_bits:
-            report.skip("improper")
-            return
-        report.applicable += 1
-        r = rank_of(space, H)
-        ok = r in (space.n - 1, space.n) and is_hyperplane(space, H) \
-            and is_maximal_subspace(space, H)
-        if ok:
-            report.passed += 1
-            rank_hist[r] = rank_hist.get(r, 0) + 1
-        else:
-            report.failed += 1
-            report.witnesses.append({
-                "kind": f"bad hyperplane ({origin})",
-                "points": H.indices(),
-                "rank": r,
-            })
+    def hyperplanes():
+        for p in range(len(space.points)):
+            yield "singular", p
+        for idx in range(plan.samples):
+            rng = plan.rng_for(idx)
+            while True:
+                functional = tuple(rng.randrange(F.q) for _ in range(d))
+                if any(functional):
+                    break
+            yield "preimage", linalg.normalize_point(F, functional)
 
-    for p in range(len(space.points)):
-        report.sampled += 1
-        handle(singular_hyperplane(space, p), "singular")
-    for H in _sampled_hyperplanes(space, emb, plan, report):
-        handle(H, "preimage")
+    def judge(item):
+        origin, x = item
+        H = singular_hyperplane(space, x) if origin == "singular" \
+            else preimage(emb, linalg.right_kernel(F, (x,), d))
+        if H.bits == space.all_bits:
+            return "improper"
+        r = rank_of(space, H)
+        if r in (space.n - 1, space.n) and is_hyperplane(space, H) \
+                and is_maximal_subspace(space, H):
+            rank_hist[r] = rank_hist.get(r, 0) + 1
+            return None
+        return {"kind": f"bad hyperplane ({origin})", "points": H.indices(), "rank": r}
+
+    report = _drive("corollary3", space, plan, "mixed", hyperplanes(), judge,
+                    key=lambda item: item)
     report.info["rank_histogram"] = dict(sorted(rank_hist.items()))
-    report.duration = time.perf_counter() - start
     return report
 
 
@@ -318,25 +303,17 @@ def check_prop5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
         raise UsageError(
             "prop5 needs a universal embedding of projective dimension 3 "
             f"(vector dimension 4); this space has vector dimension {emb.dim}")
-    report = CheckReport("prop5", _label(space), plan.resolved_mode(space),
-                         plan.seed, plan.samples)
-    start = time.perf_counter()
-    for S in iter_candidate_subspaces(space, plan, report):
+    mode = plan.resolved_mode(space)
+
+    def judge(S):
         if S.bits == space.all_bits:
-            report.skip("improper")
-            continue
-        report.applicable += 1
+            return "improper"
         if S.rank_nd <= 1:
-            report.passed += 1
-        else:
-            report.failed += 1
-            report.witnesses.append({
-                "kind": "proper subspace of rank_nd >= 2",
-                "points": S.indices(),
-                "rank_nd": S.rank_nd,
-            })
-    report.duration = time.perf_counter() - start
-    return report
+            return None
+        return {"kind": "proper subspace of rank_nd >= 2", "points": S.indices(),
+                "rank_nd": S.rank_nd}
+
+    return _drive("prop5", space, plan, mode, _subspaces(space, plan, mode), judge)
 
 
 def _noncollinear_sets(space: PolarSpace, max_size: int, budget: int):
@@ -366,113 +343,70 @@ def search_nonarising_rank1(space: PolarSpace, emb: Embedding,
                             plan: SamplePlan, max_set_size: int = 4) -> CheckReport:
     """Hunt for low-rank subspaces that fail to arise: exhaustively over
     small pairwise non-collinear sets, plus sampled closures of
-    non-degenerate rank at most 1.  Experimental; exhibits, not failures."""
+    non-degenerate rank at most 1, all deduplicated on one set of point
+    sets.  Experimental; exhibits, not failures."""
     if emb.tag != "universal":
         raise UsageError("the search runs against the universal embedding")
-    report = CheckReport("rank1-nonarising", _label(space), "mixed",
-                         plan.seed, plan.samples, experimental=True)
-    start = time.perf_counter()
-    seen = set()
-    budget = ENUMERATION_COST_LIMIT
+    sets = ((PointSet.of(space, ids), "non-collinear set")
+            for ids in _noncollinear_sets(space, max_set_size, ENUMERATION_COST_LIMIT))
+    closures = ((S, "sampled closure")
+                for S in _subspaces(space, plan, plan.resolved_mode(space)))
 
-    def consider(S: PointSet, origin: str):
-        if S.bits in seen:
-            report.skip("duplicate")
-            return
-        seen.add(S.bits)
+    def judge(item):
+        S, origin = item
         if S.bits == space.all_bits:
-            report.skip("improper")
-            return
-        report.applicable += 1
-        report.passed += 1
-        verdict = arises_from(emb, S)
-        if not verdict.arises:
-            report.exhibits.append({
-                "kind": f"non-arising low-rank subspace ({origin})",
-                "points": S.indices(),
-                "preimage": verdict.preimage.indices(),
-                "witness": verdict.witness,
-                "rank": rank_of(space, S),
-                "rank_nd": rank_nd(space, S),
-            })
+            return "improper"
+        if origin == "sampled closure" and rank_nd(space, S) > 1:
+            return "rank_nd_gt_1"
+        exhibit = _non_arising(emb, S, f"non-arising low-rank subspace ({origin})")
+        if exhibit is not None:
+            exhibit.update(rank=rank_of(space, S), rank_nd=rank_nd(space, S))
+        return exhibit
 
-    for ids in _noncollinear_sets(space, max_set_size, budget):
-        report.sampled += 1
-        consider(PointSet.of(space, ids), "non-collinear set")
-    for S in iter_candidate_subspaces(space, plan, report):
-        if S.bits == space.all_bits:
-            report.skip("improper")
-            continue
-        if rank_nd(space, S) > 1:
-            report.skip("rank_nd_gt_1")
-            continue
-        consider(S, "sampled closure")
+    report = _drive("rank1-nonarising", space, plan, "mixed",
+                    itertools.chain(sets, closures), judge,
+                    key=lambda item: item[0].bits, experimental=True)
     report.info["exhibit_count"] = len(report.exhibits)
-    report.duration = time.perf_counter() - start
     return report
 
 
 def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """Classify maximal rank-1 subspaces of a generalized quadrangle as
-    hyperplanes (ovoids) or counterexamples.  Experimental; no verdict."""
+    hyperplanes (ovoids) or counterexamples.  Exhaustive mode takes the
+    rank-1 subspaces; sampled mode saturates a random point to a maximal
+    pairwise non-collinear set.  Experimental; no verdict."""
     if space.n != 2:
         raise UsageError("problem5 concerns rank-2 spaces only")
-    report = CheckReport("problem5", _label(space), plan.resolved_mode(space),
-                         plan.seed, plan.samples, experimental=True)
-    start = time.perf_counter()
     mode = plan.resolved_mode(space)
-    ovoids = counterexamples = 0
+    exhaustive = mode == "exhaustive"
 
-    def saturate_noncollinear(S: PointSet) -> PointSet:
-        bits = S.bits
-        while True:
-            allowed = space.all_bits & ~bits
-            for p in list(_iter_bits(bits)):
-                allowed &= ~space.adj[p]
-            if not allowed:
-                return PointSet(space, bits)
-            bits |= allowed & -allowed
-
-    candidates = []
-    if mode == "exhaustive":
-        for bits in enumerate_subspaces(space, ENUMERATION_COST_LIMIT):
-            report.sampled += 1
-            S = PointSet(space, bits)
-            if bits == space.all_bits:
-                report.skip("improper")
-                continue
-            if rank_of(space, S) != 1:
-                report.skip("rank_ne_1")
-                continue
-            candidates.append(S)
-    else:
-        seen = set()
+    def saturations():
         for idx in range(plan.samples):
-            rng = plan.rng_for(idx)
-            report.sampled += 1
-            start_pt = rng.randrange(len(space.points))
-            S = saturate_noncollinear(PointSet(space, 1 << start_pt))
-            if S.bits in seen:
-                report.skip("duplicate")
-                continue
-            seen.add(S.bits)
-            candidates.append(S)
+            bits = 1 << plan.rng_for(idx).randrange(len(space.points))
+            while True:
+                allowed = space.all_bits & ~bits
+                for p in _iter_bits(bits):
+                    allowed &= ~space.adj[p]
+                if not allowed:
+                    break
+                bits |= allowed & -allowed
+            yield PointSet(space, bits)
 
-    for S in candidates:
+    def judge(S):
+        if exhaustive:
+            if S.bits == space.all_bits:
+                return "improper"
+            if rank_of(space, S) != 1:
+                return "rank_ne_1"
         if not is_maximal_subspace(space, S):
-            report.skip("not_maximal")
-            continue
-        report.applicable += 1
-        report.passed += 1
+            return "not_maximal"
         if is_hyperplane(space, S):
-            ovoids += 1
-        else:
-            counterexamples += 1
-            report.exhibits.append({
-                "kind": "maximal rank-1 subspace that is not a hyperplane",
-                "points": S.indices(),
-            })
-    report.info["ovoid_hyperplanes"] = ovoids
-    report.info["non_hyperplane_maximals"] = counterexamples
-    report.duration = time.perf_counter() - start
+            return None
+        return {"kind": "maximal rank-1 subspace that is not a hyperplane",
+                "points": S.indices()}
+
+    candidates = _subspaces(space, plan, mode) if exhaustive else saturations()
+    report = _drive("problem5", space, plan, mode, candidates, judge, experimental=True)
+    report.info["ovoid_hyperplanes"] = report.applicable - len(report.exhibits)
+    report.info["non_hyperplane_maximals"] = len(report.exhibits)
     return report

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and
 prints one PASS/FAIL line (run with -s to see them live)."""
 
+import hashlib
 import io
 import random
 import time
@@ -219,31 +220,65 @@ def test_criterion_7_structural_oracles():
             assert closure(sp, bits).bits == inter
 
 
+# (argv, sha256 of its stdout); the digests pin the record bytes themselves,
+# so a change that alters any output has to name it and update them
 CLI_BATTERY = [
-    ["build", "--preset", "Q4_2"],
-    ["build", "--preset", "H4_4", "--verbose"],
-    ["points", "--preset", "W3_2"],
-    ["lines", "--preset", "Qp3_4"],
-    ["closure", "--preset", "W3_2", "--points", "0,2"],
-    ["perp", "--preset", "Q4_2", "--points", "0,1"],
-    ["frame", "find", "--preset", "Q6_2", "--k", "3"],
-    ["frame", "check", "--preset", "W3_2", "--a", "0,3", "--b", "1,7"],
-    ["check", "theorem1", "--preset", "Q4_2", "--samples", "0"],
-    ["check", "theorem1", "--preset", "Sp4_3", "--samples", "80", "--seed", "5"],
-    ["check", "corollary2", "--preset", "Q4_2", "--samples", "0"],
-    ["check", "corollary3", "--preset", "Q6_2", "--samples", "20", "--seed", "1"],
-    ["check", "prop5", "--preset", "H3_4", "--samples", "120", "--seed", "2"],
-    ["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "30"],
-    ["explore", "problem5", "--preset", "W3_2", "--samples", "0"],
-    ["quotient", "--preset", "Q6_2"],
-    ["hull", "--preset", "W5_2"],
-    ["mingen", "--preset", "Q4_2", "--points", "all"],
+    (["build", "--preset", "Q4_2"],
+     "0e54628b8099316103510fe95f8870bec0043174c891e99de1d1a2b8311db2e3"),
+    (["build", "--preset", "H4_4", "--verbose"],
+     "7a400d86464b3f02b03e65fffafbbfe1b4a283ba4f5fe5be2d01853d38d69fd4"),
+    (["points", "--preset", "W3_2"],
+     "566856a99a9c5422b96e4fa8dd65c98e8ab2835d43f22940afd6fd39cc63911d"),
+    (["lines", "--preset", "Qp3_4"],
+     "bb84a04eaa0fdaf77f6524ddcd6d3bdea6887cdaed393bf4c80a88fb77cd9fe8"),
+    (["closure", "--preset", "W3_2", "--points", "0,2"],
+     "4d1b37683df7cb3342613eb1eeed695b99e0a312706d6049db6d61e81f9ddba3"),
+    (["perp", "--preset", "Q4_2", "--points", "0,1"],
+     "001bf89e314f5bffd63c033e69e1be0d8e34f0347e465930e697437e13c87908"),
+    (["frame", "find", "--preset", "Q6_2", "--k", "3"],
+     "72685e17066921220714177ba484f268f6701db574a54cb01241c15cd76eed00"),
+    (["frame", "check", "--preset", "W3_2", "--a", "0,3", "--b", "1,7"],
+     "9826aceb0326f94f4f2237077df47293ef6f74af37de9367f6399635a3257cd7"),
+    (["check", "theorem1", "--preset", "Q4_2", "--samples", "0"],
+     "7c9d84681602674d444df305a0823f086133aedf50db0732a979132e6b05a0f2"),
+    (["check", "theorem1", "--preset", "Sp4_3", "--samples", "80", "--seed", "5"],
+     "c550e49d9782414e100e2fe1e3a30ac45a572c46daface3b8ee4df93fe430c0c"),
+    (["check", "theorem1", "--preset", "H4_4", "--samples", "40"],
+     "5851ffb2f98cd3b40e26004072dee1608b4a84df54598b5faf554c365cbe8694"),
+    (["check", "corollary2", "--preset", "Q4_2", "--samples", "0"],
+     "e790a4d1862acc68fbb95f7f45c19e1065ab8a5dbaf858eaa8b2331273954d57"),
+    (["check", "corollary2", "--preset", "Q6_2", "--samples", "12"],
+     "c314089c5f7180a00a1276b1326ee972357b014b1459749a9881a478d8b84a8a"),
+    (["check", "corollary3", "--preset", "Q6_2", "--samples", "20", "--seed", "1"],
+     "1916b6fd0c7b82d83f157f2c0c7bdc15af03f23ab0a09d1e8545be7ca8b80d6d"),
+    (["check", "corollary3", "--preset", "W5_2", "--samples", "10"],
+     "7207689394437892c800c0a4db0d6626c6e89aeb2075e6089520be044e1b37a6"),
+    (["check", "prop5", "--preset", "H3_4", "--samples", "120", "--seed", "2"],
+     "4f126aa786bba491516ed59bf7bac8d2184707bfd7ca383b6dd7e4f5c2300f6c"),
+    (["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "30"],
+     "9ae2aa167f0208a042c1f7354f957cad7e5a54f6311dd4f3148882a605ea261c"),
+    (["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "0"],
+     "4ab9495e509d7292b15e134109460b0c2d7dfcd46d37d58de076d2bdd6d630dc"),
+    (["search", "rank1-nonarising", "--preset", "Sp4_3", "--samples", "30", "--seed", "1"],
+     "0b85699fddfe79561afd30428db5ed52e0fec25e9a7ecf193c4c18242d7c643c"),
+    (["explore", "problem5", "--preset", "W3_2", "--samples", "0"],
+     "fd4666d0e7f174427ba7c12bbd6786b7ab2732870984b74442cb2e5628ec7f38"),
+    (["explore", "problem5", "--preset", "Q4_2", "--samples", "0"],
+     "f8122186b191d829cc7d3130be7314633b82ea822b16dd8e66c6094bcda1d02c"),
+    (["explore", "problem5", "--preset", "Sp4_3", "--samples", "100"],
+     "97c0e1d3328985f288cec86c4d48c2ae11747763d65982914cf8d7b960dc8f10"),
+    (["quotient", "--preset", "Q6_2"],
+     "cc6ad32189f4d6d9fb3a4a1c351bc47973d88d4a7673ac73ce4130370b783879"),
+    (["hull", "--preset", "W5_2"],
+     "cb8c961d2720184f848e8025a308ee10e0a13c77b24358f8aa92d860680480f1"),
+    (["mingen", "--preset", "Q4_2", "--points", "all"],
+     "3fc330c34d734877fed6eebc37f7c24c57f0383cbc3b52ab1078efec5aaba704"),
 ]
 
 
-@announce(8, "byte-identical record streams on rerun for every command")
+@announce(8, "pinned, byte-identical record streams on rerun for every command")
 def test_criterion_8_determinism():
-    for argv in CLI_BATTERY:
+    for argv, digest in CLI_BATTERY:
         outs = []
         for _ in range(2):
             buf = io.StringIO()
@@ -252,3 +287,4 @@ def test_criterion_8_determinism():
             outs.append(buf.getvalue())
         assert outs[0] == outs[1], f"nondeterministic output: {argv}"
         assert "duration" not in outs[0]
+        assert hashlib.sha256(outs[0].encode()).hexdigest() == digest, argv

@@ -85,6 +85,12 @@ def test_check_theorem1_quotient_guard_exit2():
     assert "proper quotient" in err and "hull" in err
 
 
+def test_quotient_of_non_quadratic_space_exits_2():
+    code, out, err = run_cli(["quotient", "--preset", "W3_2"])
+    assert code == 2 and out == ""
+    assert "quotients are taken from the universal quadratic embedding" in err
+
+
 def test_exit_code_1_on_failing_report(monkeypatch):
     # the shipped checks hold on every catalog space, so force a failing
     # report through the real command path to pin the exit-code mapping

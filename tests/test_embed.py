@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from polaris import linalg
+from polaris import linalg, polar
+from polaris.catalog import build_preset
 from polaris.embed import (
     arises_from,
     hull_of_symplectic_char2,
@@ -300,6 +301,24 @@ def test_universal_embedding_helper(space):
     assert u.tag == "universal" and u.dim == 5
     with pytest.raises(EmbeddingError):
         universal_embedding(space("Qp3_2"))
+
+
+def test_universal_embedding_is_built_once(space):
+    for name in ("W3_2", "Q4_2"):
+        S = space(name)
+        assert universal_embedding(S) is universal_embedding(S)
+
+
+def test_derived_spaces_take_the_cap_of_their_source(monkeypatch):
+    # built under a cap above the default, a space's hull quadric and
+    # quotient must not fall back to the default cap
+    monkeypatch.setattr(polar, "DEFAULT_POINT_CAP", 10)
+    W = build_preset("W3_2", cap=15)
+    assert universal_embedding(W).dim == 5
+    assert len(hull_of_symplectic_char2(W).quad_space.points) == 15
+    Q = build_preset("Q4_2", cap=15)
+    res = quotient_embedding(natural_embedding(Q), radical_of_form(Q.bilinear))
+    assert len(res.quotient_space.points) == 15
 
 
 # ---------------------------------------------------------------------------

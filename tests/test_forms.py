@@ -204,6 +204,17 @@ def oracle_quadratic_radical(Q):
     return linalg.rref(F, [v for v in hits if any(v)])
 
 
+def test_right_kernel_of_no_rows_is_the_identity():
+    # constrained enumerations rely on this instead of special-casing
+    # an empty constraint list
+    for p, k in ((2, 1), (3, 1), (2, 2)):
+        F = field_make(p, k)
+        for d in range(1, 6):
+            assert linalg.right_kernel(F, (), d) == \
+                tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
+        assert list(linalg.projective_reps(F, 0)) == []
+
+
 def test_radical_of_quadratic_examples():
     assert radical_of_quadratic(q42_form()) == ()
     Q = quadratic_form(F2, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # x0 x1 on GF(2)^3

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from polaris import linalg
+from polaris import linalg, polar
 from polaris.catalog import build_preset, preset_text
 from polaris.errors import GeometryError
 from polaris.field import field_make
@@ -389,6 +389,12 @@ def test_star_of_empty_set_is_the_space(space):
     st = star_space(W, [])
     assert st.residue is W
     assert len(st.members) == 15
+
+
+def test_star_residue_takes_the_cap_of_its_space(monkeypatch):
+    monkeypatch.setattr(polar, "DEFAULT_POINT_CAP", 10)
+    st = star_space(build_preset("Q6_2", cap=63), [0])
+    assert len(st.residue.points) == 15
 
 
 def test_star_residual_rank_too_small(space):
