@@ -288,8 +288,11 @@ def run(args, out) -> int:
 
     if cmd == "quotient":
         space = _load_space(args)
-        emb = natural_embedding(space)
-        res = quotient_embedding(emb, radical_of_form(space.bilinear))
+        radf = radical_of_form(space.bilinear)
+        if space.kind == "quadratic" and not radf:
+            raise UsageError("rad(f_Q) = 0: the bilinearization is non-degenerate, "
+                             "so there is no quotient")
+        res = quotient_embedding(natural_embedding(space), radf)
         w.emit("quotient", [
             ("space", space.label or "custom"),
             ("kernel-dim", len(res.embedding.kernel)),

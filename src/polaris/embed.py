@@ -35,6 +35,8 @@ from .polar import (
     _iter_bits,
     _require_subspace,
     build_polar_space,
+    closure,
+    rank_nd,
 )
 
 
@@ -86,9 +88,22 @@ def validate_embedding(emb: Embedding) -> None:
 
 
 def projective_span(emb: Embedding, X) -> tuple:
-    """RREF basis of the span of the representative vectors of X."""
-    bits = _bits(emb.space, X)
-    return linalg.rref(emb.space.field, [emb.vectors[i] for i in _iter_bits(bits)])
+    """RREF basis of the span of the representative vectors of X.
+
+    Only a generating subset is row-reduced: the lowest point of X
+    outside the running closure, again and again.  Lines map onto
+    projective lines, so a closure adds no vector outside the span."""
+    space = emb.space
+    bits = _bits(space, X)
+    gens = []
+    span = 0
+    todo = bits
+    while todo:
+        low = todo & -todo
+        gens.append(emb.vectors[low.bit_length() - 1])
+        span = closure(space, low, span).bits
+        todo = bits & ~span
+    return linalg.rref(space.field, gens)
 
 
 def preimage(emb: Embedding, W) -> PointSet:
@@ -311,7 +326,6 @@ def minimal_generating_subset(emb: Embedding, X) -> PointSet:
     with the first points outside the running closure, then confirms
     minimality by dropping each member.
     """
-    from .polar import closure, rank_nd
     space = emb.space
     if emb.tag != "universal":
         raise EmbeddingError("minimal generating subsets use the universal embedding")

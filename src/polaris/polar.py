@@ -374,39 +374,43 @@ def radical_of_subspace(space: PolarSpace, S) -> PointSet:
     return PointSet(space, perp(space, S.bits).bits & S.bits)
 
 
-def span_dim(space: PolarSpace, X) -> int:
-    """Vector dimension of the span of the representative vectors."""
-    vecs = [space.points[i] for i in _iter_bits(_bits(space, X))]
-    return len(linalg.rref(space.field, vecs))
+def _singular_chain(space: PolarSpace, allowed: int, span: int = 0):
+    """Grow the closed singular set `span` by a greedy chain: the lowest
+    point of `allowed` outside it, then only points collinear with every
+    point added.  Returns the final span and the number of points added.
+
+    `allowed` must lie in perp(span).  Pairwise collinear points span a
+    totally singular subspace, every projective point of which is a point
+    of the space reached by lines, so the chain's vector span is its
+    closure, tracked from a closed base."""
+    size = 0
+    while True:
+        todo = allowed & ~span
+        if not todo:
+            return span, size
+        low = todo & -todo
+        allowed &= space.adj[low.bit_length() - 1]
+        span = closure(space, low, span).bits
+        size += 1
 
 
 def rank_of(space: PolarSpace, S) -> int:
     """Polar rank of a subspace: the common vector dimension of its
     maximal singular subspaces, found by greedy chain growth with
     lowest-index tie-breaking."""
-    S = _require_subspace(space, S)
-    F = space.field
-    chain_perp = space.all_bits
-    span = ()
-    size = 0
-    while True:
-        found = None
-        for i in _iter_bits(S.bits & chain_perp):
-            if not linalg.in_span(F, span, space.points[i]):
-                found = i
-                break
-        if found is None:
-            return size
-        chain_perp &= space.adj[found]
-        span = linalg.rref(F, list(span) + [space.points[found]])
-        size += 1
+    return _singular_chain(space, _require_subspace(space, S).bits)[1]
 
 
 def rank_nd(space: PolarSpace, S) -> int:
-    """rank(S) minus the rank of its radical (0 exactly when S is singular)."""
+    """rank(S) minus the rank of its radical (0 exactly when S is singular).
+
+    The radical is a singular subspace; with m points its vector
+    dimension k satisfies m = (q^k - 1)/(q - 1)."""
     S = _require_subspace(space, S)
-    rad = radical_of_subspace(space, S)
-    return rank_of(space, S) - span_dim(space, rad.bits)
+    m, k = len(S.radical), 0
+    while (space.q**k - 1) // (space.q - 1) < m:
+        k += 1
+    return S.rank - k
 
 
 # ---------------------------------------------------------------------------
@@ -514,65 +518,26 @@ def check_partial_frame(space: PolarSpace, A, B) -> PartialFrame:
     return PartialFrame(space, A, tuple(matched))
 
 
-def _greedy_maximal_singular(space: PolarSpace, seed_ids):
-    """Extend a singular independent chain to a maximal singular subspace."""
-    F = space.field
-    chain = list(seed_ids)
-    span = linalg.rref(F, [space.points[i] for i in chain])
-    collin = space.all_bits
-    for i in chain:
-        collin &= space.adj[i]
-    while True:
-        found = None
-        for p in _iter_bits(collin):
-            if not linalg.in_span(F, span, space.points[p]):
-                found = p
-                break
-        if found is None:
-            return span
-        chain.append(found)
-        collin &= space.adj[found]
-        span = linalg.rref(F, list(span) + [space.points[found]])
-
-
-def _points_in_span(space, span_rows) -> int:
-    F = space.field
-    bits = 0
-    for i, v in enumerate(space.points):
-        if linalg.in_span(F, span_rows, v):
-            bits |= 1 << i
-    return bits
-
-
 def _dfs_disjoint_maximal(space, seed_ids, avoid_bits):
-    """First (lowest-index) maximal singular subspace containing the seed
-    chain and meeting avoid_bits in no point."""
-    F = space.field
+    """First (lowest-index) maximal singular subspace containing the
+    independent singular seed chain and meeting avoid_bits in no point,
+    as the closure bits of its points."""
     n = space.n
-    avoid_ids = list(_iter_bits(avoid_bits))
 
     def rec(chain, span, collin):
-        if len(span) == n:
+        if len(chain) == n:
             return span
         start = chain[-1] + 1 if len(chain) > len(seed_ids) else 0
-        for p in _iter_bits(collin >> start << start if start else collin):
-            if (avoid_bits >> p) & 1:
-                continue
-            if linalg.in_span(F, span, space.points[p]):
-                continue
-            new_span = linalg.rref(F, list(span) + [space.points[p]])
-            if any(linalg.in_span(F, new_span, space.points[m]) for m in avoid_ids):
+        for p in _iter_bits((collin & ~span) >> start << start):
+            new_span = closure(space, 1 << p, span).bits
+            if new_span & avoid_bits:
                 continue
             got = rec(chain + [p], new_span, collin & space.adj[p])
             if got is not None:
                 return got
         return None
 
-    span = linalg.rref(F, [space.points[i] for i in seed_ids])
-    collin = space.all_bits
-    for i in seed_ids:
-        collin &= space.adj[i]
-    got = rec(list(seed_ids), span, collin)
+    got = rec(list(seed_ids), closure(space, seed_ids).bits, perp(space, seed_ids).bits)
     if got is None:
         raise GeometryError("no maximal singular subspace avoids the given one")
     return got
@@ -601,9 +566,9 @@ def extend_frame(space: PolarSpace, fr: PartialFrame) -> PartialFrame:
         return fr
     F = space.field
     bil = space.bilinear
-    M = _greedy_maximal_singular(space, fr.a)
-    M_bits = _points_in_span(space, M)
-    N = _dfs_disjoint_maximal(space, fr.b, M_bits)
+    M_bits = _singular_chain(space, perp(space, fr.a).bits, closure(space, fr.a).bits)[0]
+    N_bits = _dfs_disjoint_maximal(space, fr.b, M_bits)
+    M, N = (linalg.rref(F, [space.points[i] for i in _iter_bits(b)]) for b in (M_bits, N_bits))
     a_vecs = [space.points[i] for i in fr.a]
     b_vecs = [space.points[i] for i in fr.b]
     while len(a_vecs) < n:
@@ -635,26 +600,21 @@ def find_partial_frame(space: PolarSpace, S, k: int) -> PartialFrame:
         raise GeometryError("subspace is degenerate: it has a nonempty radical")
     if rank_of(space, S) < k:
         raise GeometryError(f"subspace rank {rank_of(space, S)} < requested {k}")
-    F = space.field
 
     def rec(a_ids, b_ids, spanA, spanB, common_perp):
         if len(a_ids) == k:
             return a_ids, b_ids
-        for a in _iter_bits(S.bits & common_perp):
-            if linalg.in_span(F, spanA, space.points[a]):
-                continue
-            for b in _iter_bits(S.bits & common_perp & ~space.adj[a]):
-                if linalg.in_span(F, spanB, space.points[b]):
-                    continue
+        for a in _iter_bits(S.bits & common_perp & ~spanA):
+            for b in _iter_bits(S.bits & common_perp & ~space.adj[a] & ~spanB):
                 got = rec(a_ids + [a], b_ids + [b],
-                          linalg.rref(F, list(spanA) + [space.points[a]]),
-                          linalg.rref(F, list(spanB) + [space.points[b]]),
+                          closure(space, 1 << a, spanA).bits,
+                          closure(space, 1 << b, spanB).bits,
                           common_perp & space.adj[a] & space.adj[b])
                 if got is not None:
                     return got
         return None
 
-    got = rec([], [], (), (), space.all_bits)
+    got = rec([], [], 0, 0, space.all_bits)
     if got is None:
         raise GeometryError("no partial frame of the requested rank exists in S")
     return check_partial_frame(space, got[0], got[1])
@@ -663,25 +623,22 @@ def find_partial_frame(space: PolarSpace, S, k: int) -> PartialFrame:
 def sample_partial_frame(space: PolarSpace, k: int, rng) -> PartialFrame | None:
     """One random hyperbolic-chain draw from the whole space; None when
     the draw dead-ends.  Deterministic given the rng state."""
-    F = space.field
     a_ids, b_ids = [], []
-    spanA, spanB = (), ()
+    spanA = spanB = 0
     common = space.all_bits
     for _ in range(k):
-        cand_a = [i for i in _iter_bits(common)
-                  if not linalg.in_span(F, spanA, space.points[i])]
+        cand_a = list(_iter_bits(common & ~spanA))
         if not cand_a:
             return None
         a = rng.choice(cand_a)
-        cand_b = [i for i in _iter_bits(common & ~space.adj[a])
-                  if not linalg.in_span(F, spanB, space.points[i])]
+        cand_b = list(_iter_bits(common & ~space.adj[a] & ~spanB))
         if not cand_b:
             return None
         b = rng.choice(cand_b)
         a_ids.append(a)
         b_ids.append(b)
-        spanA = linalg.rref(F, list(spanA) + [space.points[a]])
-        spanB = linalg.rref(F, list(spanB) + [space.points[b]])
+        spanA = closure(space, 1 << a, spanA).bits
+        spanB = closure(space, 1 << b, spanB).bits
         common &= space.adj[a] & space.adj[b]
     return check_partial_frame(space, a_ids, b_ids)
 

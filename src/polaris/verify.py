@@ -45,8 +45,6 @@ from .polar import (
     enumerate_subspaces,
     is_hyperplane,
     is_maximal_subspace,
-    rank_nd,
-    rank_of,
     singular_hyperplane,
 )
 
@@ -238,7 +236,7 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
             if S.bits in grown:
                 return "duplicate"
             grown.add(S.bits)
-        if rank_of(space, S) < 2:
+        if S.rank < 2:
             return "rank_lt_2"
         if exhaustive and not is_maximal_subspace(space, S):
             return "not_maximal"
@@ -282,7 +280,7 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
             else preimage(emb, linalg.right_kernel(F, (x,), d))
         if H.bits == space.all_bits:
             return "improper"
-        r = rank_of(space, H)
+        r = H.rank
         if r in (space.n - 1, space.n) and is_hyperplane(space, H) \
                 and is_maximal_subspace(space, H):
             rank_hist[r] = rank_hist.get(r, 0) + 1
@@ -317,7 +315,8 @@ def check_prop5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
 
 
 def _noncollinear_sets(space: PolarSpace, max_size: int, budget: int):
-    """DFS over pairwise non-collinear index sets of size 2..max_size."""
+    """DFS over pairwise non-collinear index sets of size 2..max_size;
+    returns the sets and whether the node budget cut the search short."""
     N = len(space.points)
     out = []
     count = 0
@@ -336,7 +335,7 @@ def _noncollinear_sets(space: PolarSpace, max_size: int, budget: int):
                 rec(chain + [p], allowed & ~space.adj[p], p + 1)
 
     rec([], space.all_bits, 0)
-    return out
+    return out, count > budget
 
 
 def search_nonarising_rank1(space: PolarSpace, emb: Embedding,
@@ -347,8 +346,9 @@ def search_nonarising_rank1(space: PolarSpace, emb: Embedding,
     sets.  Experimental; exhibits, not failures."""
     if emb.tag != "universal":
         raise UsageError("the search runs against the universal embedding")
-    sets = ((PointSet.of(space, ids), "non-collinear set")
-            for ids in _noncollinear_sets(space, max_set_size, ENUMERATION_COST_LIMIT))
+    noncollinear, truncated = _noncollinear_sets(space, max_set_size,
+                                                 ENUMERATION_COST_LIMIT)
+    sets = ((PointSet.of(space, ids), "non-collinear set") for ids in noncollinear)
     closures = ((S, "sampled closure")
                 for S in _subspaces(space, plan, plan.resolved_mode(space)))
 
@@ -356,17 +356,19 @@ def search_nonarising_rank1(space: PolarSpace, emb: Embedding,
         S, origin = item
         if S.bits == space.all_bits:
             return "improper"
-        if origin == "sampled closure" and rank_nd(space, S) > 1:
+        if origin == "sampled closure" and S.rank_nd > 1:
             return "rank_nd_gt_1"
         exhibit = _non_arising(emb, S, f"non-arising low-rank subspace ({origin})")
         if exhibit is not None:
-            exhibit.update(rank=rank_of(space, S), rank_nd=rank_nd(space, S))
+            exhibit.update(rank=S.rank, rank_nd=S.rank_nd)
         return exhibit
 
     report = _drive("rank1-nonarising", space, plan, "mixed",
                     itertools.chain(sets, closures), judge,
                     key=lambda item: item[0].bits, experimental=True)
     report.info["exhibit_count"] = len(report.exhibits)
+    if truncated:
+        report.info["noncollinear_truncated"] = True
     return report
 
 
@@ -396,7 +398,7 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
         if exhaustive:
             if S.bits == space.all_bits:
                 return "improper"
-            if rank_of(space, S) != 1:
+            if S.rank != 1:
                 return "rank_ne_1"
         if not is_maximal_subspace(space, S):
             return "not_maximal"

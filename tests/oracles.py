@@ -1,14 +1,15 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the library's adjacency bitsets, normalized-rep
-enumeration and line construction: points come from a full vector sweep
-and lines from checking every vector of every candidate 2-space.
+enumeration and line construction: points come from a full vector sweep,
+lines from checking every vector of every candidate 2-space, and ranks
+from orthogonality evaluated on the form.
 """
 
 from itertools import combinations, product
 
 from polaris import linalg
-from polaris.forms import eval_form, isotropic_vector_test
+from polaris.forms import eval_form, eval_quadratic, isotropic_vector_test
 
 
 def oracle_points_and_lines(form):
@@ -33,3 +34,42 @@ def oracle_points_and_lines(form):
             line = frozenset(linalg.normalize_point(F, w) for w in vecs if any(w))
             lines.add(line)
     return pts, lines
+
+
+def oracle_orthogonality(form, points):
+    """orth[i]: the indices j with points i and j orthogonal, by direct
+    evaluation: Q(u + v) = f(u, v) for singular u, v of a quadratic form,
+    f(u, v) itself for a sesquilinear one."""
+    F = form.field
+    if hasattr(form, "upper"):
+        def orthogonal(u, v):
+            return eval_quadratic(form, linalg.vec_add(F, u, v)) == 0
+    else:
+        def orthogonal(u, v):
+            return eval_form(form, u, v) == 0
+    return [{j for j, v in enumerate(points) if orthogonal(u, v)} for u in points]
+
+
+def oracle_rank(F, points, orth, ids):
+    """(rank, rank_nd) of the subspace on `ids`: the largest vector rank
+    of a pairwise-orthogonal subset, by a search over all such subsets
+    (ranks taken at the maximal ones), minus that of its radical, the
+    members orthogonal to every member."""
+    def largest(members):
+        best = 0
+
+        def grow(clique, common):
+            nonlocal best
+            if common == set(clique):
+                best = max(best, linalg.rank(F, [points[i] for i in clique]))
+            for j in sorted(common):
+                if not clique or j > clique[-1]:
+                    grow(clique + [j], common & orth[j])
+
+        grow([], set(members))
+        return best
+
+    ids = set(ids)
+    radical = {i for i in ids if ids <= orth[i]}
+    rank = largest(ids)
+    return rank, rank - largest(radical)

@@ -31,6 +31,7 @@ from polaris.polar import (
     rank_of,
     sample_partial_frame,
 )
+from polaris.records import RecordWriter
 from polaris.verify import (
     SamplePlan,
     check_corollary2,
@@ -245,6 +246,8 @@ CLI_BATTERY = [
      "c550e49d9782414e100e2fe1e3a30ac45a572c46daface3b8ee4df93fe430c0c"),
     (["check", "theorem1", "--preset", "H4_4", "--samples", "40"],
      "5851ffb2f98cd3b40e26004072dee1608b4a84df54598b5faf554c365cbe8694"),
+    (["check", "theorem1", "--preset", "Q6_2", "--samples", "60"],
+     "2cb3df486db68e2fd59616dbe5070e5bf7e754315ff2a5dc7ea879552c545c77"),
     (["check", "corollary2", "--preset", "Q4_2", "--samples", "0"],
      "e790a4d1862acc68fbb95f7f45c19e1065ab8a5dbaf858eaa8b2331273954d57"),
     (["check", "corollary2", "--preset", "Q6_2", "--samples", "12"],
@@ -288,3 +291,18 @@ def test_criterion_8_determinism():
         assert outs[0] == outs[1], f"nondeterministic output: {argv}"
         assert "duration" not in outs[0]
         assert hashlib.sha256(outs[0].encode()).hexdigest() == digest, argv
+
+
+# `check theorem1` refuses W5_2, whose natural embedding is a proper
+# quotient, so its hull path is pinned through the library call that the
+# command would make with the universal embedding.
+HULL_THEOREM1_DIGEST = "9fd8df4efba799bb7692c14b15247766feaa5489feaf49944e0ebdddf308f9bd"
+
+
+@announce(8, "pinned theorem1 records on the hull embedding of W5_2")
+def test_criterion_8_hull_theorem1_is_pinned():
+    W = build_preset("W5_2")
+    report = check_theorem1(W, universal_embedding(W), SamplePlan(seed=0, samples=60))
+    buf = io.StringIO()
+    RecordWriter(buf).emit_report(report)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == HULL_THEOREM1_DIGEST

@@ -91,6 +91,13 @@ def test_quotient_of_non_quadratic_space_exits_2():
     assert "quotients are taken from the universal quadratic embedding" in err
 
 
+@pytest.mark.parametrize("preset", ["Q4_3", "Qm5_2", "Qp5_2"])
+def test_quotient_of_non_degenerate_bilinearization_exits_2(preset):
+    code, out, err = run_cli(["quotient", "--preset", preset])
+    assert code == 2 and out == ""
+    assert "rad(f_Q) = 0" in err and "no quotient" in err
+
+
 def test_exit_code_1_on_failing_report(monkeypatch):
     # the shipped checks hold on every catalog space, so force a failing
     # report through the real command path to pin the exit-code mapping

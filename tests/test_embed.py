@@ -125,6 +125,57 @@ def test_preimage_matches_span_enumeration(name, space):
     assert preimage(emb, unit).bits == sp.all_bits
 
 
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "H3_4", "Q6_2", "W5_2"])
+def test_projective_span_equals_rref_of_every_vector(name, space):
+    # natural embeddings, and the hull embeddings of W3_2 and W5_2; every
+    # subspace of the 15-point spaces, else sampled closures, plus random
+    # point sets that are not subspaces
+    sp = space(name)
+    rng = random.Random(8)
+    N = len(sp.points)
+    if N <= 15:
+        sets = enumerate_subspaces(sp)
+    else:
+        sets = [sp.all_bits]
+        sets += [closure(sp, rng.sample(range(N), rng.randint(1, 2 * sp.n + 1))).bits
+                 for _ in range(40)]
+    sets += [PointSet.of(sp, rng.sample(range(N), rng.randint(1, 8))).bits for _ in range(60)]
+    assert any(not is_subspace(sp, bits) for bits in sets)
+    for emb in {natural_embedding(sp), universal_embedding(sp)}:
+        for bits in sets:
+            every = [emb.vectors[i] for i in PointSet(sp, bits)]
+            assert projective_span(emb, bits) == linalg.rref(sp.field, every)
+
+
+def test_projective_span_reduces_a_generating_subset(space, monkeypatch):
+    # the rows handed to rref are points of X, each outside the closure of
+    # those before it, and together they generate the closure of X
+    sp = space("Q6_2")
+    emb = natural_embedding(sp)
+    reduced = []
+    real_rref = linalg.rref
+
+    def rref(F, rows):
+        reduced.append(list(rows))
+        return real_rref(F, rows)
+
+    rng = random.Random(9)
+    N = len(sp.points)
+    Xs = [sp.all_bits, closure(sp, rng.sample(range(N), 4)).bits,
+          PointSet.of(sp, rng.sample(range(N), 7)).bits]
+    monkeypatch.setattr(linalg, "rref", rref)
+    for X in Xs:
+        reduced.clear()
+        projective_span(emb, X)
+        gens = [sp.index[v] for v in reduced[0]]
+        assert len(reduced) == 1 and all((X >> g) & 1 for g in gens)
+        for k, g in enumerate(gens):
+            assert g not in closure(sp, gens[:k])
+        assert closure(sp, gens).bits == closure(sp, X).bits
+        if X == sp.all_bits:
+            assert len(gens) < N
+
+
 # ---------------------------------------------------------------------------
 # arises_from
 # ---------------------------------------------------------------------------

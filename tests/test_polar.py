@@ -32,7 +32,6 @@ from polaris.polar import (
     rank_nd,
     rank_of,
     singular_hyperplane,
-    span_dim,
     star_space,
 )
 from polaris.specfile import build_space_from_spec, parse_spec
@@ -44,7 +43,7 @@ F2 = field_make(2, 1)
 # independent brute-force oracle for points and lines
 # ---------------------------------------------------------------------------
 
-from oracles import oracle_points_and_lines  # noqa: E402
+from oracles import oracle_orthogonality, oracle_points_and_lines, oracle_rank  # noqa: E402
 
 
 EXPECTED_COUNTS = {
@@ -285,7 +284,8 @@ def test_rank_cross_checked_exhaustively(space):
     singular_dims = {}
     for bits in subs:
         if bits and is_singular(W, bits):
-            singular_dims[bits] = span_dim(W, bits)
+            vecs = [W.points[i] for i in PointSet(W, bits)]
+            singular_dims[bits] = linalg.rank(W.field, vecs)
     rng = random.Random(23)
     picks = [s for s in subs if s][:40] + rng.sample(subs, 40)
     for bits in picks:
@@ -296,6 +296,35 @@ def test_rank_cross_checked_exhaustively(space):
             if sb & bits == sb:
                 best = max(best, dim)
         assert rank_of(W, bits) == best
+
+
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
+def test_rank_matches_oracle_on_every_subspace(name, space):
+    sp = space(name)
+    orth = oracle_orthogonality(sp.form, sp.points)
+    for bits in enumerate_subspaces(sp):
+        want = oracle_rank(sp.field, sp.points, orth, PointSet(sp, bits))
+        assert (rank_of(sp, bits), rank_nd(sp, bits)) == want
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "H3_4", "H4_4"])
+def test_rank_matches_oracle_on_sampled_closures(name, space):
+    # closures of random sets, cut by the perp of up to two points so
+    # that degenerate subspaces with radicals come up too
+    sp = space(name)
+    orth = oracle_orthogonality(sp.form, sp.points)
+    rng = random.Random(31)
+    N = len(sp.points)
+    seen = set()
+    for _ in range(200):
+        S = closure(sp, rng.sample(range(N), rng.randint(1, 2 * sp.n + 1)))
+        bits = S.bits & perp(sp, rng.sample(range(N), rng.randint(0, 2))).bits
+        if bits in seen:
+            continue
+        seen.add(bits)
+        want = oracle_rank(sp.field, sp.points, orth, PointSet(sp, bits))
+        assert (rank_of(sp, bits), rank_nd(sp, bits)) == want
+    assert len(seen) > 20
 
 
 def test_rank_requires_subspace(space):
@@ -377,11 +406,11 @@ def test_star_of_point_in_q62(space):
     for mem in st.members:
         assert 0 in mem
         assert is_singular(Q, mem) and is_subspace(Q, mem)
-        assert span_dim(Q, mem) == 2
+        assert linalg.rank(Q.field, [Q.points[i] for i in mem]) == 2
     # residue collinearity matches containment in a common rank-3 singular
     line_sets = {mem.bits for mem in st.line_members}
     for lm in st.line_members:
-        assert is_singular(Q, lm) and span_dim(Q, lm) == 3
+        assert is_singular(Q, lm) and linalg.rank(Q.field, [Q.points[i] for i in lm]) == 3
 
 
 def test_star_of_empty_set_is_the_space(space):

@@ -1,8 +1,12 @@
+import io
+
 import pytest
 
+from polaris import verify
 from polaris.embed import arises_from, natural_embedding, universal_embedding
 from polaris.errors import UsageError
 from polaris.polar import PointSet, closure, is_hyperplane, rank_nd, rank_of
+from polaris.records import RecordWriter
 from polaris.verify import (
     SamplePlan,
     check_corollary2,
@@ -204,6 +208,20 @@ def test_search_rank1_q42_exhibits(space):
     verdict = arises_from(natural_embedding(Q), S)
     assert not verdict.arises
     assert verdict.preimage.indices() == e["preimage"]
+
+
+def test_search_marks_a_truncated_noncollinear_scan(space, monkeypatch):
+    W = space("Sp4_3")
+    plan = SamplePlan(seed=1, samples=5, mode="random")
+    full = search_nonarising_rank1(W, natural_embedding(W), plan)
+    assert "noncollinear_truncated" not in full.info
+    monkeypatch.setattr(verify, "ENUMERATION_COST_LIMIT", 50)
+    cut = search_nonarising_rank1(W, natural_embedding(W), plan)
+    assert cut.info["noncollinear_truncated"] is True
+    assert cut.sampled < full.sampled and cut.consistent()
+    buf = io.StringIO()
+    RecordWriter(buf).emit_report(cut)
+    assert "info-noncollinear-truncated: true" in buf.getvalue()
 
 
 def test_search_never_exhibits_singular(space):
