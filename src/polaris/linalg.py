@@ -14,10 +14,6 @@ def vec_add(F: Field, u, v):
     return tuple(F.add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(F: Field, u, v):
-    return tuple(F.sub(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(F: Field, u, t: int):
     return tuple(F.mul(a, t) for a in u)
 

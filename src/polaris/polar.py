@@ -744,20 +744,18 @@ def check_one_or_all(space: PolarSpace):
     return None
 
 
-def enumerate_subspaces(space: PolarSpace, limit: int = 2**20):
-    """All subspaces as bitsets, by brute force over every point subset."""
-    N = len(space.points)
-    if 1 << N > limit:
-        raise GeometryError(f"2^{N} subsets exceed the enumeration limit")
-    line_bits = space.line_bits
-    out = []
-    for bits in range(1 << N):
-        ok = True
-        for lb in line_bits:
-            inter = lb & bits
-            if inter != lb and inter & (inter - 1):
-                ok = False
+def enumerate_subspaces(space: PolarSpace) -> list:
+    """All subspaces as bitsets in ascending order, by NextClosure (B. Ganter,
+    "Two basic algorithms in concept analysis", ICFCA 2010): the subspace
+    after A is B = closure({b} | points of A above b) for the lowest point
+    b outside A such that B adds no point above b."""
+    A, out = 0, [0]
+    while A != space.all_bits:
+        for b in _iter_bits(space.all_bits & ~A):
+            above = -2 << b   # the points above b
+            B = closure(space, A & above | 1 << b).bits
+            if B & above == A & above:
                 break
-        if ok:
-            out.append(bits)
+        A = B
+        out.append(A)
     return out

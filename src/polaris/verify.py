@@ -13,8 +13,8 @@ Every sampled check draws each sample from its own deterministic
 substream (indexed by sample number), so identical plans replay
 identical sample sequences and reports.  Candidate subspaces are
 closures of random seed sets with sizes uniform in [2, 2n+2].
-Exhaustive mode enumerates the full subspace lattice and is selected
-automatically on spaces with at most 15 points.
+Exhaustive mode walks the full subspace lattice by NextClosure and is
+selected automatically on spaces with at most 15 points.
 
 Failure witnesses carry enough indices to replay the failing call in
 isolation.
@@ -49,7 +49,8 @@ from .polar import (
 )
 
 EXHAUSTIVE_POINT_LIMIT = 15   # auto-exhaustive at or below this many points
-ENUMERATION_COST_LIMIT = 2**20
+FORCED_EXHAUSTIVE_POINT_LIMIT = 20   # forced exhaustive allowed at or below this
+ENUMERATION_COST_LIMIT = 2**20   # node budget of the non-collinear set scan
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ class SamplePlan:
 
     def resolved_mode(self, space: PolarSpace) -> str:
         if self.mode == "exhaustive":
-            if 1 << len(space.points) > ENUMERATION_COST_LIMIT:
+            if len(space.points) > FORCED_EXHAUSTIVE_POINT_LIMIT:
                 raise UsageError(
-                    f"exhaustive mode would enumerate 2^{len(space.points)} subsets; "
-                    "use sampling on this space")
+                    f"exhaustive mode allows at most {FORCED_EXHAUSTIVE_POINT_LIMIT} "
+                    f"points, and this space has {len(space.points)}; use sampling")
             return "exhaustive"
         if self.mode == "random":
             return "random"
@@ -148,7 +149,7 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
 def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
     """Every subspace in exhaustive mode, else closures of random seed sets."""
     if mode == "exhaustive":
-        for bits in enumerate_subspaces(space, ENUMERATION_COST_LIMIT):
+        for bits in enumerate_subspaces(space):
             yield PointSet(space, bits)
         return
     N = len(space.points)
@@ -205,17 +206,15 @@ def check_theorem1(space: PolarSpace, emb: Embedding, plan: SamplePlan) -> Check
 
 
 def _grow_to_maximal(space: PolarSpace, S: PointSet) -> PointSet:
-    """Extend a proper subspace by closure steps until no point keeps it proper."""
-    while True:
-        grown = None
-        for p in _iter_bits(space.all_bits & ~S.bits):
+    """Extend a proper subspace to a maximal one in one ascending pass,
+    adding each point whose closure with S stays proper.  Closure is
+    monotone, so a point rejected once stays rejected as S grows."""
+    for p in _iter_bits(space.all_bits & ~S.bits):
+        if not (S.bits >> p) & 1:
             c = closure(space, 1 << p, S.bits)
             if c.bits != space.all_bits:
-                grown = c
-                break
-        if grown is None:
-            return S
-        S = grown
+                S = c
+    return S
 
 
 def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
@@ -372,6 +371,17 @@ def search_nonarising_rank1(space: PolarSpace, emb: Embedding,
     return report
 
 
+def _saturate(space: PolarSpace, p: int) -> int:
+    """Maximal pairwise non-collinear set grown from p by lowest points;
+    adj[x] contains x, so clearing it drops the chosen point too."""
+    bits, allowed = 1 << p, space.all_bits & ~space.adj[p]
+    while allowed:
+        low = allowed & -allowed
+        bits |= low
+        allowed &= ~space.adj[low.bit_length() - 1]
+    return bits
+
+
 def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """Classify maximal rank-1 subspaces of a generalized quadrangle as
     hyperplanes (ovoids) or counterexamples.  Exhaustive mode takes the
@@ -384,15 +394,8 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
 
     def saturations():
         for idx in range(plan.samples):
-            bits = 1 << plan.rng_for(idx).randrange(len(space.points))
-            while True:
-                allowed = space.all_bits & ~bits
-                for p in _iter_bits(bits):
-                    allowed &= ~space.adj[p]
-                if not allowed:
-                    break
-                bits |= allowed & -allowed
-            yield PointSet(space, bits)
+            p = plan.rng_for(idx).randrange(len(space.points))
+            yield PointSet(space, _saturate(space, p))
 
     def judge(S):
         if exhaustive:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's adjacency bitsets, normalized-rep
 enumeration and line construction: points come from a full vector sweep,
-lines from checking every vector of every candidate 2-space, and ranks
-from orthogonality evaluated on the form.
+lines from checking every vector of every candidate 2-space, ranks
+from orthogonality evaluated on the form, subspaces from a scan of every
+point subset, and closures from sweeping lines until nothing changes.
 """
 
 from itertools import combinations, product
@@ -34,6 +35,64 @@ def oracle_points_and_lines(form):
             line = frozenset(linalg.normalize_point(F, w) for w in vecs if any(w))
             lines.add(line)
     return pts, lines
+
+
+def oracle_subspaces(form):
+    """Every subspace as a bitset over the oracle's points, ascending, by
+    testing each of the 2^N point subsets against every oracle line."""
+    pts, lines = oracle_points_and_lines(form)
+    pos = {p: i for i, p in enumerate(pts)}
+    line_bits = [sum(1 << pos[p] for p in line) for line in lines]
+    out = []
+    for bits in range(1 << len(pts)):
+        for lb in line_bits:
+            inter = lb & bits
+            if inter != lb and inter & (inter - 1):
+                break
+        else:
+            out.append(bits)
+    return out
+
+
+def oracle_closure(line_bits, bits):
+    """Saturate the given lines until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for lb in line_bits:
+            inter = lb & bits
+            if inter != lb and inter & (inter - 1):
+                bits |= lb
+                changed = True
+    return bits
+
+
+def oracle_grow_to_maximal(line_bits, all_bits, bits):
+    """Grow the proper subspace `bits` by closure steps, each time by the
+    lowest outside point whose closure stays proper, restarting the scan
+    from the lowest point after every step, until no point is left."""
+    while True:
+        for p in range(all_bits.bit_length()):
+            if not (bits >> p) & 1:
+                grown = oracle_closure(line_bits, bits | 1 << p)
+                if grown != all_bits:
+                    bits = grown
+                    break
+        else:
+            return bits
+
+
+def oracle_saturation(orth, p):
+    """Maximal set of pairwise non-orthogonal points grown from p, each
+    time by the lowest point orthogonal to no chosen point, rescanning
+    every point after each step.  orth[i] contains i."""
+    masks = [sum(1 << j for j in o) for o in orth]
+    bits = 1 << p
+    while True:
+        free = [j for j in range(len(orth)) if not masks[j] & bits]
+        if not free:
+            return bits
+        bits |= 1 << free[0]
 
 
 def oracle_orthogonality(form, points):

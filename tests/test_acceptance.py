@@ -40,7 +40,7 @@ from polaris.verify import (
     check_theorem1,
 )
 
-from oracles import oracle_points_and_lines
+from oracles import oracle_points_and_lines, oracle_subspaces
 
 SAMPLED_SPACES = ("Q4_3", "Qm5_2", "Qp5_2", "H3_4", "H4_4", "Q6_2", "Sp4_3")
 
@@ -69,7 +69,7 @@ def test_criterion_1_exhaustive_q42():
     assert report.failed == 0
     assert report.consistent()
     # candidates really are all subspaces collected from the 2^15 subsets
-    assert report.sampled == len(enumerate_subspaces(Q))
+    assert report.sampled == len(oracle_subspaces(Q.form))
     # the ten grid sections qualify; ovoids sit below the rank_nd threshold
     assert report.applicable == 10
     grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
@@ -211,7 +211,7 @@ def test_criterion_7_structural_oracles():
     # for every X, with the subspace family from the full 2^N sweep
     for name in ("W3_2", "Q4_2", "Qp3_2"):
         sp = build_preset(name)
-        subs = enumerate_subspaces(sp)
+        subs = oracle_subspaces(sp.form)
         N = len(sp.points)
         for bits in range(1 << N):
             inter = sp.all_bits
@@ -252,6 +252,8 @@ CLI_BATTERY = [
      "e790a4d1862acc68fbb95f7f45c19e1065ab8a5dbaf858eaa8b2331273954d57"),
     (["check", "corollary2", "--preset", "Q6_2", "--samples", "12"],
      "c314089c5f7180a00a1276b1326ee972357b014b1459749a9881a478d8b84a8a"),
+    (["check", "corollary2", "--preset", "H4_4", "--samples", "8"],
+     "f4cfe37bf57c778377224c390217abdc2c6e64d2a736d475de8c102f20f2b8c3"),
     (["check", "corollary3", "--preset", "Q6_2", "--samples", "20", "--seed", "1"],
      "1916b6fd0c7b82d83f157f2c0c7bdc15af03f23ab0a09d1e8545be7ca8b80d6d"),
     (["check", "corollary3", "--preset", "W5_2", "--samples", "10"],

@@ -2,6 +2,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaris import linalg, polar
 from polaris.catalog import build_preset, preset_text
@@ -43,7 +45,13 @@ F2 = field_make(2, 1)
 # independent brute-force oracle for points and lines
 # ---------------------------------------------------------------------------
 
-from oracles import oracle_orthogonality, oracle_points_and_lines, oracle_rank  # noqa: E402
+from oracles import (  # noqa: E402
+    oracle_closure,
+    oracle_orthogonality,
+    oracle_points_and_lines,
+    oracle_rank,
+    oracle_subspaces,
+)
 
 
 EXPECTED_COUNTS = {
@@ -199,26 +207,13 @@ def test_closure_equals_subspace_intersection_small(space):
     # closure(X) == intersection of all subspaces containing X, with the
     # subspace family enumerated over all 2^9 subsets of the small grid
     G = space("Qp3_2")
-    subs = enumerate_subspaces(G)
+    subs = oracle_subspaces(G.form)
     for bits in range(1 << 9):
         inter = G.all_bits
         for s in subs:
             if s & bits == bits:
                 inter &= s
         assert closure(G, bits).bits == inter
-
-
-def _oracle_closure(line_bits, bits):
-    """Saturate the given lines until nothing changes."""
-    changed = True
-    while changed:
-        changed = False
-        for lb in line_bits:
-            inter = lb & bits
-            if inter != lb and inter & (inter - 1):
-                bits |= lb
-                changed = True
-    return bits
 
 
 @pytest.mark.parametrize("name", ["Q6_2", "Sp4_3", "H3_4"])
@@ -231,9 +226,9 @@ def test_closure_from_closed_base_matches_oracle(name, space):
     rng = random.Random(11)
     for _ in range(60):
         seeds = PointSet.of(sp, rng.sample(range(N), rng.randint(0, 3)))
-        S = _oracle_closure(oracle_lines, seeds.bits)
+        S = oracle_closure(oracle_lines, seeds.bits)
         X = PointSet.of(sp, rng.sample(range(N), rng.randint(0, 3))).bits
-        want = _oracle_closure(oracle_lines, X | S)
+        want = oracle_closure(oracle_lines, X | S)
         from_base = closure(sp, X, S)
         cold = closure(sp, X | S)
         assert from_base.bits == cold.bits == want
@@ -382,6 +377,47 @@ def test_every_singular_hyperplane_is_maximal(space):
         for p in range(0, len(sp.points), 5):
             H = singular_hyperplane(sp, p)
             assert is_hyperplane(sp, H) and is_maximal_subspace(sp, H)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive enumeration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
+def test_enumerate_subspaces_is_the_brute_force_list(name, space):
+    sp = space(name)
+    assert enumerate_subspaces(sp) == oracle_subspaces(sp.form)
+
+
+@pytest.mark.parametrize("name,count", [("Qp3_4", 1582), ("Qm5_2", 3668)])
+def test_enumerate_subspaces_beyond_brute_force(name, count, space):
+    # 25 and 27 points: too many subsets to scan, so check the list's shape
+    sp = space(name)
+    subs = enumerate_subspaces(sp)
+    assert len(subs) == count
+    assert all(a < b for a, b in zip(subs, subs[1:]))
+    assert all(is_subspace(sp, bits) for bits in subs)
+    members = set(subs)
+    N = len(sp.points)
+    rng = random.Random(41)
+    for _ in range(50):
+        S = closure(sp, rng.sample(range(N), rng.randint(0, 2 * sp.n + 2)))
+        assert S.bits in members
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(name=st.sampled_from(["W3_2", "Q4_2", "H3_4", "Q6_2"]), data=st.data())
+def test_closure_is_a_closure_operator(name, data):
+    sp = build_preset(name)
+    points = st.sets(st.integers(0, len(sp.points) - 1), max_size=2 * sp.n + 2)
+    X = PointSet.of(sp, data.draw(points))
+    Y = X | PointSet.of(sp, data.draw(points))
+    cX = closure(sp, X)
+    assert X.bits & ~cX.bits == 0                         # extensive
+    assert cX.bits & ~closure(sp, Y).bits == 0            # monotone
+    assert closure(sp, cX).bits == cX.bits                # idempotent
+    if len(sp.points) == 15:
+        assert cX.bits in enumerate_subspaces(sp)
 
 
 def test_hyperplane_rejects_improper(space):

@@ -1,4 +1,6 @@
 import io
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,8 @@ from polaris.verify import (
     explore_problem5,
     search_nonarising_rank1,
 )
+
+from oracles import oracle_grow_to_maximal, oracle_orthogonality, oracle_saturation
 
 
 def report_tuple(r):
@@ -105,6 +109,20 @@ def test_corollary2_sampled_q62(space):
     r = check_corollary2(Q, SamplePlan(seed=0, samples=25, mode="random"))
     assert r.failed == 0 and r.consistent()
     assert r.applicable > 0
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "W5_2", "H4_4"])
+def test_grow_to_maximal_matches_restart_loop(name, space):
+    # the restart loop runs over the space's own lines, which other tests
+    # check against the oracle's; this pins the one-pass growth
+    sp = space(name)
+    rng = random.Random(4)
+    for _ in range(12):
+        S = closure(sp, rng.sample(range(len(sp.points)), rng.randint(1, 3)))
+        if S.bits == sp.all_bits:
+            continue
+        want = oracle_grow_to_maximal(sp.line_bits, sp.all_bits, S.bits)
+        assert verify._grow_to_maximal(sp, S).bits == want
 
 
 def test_corollary3_q62(space):
@@ -259,6 +277,14 @@ def test_explore_problem5_sampled(space):
         assert not is_hyperplane(S, PointSet.of(S, e["points"]))
 
 
+@pytest.mark.parametrize("name", ["H3_4", "Sp4_3", "Q4_3", "Qp3_4", "W3_2", "H4_4"])
+def test_saturation_matches_rescanning_reference(name, space):
+    sp = space(name)
+    orth = oracle_orthogonality(sp.form, sp.points)
+    for p in range(len(sp.points)):
+        assert verify._saturate(sp, p) == oracle_saturation(orth, p)
+
+
 def test_explore_problem5_rejects_rank3(space):
     with pytest.raises(UsageError):
         explore_problem5(space("Q6_2"), SamplePlan())
@@ -277,6 +303,22 @@ def test_exhaustive_auto_selection(space):
 def test_exhaustive_cost_guard(space):
     with pytest.raises(UsageError):
         SamplePlan(mode="exhaustive").resolved_mode(space("H3_4"))
+
+
+def test_exhaustive_mode_decisions_by_point_count():
+    # auto goes exhaustive at 15 points or fewer; forcing it is allowed at
+    # 20 points or fewer, and the refusal names the limit, not a subset count
+    for N in range(9, 22):
+        sp = SimpleNamespace(points=range(N))
+        auto = SamplePlan(mode="auto").resolved_mode(sp)
+        assert auto == ("exhaustive" if N <= 15 else "random")
+        forced = SamplePlan(mode="exhaustive")
+        if N <= 20:
+            assert forced.resolved_mode(sp) == "exhaustive"
+        else:
+            with pytest.raises(UsageError, match="at most 20 points") as err:
+                forced.resolved_mode(sp)
+            assert "2^" not in str(err.value)
 
 
 def test_sampled_agrees_with_exhaustive_on_small_space(space):
