@@ -12,12 +12,15 @@ A subspace S "arises" from an embedding when the preimage of the
 projective span of its image is S itself; `arises_from` reports a
 witness point otherwise.
 
-Embeddings are immutable after construction; all queries are read-only.
+Embeddings are immutable after construction, with one exception: each
+holds a write-once cache, the value-slice table `slices` that preimages
+are computed from, built on first use from the vectors and the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import EmbeddingError, GeometryError
@@ -54,6 +57,17 @@ class Embedding:
         name = self.space.label or self.space.kind
         return f"<{self.tag} embedding of {name} in dimension {self.dim}>"
 
+    @cached_property
+    def slices(self) -> tuple:
+        """slices[j][c]: the bitset of the points whose representative
+        vector has coordinate j equal to c."""
+        table = [[0] * self.space.field.q for _ in range(self.dim)]
+        for i, v in enumerate(self.vectors):
+            bit = 1 << i
+            for row, c in zip(table, v):
+                row[c] |= bit
+        return tuple(tuple(row) for row in table)
+
 
 def natural_embedding(space: PolarSpace) -> Embedding:
     """The inclusion map, tagged by the universality classification."""
@@ -87,12 +101,10 @@ def validate_embedding(emb: Embedding) -> None:
             raise EmbeddingError("a line does not map onto a projective line")
 
 
-def projective_span(emb: Embedding, X) -> tuple:
-    """RREF basis of the span of the representative vectors of X.
-
-    Only a generating subset is row-reduced: the lowest point of X
-    outside the running closure, again and again.  Lines map onto
-    projective lines, so a closure adds no vector outside the span."""
+def _span_generators(emb: Embedding, X) -> list:
+    """Representative vectors of a generating subset of X: the lowest
+    point of X outside the running closure, again and again.  Lines map
+    onto projective lines, so a closure adds no vector outside the span."""
     space = emb.space
     bits = _bits(space, X)
     gens = []
@@ -103,23 +115,57 @@ def projective_span(emb: Embedding, X) -> tuple:
         gens.append(emb.vectors[low.bit_length() - 1])
         span = closure(space, low, span).bits
         todo = bits & ~span
-    return linalg.rref(space.field, gens)
+    return gens
+
+
+def projective_span(emb: Embedding, X) -> tuple:
+    """RREF basis of the span of the representative vectors of X; only
+    the generating subset picked by closure is row-reduced."""
+    return linalg.rref(emb.space.field, _span_generators(emb, X))
+
+
+def zero_set(emb: Embedding, a, within: int | None = None) -> int:
+    """Bitset of the points of `within` (default all) whose vector the
+    functional a kills, for every point at once.
+
+    cls[s] holds the points whose partial sum of a_j v_j over the
+    coordinates seen so far is s; each nonzero a_j moves the points with
+    v_j = c from class s to class s + a_j c.  Only the field's addition
+    table and multiplication are used, so every GF(q) takes this path."""
+    F = emb.space.field
+    q, add = F.q, F._add
+    slices = emb.slices
+    cls = [0] * q
+    cls[0] = emb.space.all_bits if within is None else within
+    for j, aj in enumerate(a):
+        if not aj:
+            continue
+        new = [0] * q
+        for c, sl in enumerate(slices[j]):
+            if not sl:
+                continue
+            t = F.mul(aj, c)
+            for s, members in enumerate(cls):
+                hit = members & sl
+                if hit:
+                    new[add[s * q + t]] |= hit
+        cls = new
+    return cls[0]
+
+
+def _annihilated(emb: Embedding, annihilator) -> PointSet:
+    """The points killed by every functional of the annihilator, each
+    zero set narrowing the points the next one is tested on."""
+    bits = emb.space.all_bits
+    for a in annihilator:
+        bits = zero_set(emb, a, bits)
+    return PointSet(emb.space, bits)
 
 
 def preimage(emb: Embedding, W) -> PointSet:
     """All points whose representative vector lies in the span of W:
-    those killed by every functional of the annihilator of W."""
-    F = emb.space.field
-    dot = linalg.dot
-    annihilator = linalg.right_kernel(F, W, emb.dim)
-    bits = 0
-    for i, v in enumerate(emb.vectors):
-        for a in annihilator:
-            if dot(F, a, v):
-                break
-        else:
-            bits |= 1 << i
-    return PointSet(emb.space, bits)
+    the zero sets of the annihilator of W, intersected."""
+    return _annihilated(emb, linalg.right_kernel(emb.space.field, W, emb.dim))
 
 
 @dataclass(frozen=True)
@@ -131,14 +177,17 @@ class ArisesVerdict:
 
 
 def arises_from(emb: Embedding, S) -> ArisesVerdict:
-    """Compare S with the preimage of the span of its image."""
+    """Compare S with the preimage of the span of its image.  The
+    generators picked by closure go straight to the annihilator, so the
+    verdict takes one row reduction."""
     Sset = _require_subspace(emb.space, S)
-    rows = projective_span(emb, Sset)
-    pre = preimage(emb, rows)
+    annihilator = linalg.right_kernel(emb.space.field, _span_generators(emb, Sset), emb.dim)
+    pre = _annihilated(emb, annihilator)
+    span_dim = emb.dim - len(annihilator)
     extra = pre.bits & ~Sset.bits
     if extra:
-        return ArisesVerdict(False, next(_iter_bits(extra)), pre, len(rows))
-    return ArisesVerdict(True, None, pre, len(rows))
+        return ArisesVerdict(False, next(_iter_bits(extra)), pre, span_dim)
+    return ArisesVerdict(True, None, pre, span_dim)
 
 
 # ---------------------------------------------------------------------------

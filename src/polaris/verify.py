@@ -29,12 +29,13 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from . import linalg
+from .catalog import PRESETS
 from .embed import (
     Embedding,
     arises_from,
     natural_embedding,
-    preimage,
     universal_embedding,
+    zero_set,
 )
 from .errors import UsageError
 from .polar import (
@@ -189,11 +190,15 @@ def check_theorem1(space: PolarSpace, emb: Embedding, plan: SamplePlan) -> Check
     """Every proper non-singular subspace of non-degenerate rank >= 2 must
     equal the preimage of the span of its image under the universal
     embedding."""
-    if emb.tag != "universal":
+    if emb.tag == "quotient":
+        # the hull of W(2n-1, q) is the parabolic quadric Q(2n, q)
+        d, q = space.dim, space.field.q
+        preset = f"Q{d}_{q}"
+        use = f"--preset {preset} or `hull`" if preset in PRESETS else "`hull`"
         raise UsageError(
-            "embedding is a proper quotient; use --preset Q4_2 or `hull`"
-            if emb.tag == "quotient" else
-            "no universal embedding designated for this space (grid case)")
+            f"embedding is a proper quotient of the parabolic quadric Q({d},{q}); use {use}")
+    if emb.tag != "universal":
+        raise UsageError("no universal embedding designated for this space (grid case)")
     if emb.space is not space:
         raise UsageError("embedding belongs to a different space")
     mode = plan.resolved_mode(space)
@@ -276,7 +281,7 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     def judge(item):
         origin, x = item
         H = singular_hyperplane(space, x) if origin == "singular" \
-            else preimage(emb, linalg.right_kernel(F, (x,), d))
+            else PointSet(space, zero_set(emb, x))
         if H.bits == space.all_bits:
             return "improper"
         r = H.rank

@@ -3,8 +3,12 @@ prints one PASS/FAIL line (run with -s to see them live)."""
 
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +297,17 @@ def test_criterion_8_determinism():
         assert outs[0] == outs[1], f"nondeterministic output: {argv}"
         assert "duration" not in outs[0]
         assert hashlib.sha256(outs[0].encode()).hexdigest() == digest, argv
+
+
+def test_python_dash_m_polaris_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["build", "--preset", "Q4_2"]
+    proc = subprocess.run([sys.executable, "-m", "polaris", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    digest = next(d for a, d in CLI_BATTERY if a == argv)
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 # `check theorem1` refuses W5_2, whose natural embedding is a proper

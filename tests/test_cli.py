@@ -83,6 +83,12 @@ def test_check_theorem1_quotient_guard_exit2():
     code, out, err = run_cli(["check", "theorem1", "--preset", "W3_2"])
     assert code == 2
     assert "proper quotient" in err and "hull" in err
+    assert "Q(4,2)" in err and "--preset Q4_2" in err
+    # the hull of W5_2 is the quadric one dimension up, Q(6,2), not Q(4,2)
+    code, out, err = run_cli(["check", "theorem1", "--preset", "W5_2"])
+    assert code == 2 and out == ""
+    assert "proper quotient" in err and "hull" in err
+    assert "Q(6,2)" in err and "--preset Q6_2" in err and "Q4_2" not in err
 
 
 def test_quotient_of_non_quadratic_space_exits_2():

@@ -5,6 +5,7 @@ import pytest
 from polaris import linalg, polar
 from polaris.catalog import build_preset
 from polaris.embed import (
+    Embedding,
     arises_from,
     hull_of_symplectic_char2,
     minimal_generating_subset,
@@ -96,11 +97,23 @@ def _preimage_by_enumeration(emb, W):
             if linalg.normalize_point(F, v) in span}
 
 
-@pytest.mark.parametrize("name", ["Q4_2", "H3_4", "W5_2"])
+def rescaled(emb, rng):
+    """The same embedding with each vector scaled by a unit of GF(3)."""
+    F = emb.space.field
+    vectors = tuple(linalg.vec_scale(F, v, rng.choice([1, 2])) for v in emb.vectors)
+    return Embedding(emb.space, emb.dim, vectors, emb.tag)
+
+
+@pytest.mark.parametrize("name", ["Q4_2", "H3_4", "W5_2", "Sp4_3", "Q4_3", "H4_4",
+                                  "Sp4_3-rescaled"])
 def test_preimage_matches_span_enumeration(name, space):
-    # natural embeddings of Q4_2 and H3_4, the hull embedding of W5_2
-    sp = space(name)
+    # natural embeddings of Q4_2, H3_4, H4_4 and the GF(3) spaces Sp4_3 and
+    # Q4_3 (where sub differs from add), the hull embedding of W5_2, and
+    # Sp4_3 with representative vectors that are not normalized
+    sp = space(name.removesuffix("-rescaled"))
     emb = universal_embedding(sp)
+    if name.endswith("-rescaled"):
+        emb = rescaled(emb, random.Random(9))
     F, d = sp.field, emb.dim
     unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     rng = random.Random(4)
@@ -208,6 +221,8 @@ def test_grid_discrimination(space):
     assert verdict.preimage.bits == W.all_bits
     assert verdict.witness is not None and verdict.witness not in gridW
     assert verdict.span_dim == 4
+    rows = projective_span(symp, gridW)
+    assert verdict.preimage == preimage(symp, rows) and len(rows) == 4
     # while the hull-composed universal embedding recovers it
     assert arises_from(hull.universal, gridW).arises
 
@@ -222,16 +237,32 @@ def test_arises_requires_subspace(space):
 
 
 def test_arises_invariant_under_rescaling(space):
-    from polaris.embed import Embedding
     S3 = space("Sp4_3")
     emb = natural_embedding(S3)
     rng = random.Random(9)
-    scaled = tuple(linalg.vec_scale(S3.field, v, rng.choice([1, 2]))
-                   for v in emb.vectors)
-    emb2 = Embedding(S3, emb.dim, scaled, emb.tag)
+    emb2 = rescaled(emb, rng)
     for _ in range(25):
         S = closure(S3, rng.sample(range(40), rng.randint(2, 6)))
         assert arises_from(emb, S).arises == arises_from(emb2, S).arises
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "H4_4", "W5_2"])
+def test_arises_from_agrees_with_preimage_of_projective_span(name, space):
+    # arises_from annihilates the generators picked by closure directly;
+    # the verdict must match the public span and preimage, on the natural
+    # and universal embeddings (W5_2: the quotient and the hull)
+    sp = space(name)
+    rng = random.Random(11)
+    N = len(sp.points)
+    sets = [0, sp.all_bits]
+    sets += [closure(sp, rng.sample(range(N), rng.randint(1, 2 * sp.n + 1))).bits
+             for _ in range(30)]
+    for emb in {natural_embedding(sp), universal_embedding(sp)}:
+        for S in sets:
+            rows = projective_span(emb, S)
+            verdict = arises_from(emb, S)
+            assert verdict.preimage == preimage(emb, rows)
+            assert verdict.span_dim == len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaris.catalog import (
     ALIASES,
@@ -9,7 +11,10 @@ from polaris.catalog import (
     resolve_preset,
 )
 from polaris.errors import GeometryError, SpecError, UsageError
+from polaris.field import CONWAY
 from polaris.specfile import (
+    FORM_KINDS,
+    SpaceSpec,
     build_form,
     build_space_from_spec,
     format_spec,
@@ -35,6 +40,28 @@ def test_all_presets_round_trip_and_build(name):
     sp2 = build_space_from_spec(spec, cap=point_cap(), label=name)
     assert sp.points == sp2.points
     assert sp.lines == sp2.lines
+
+
+FIELDS = sorted(set(CONWAY) | {(p, 1) for p in (2, 3, 5, 7, 11, 13)})
+
+
+@st.composite
+def space_specs(draw):
+    p, k = draw(st.sampled_from(FIELDS))
+    q = p**k
+    kind = draw(st.sampled_from([kd for kd in FORM_KINDS if kd != "hermitian" or k % 2 == 0]))
+    dim = draw(st.integers(1, 8))
+    code = st.integers(0, q - 1)
+    rows = tuple(
+        tuple(draw(code) if kind != "quadratic" or c >= r else 0 for c in range(dim))
+        for r in range(dim))
+    return SpaceSpec(p, k, kind, dim, draw(st.integers(0, k - 1)), draw(code), rows)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spec=space_specs())
+def test_spec_round_trip_property(spec):
+    assert parse_spec(format_spec(spec)) == spec
 
 
 def test_w32_spec_builds_15_points():
