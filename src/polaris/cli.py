@@ -274,6 +274,8 @@ def run(args, out) -> int:
         return 0 if report.failed == 0 else 1
 
     if cmd == "search":
+        if args.max_set_size < 2:
+            raise UsageError("--max-set-size must be >= 2")
         space = _load_space(args)
         report = search_nonarising_rank1(space, universal_embedding(space),
                                          _plan(args), args.max_set_size)

@@ -439,11 +439,26 @@ def singular_hyperplane(space: PolarSpace, p: int) -> PointSet:
 
 
 def is_maximal_subspace(space: PolarSpace, S) -> bool:
-    """True iff adding any outside point generates the whole space."""
-    S = _require_proper_subspace(space, S)
-    for p in _iter_bits(space.all_bits & ~S.bits):
-        if closure(space, 1 << p, S.bits).bits != space.all_bits:
+    """True iff adding any outside point generates the whole space.
+    If p and x lie outside S on a line that meets S at h, that line is
+    <p, h> = <x, h>, so closure(S u p) = closure(S u x).  One closure from
+    the lowest undecided point p thus decides every point reached from p
+    along lines that meet S."""
+    s_bits = _require_proper_subspace(space, S).bits
+    line_bits, lines_at = space.line_bits, space.lines_at
+    todo = space.all_bits & ~s_bits
+    while todo:
+        frontier = todo & -todo
+        if closure(space, frontier, s_bits).bits != space.all_bits:
             return False
+        todo ^= frontier
+        while frontier:
+            f = frontier & -frontier
+            frontier ^= f
+            for li in lines_at[f.bit_length() - 1]:
+                if line_bits[li] & s_bits:
+                    frontier |= line_bits[li] & todo
+            todo &= ~frontier
     return True
 
 

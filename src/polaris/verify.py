@@ -14,7 +14,7 @@ substream (indexed by sample number), so identical plans replay
 identical sample sequences and reports.  Candidate subspaces are
 closures of random seed sets with sizes uniform in [2, 2n+2].
 Exhaustive mode walks the full subspace lattice by NextClosure and is
-selected automatically on spaces with at most 15 points.
+the default at 15 points or fewer; corollary3 walks the dual space.
 
 Failure witnesses carry enough indices to replay the failing call in
 isolation.
@@ -46,7 +46,6 @@ from .polar import (
     enumerate_subspaces,
     is_hyperplane,
     is_maximal_subspace,
-    singular_hyperplane,
 )
 
 EXHAUSTIVE_POINT_LIMIT = 15   # auto-exhaustive at or below this many points
@@ -257,42 +256,26 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
 
 
 def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
-    """In rank n > 2, every hyperplane must be maximal of rank n-1 or n:
-    scanned over all singular hyperplanes plus sampled hyperplane
-    preimages under the universal embedding, deduplicated on the
-    normalized functional."""
+    """In rank n > 2, every hyperplane must be maximal of rank n-1 or n.
+    Every hyperplane is the zero set of exactly one projective functional
+    of the universal embedding (Ronan 1987), so the walk over the dual
+    space judges each once; the plan's seed and sample count play no part."""
     if space.n <= 2:
         raise UsageError("corollary3 needs ambient rank > 2")
     emb = universal_embedding(space)
-    F, d = space.field, emb.dim
     rank_hist: dict = {}
+    hyperplanes = (PointSet(space, zero_set(emb, x))
+                   for x in linalg.projective_reps(space.field, emb.dim))
 
-    def hyperplanes():
-        for p in range(len(space.points)):
-            yield "singular", p
-        for idx in range(plan.samples):
-            rng = plan.rng_for(idx)
-            while True:
-                functional = tuple(rng.randrange(F.q) for _ in range(d))
-                if any(functional):
-                    break
-            yield "preimage", linalg.normalize_point(F, functional)
-
-    def judge(item):
-        origin, x = item
-        H = singular_hyperplane(space, x) if origin == "singular" \
-            else PointSet(space, zero_set(emb, x))
-        if H.bits == space.all_bits:
-            return "improper"
+    def judge(H):
         r = H.rank
         if r in (space.n - 1, space.n) and is_hyperplane(space, H) \
                 and is_maximal_subspace(space, H):
             rank_hist[r] = rank_hist.get(r, 0) + 1
             return None
-        return {"kind": f"bad hyperplane ({origin})", "points": H.indices(), "rank": r}
+        return {"kind": "bad hyperplane", "points": H.indices(), "rank": r}
 
-    report = _drive("corollary3", space, plan, "mixed", hyperplanes(), judge,
-                    key=lambda item: item)
+    report = _drive("corollary3", space, plan, "exhaustive", hyperplanes, judge)
     report.info["rank_histogram"] = dict(sorted(rank_hist.items()))
     return report
 

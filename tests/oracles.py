@@ -132,3 +132,12 @@ def oracle_rank(F, points, orth, ids):
     radical = {i for i in ids if ids <= orth[i]}
     rank = largest(ids)
     return rank, rank - largest(radical)
+
+
+def oracle_coatoms(subspaces, all_bits):
+    """The maximal proper subspaces, by definition: the proper members of
+    `subspaces` (which must list every subspace) that no other proper
+    member strictly contains."""
+    proper = [s for s in subspaces if s != all_bits]
+    return {s for s in proper
+            if not any(t != s and t & s == s for t in proper)}

@@ -188,6 +188,14 @@ def test_search_and_explore_exit0():
     assert "info-ovoid-hyperplanes: 6" in out
 
 
+@pytest.mark.parametrize("size", ["-1", "0", "1"])
+def test_search_max_set_size_below_2_exits_2(size):
+    code, out, err = run_cli(["search", "rank1-nonarising", "--preset", "Q4_2",
+                              "--samples", "5", "--max-set-size", size])
+    assert code == 2 and out == ""
+    assert "--max-set-size" in err
+
+
 COMMANDS = [
     ["build", "--preset", "Q4_2"],
     ["points", "--preset", "W3_2"],

@@ -47,6 +47,7 @@ F2 = field_make(2, 1)
 
 from oracles import (  # noqa: E402
     oracle_closure,
+    oracle_coatoms,
     oracle_orthogonality,
     oracle_points_and_lines,
     oracle_rank,
@@ -377,6 +378,20 @@ def test_every_singular_hyperplane_is_maximal(space):
         for p in range(0, len(sp.points), 5):
             H = singular_hyperplane(sp, p)
             assert is_hyperplane(sp, H) and is_maximal_subspace(sp, H)
+
+
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2", "Qm5_2", "Qp5_2", "Qp3_4"])
+def test_is_maximal_subspace_matches_coatom_oracle(name, space):
+    # the brute-force list where 2^N subsets can be scanned; NextClosure's
+    # list, pinned to the brute-force one below, on the 25- to 35-point spaces
+    sp = space(name)
+    brute = name in ("W3_2", "Q4_2", "Qp3_2")
+    subs = oracle_subspaces(sp.form) if brute else enumerate_subspaces(sp)
+    coatoms = oracle_coatoms(subs, sp.all_bits)
+    for bits in subs:
+        if bits != sp.all_bits:
+            assert is_maximal_subspace(sp, PointSet(sp, bits)) == (bits in coatoms), \
+                PointSet(sp, bits).indices()
 
 
 # ---------------------------------------------------------------------------

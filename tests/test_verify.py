@@ -4,10 +4,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from polaris import verify
-from polaris.embed import arises_from, natural_embedding, universal_embedding
+from polaris import linalg, verify
+from polaris.embed import arises_from, natural_embedding, universal_embedding, zero_set
 from polaris.errors import UsageError
-from polaris.polar import PointSet, closure, is_hyperplane, rank_nd, rank_of
+from polaris.polar import (
+    PointSet,
+    closure,
+    enumerate_subspaces,
+    is_hyperplane,
+    perp,
+    rank_nd,
+    rank_of,
+)
 from polaris.records import RecordWriter
 from polaris.verify import (
     SamplePlan,
@@ -128,18 +136,51 @@ def test_grow_to_maximal_matches_restart_loop(name, space):
 def test_corollary3_q62(space):
     Q = space("Q6_2")
     r = check_corollary3(Q, SamplePlan(seed=0, samples=30, mode="random"))
-    assert r.failed == 0 and r.consistent()
-    hist = r.info["rank_histogram"]
-    assert set(hist) <= {2, 3}
-    assert hist.get(3, 0) >= 63  # every singular hyperplane has full rank
-    assert hist.get(2, 0) >= 1   # elliptic sections appear among 30 samples
+    assert r.mode == "exhaustive" and r.failed == 0 and r.consistent()
+    # the 127 hyperplanes of PG(6,2): 63 tangent and 36 hyperbolic
+    # sections of rank 3, 28 elliptic sections of rank 2
+    assert r.sampled == r.applicable == 127
+    assert r.info["rank_histogram"] == {2: 28, 3: 99}
 
 
 @pytest.mark.parametrize("name", ["Qp5_2", "W5_2"])
 def test_corollary3_other_rank3_spaces(name, space):
+    hist = {"Qp5_2": {2: 28, 3: 35}, "W5_2": {2: 28, 3: 99}}[name]
     r = check_corollary3(space(name), SamplePlan(seed=0, samples=40, mode="random"))
-    assert r.failed == 0 and r.consistent()
-    assert set(r.info["rank_histogram"]) <= {2, 3}
+    assert r.mode == "exhaustive" and r.failed == 0 and r.consistent()
+    assert r.sampled == r.applicable == sum(hist.values())
+    assert r.info["rank_histogram"] == hist
+
+
+def test_corollary3_ignores_seed_and_samples(space):
+    Q = space("Qp5_2")
+    plans = (SamplePlan(), SamplePlan(seed=9, samples=0, mode="exhaustive"),
+             SamplePlan(seed=-3, samples=7, mode="random"))
+    first, *rest = (report_tuple(check_corollary3(Q, plan)) for plan in plans)
+    assert all(r == first for r in rest)
+
+
+def _dual_zero_sets(sp):
+    emb = universal_embedding(sp)
+    return [zero_set(emb, x) for x in linalg.projective_reps(sp.field, emb.dim)]
+
+
+def test_dual_space_covers_every_hyperplane(space):
+    # on Qp5_2 the zero sets are the lattice's proper subspaces that meet
+    # every line, each once
+    sp = space("Qp5_2")
+    zeros = _dual_zero_sets(sp)
+    lattice = [bits for bits in enumerate_subspaces(sp) if bits != sp.all_bits
+               and all(lb & bits for lb in sp.line_bits)]
+    assert len(zeros) == len(set(zeros)) == 63
+    assert set(zeros) == set(lattice)
+    # too many subspaces to list on the 63-point spaces: check that every
+    # singular hyperplane perp(p) is met
+    for name in ("Q6_2", "W5_2"):
+        sp = space(name)
+        zeros = _dual_zero_sets(sp)
+        assert len(zeros) == len(set(zeros)) == 127
+        assert {perp(sp, [p]).bits for p in range(len(sp.points))} <= set(zeros)
 
 
 def test_corollary3_rejects_rank2(space):
@@ -150,7 +191,6 @@ def test_corollary3_rejects_rank2(space):
 def test_corollary3_section_ranks(space):
     # direct spot checks: tangent, elliptic, and hyperbolic sections of Q(6,2)
     from polaris.embed import preimage
-    from polaris import linalg
     Q = space("Q6_2")
     emb = natural_embedding(Q)
     F = Q.field
