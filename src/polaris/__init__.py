@@ -35,6 +35,7 @@ from .polar import (
     extend_frame,
     find_partial_frame,
     frame_span,
+    generating_points,
     is_hyperplane,
     is_maximal_subspace,
     is_singular,

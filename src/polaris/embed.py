@@ -34,11 +34,11 @@ from .forms import (
 from .polar import (
     PointSet,
     PolarSpace,
-    _bits,
     _iter_bits,
     _require_subspace,
     build_polar_space,
     closure,
+    generating_points,
     rank_nd,
 )
 
@@ -101,27 +101,13 @@ def validate_embedding(emb: Embedding) -> None:
             raise EmbeddingError("a line does not map onto a projective line")
 
 
-def _span_generators(emb: Embedding, X) -> list:
-    """Representative vectors of a generating subset of X: the lowest
-    point of X outside the running closure, again and again.  Lines map
-    onto projective lines, so a closure adds no vector outside the span."""
-    space = emb.space
-    bits = _bits(space, X)
-    gens = []
-    span = 0
-    todo = bits
-    while todo:
-        low = todo & -todo
-        gens.append(emb.vectors[low.bit_length() - 1])
-        span = closure(space, low, span).bits
-        todo = bits & ~span
-    return gens
-
-
 def projective_span(emb: Embedding, X) -> tuple:
     """RREF basis of the span of the representative vectors of X; only
-    the generating subset picked by closure is row-reduced."""
-    return linalg.rref(emb.space.field, _span_generators(emb, X))
+    the generating points of X picked by closure are row-reduced.  Lines
+    map onto projective lines, so a closure adds no vector outside the
+    span."""
+    gens = [emb.vectors[i] for i in generating_points(emb.space, X)]
+    return linalg.rref(emb.space.field, gens)
 
 
 def zero_set(emb: Embedding, a, within: int | None = None) -> int:
@@ -181,7 +167,8 @@ def arises_from(emb: Embedding, S) -> ArisesVerdict:
     generators picked by closure go straight to the annihilator, so the
     verdict takes one row reduction."""
     Sset = _require_subspace(emb.space, S)
-    annihilator = linalg.right_kernel(emb.space.field, _span_generators(emb, Sset), emb.dim)
+    gens = [emb.vectors[i] for i in generating_points(emb.space, Sset)]
+    annihilator = linalg.right_kernel(emb.space.field, gens, emb.dim)
     pre = _annihilated(emb, annihilator)
     span_dim = emb.dim - len(annihilator)
     extra = pre.bits & ~Sset.bits
@@ -368,33 +355,16 @@ def universal_embedding(space: PolarSpace) -> Embedding:
 # ---------------------------------------------------------------------------
 
 def minimal_generating_subset(emb: Embedding, X) -> PointSet:
-    """Y inside X with closure(Y) = closure(X) and no removable member.
-
-    Starts from the greedy vector-rank selection; if that independent
-    set fails to generate (it can land on an ovoid-like set), augments
-    with the first points outside the running closure, then confirms
-    minimality by dropping each member.
-    """
+    """Y inside X with closure(Y) = closure(X) and no removable member:
+    the generating points of X picked by closure, then one pass that
+    drops each member whose removal still generates closure(X)."""
     space = emb.space
     if emb.tag != "universal":
         raise EmbeddingError("minimal generating subsets use the universal embedding")
-    F = space.field
-    Xset = PointSet(space, _bits(space, X))
-    target = closure(space, Xset)
+    target = closure(space, X)
     if rank_nd(space, target) < 2:
         raise GeometryError("closure of X has non-degenerate rank < 2")
-    ids = list(Xset.indices())
-    chosen = []
-    span = ()
-    for i in ids:
-        if not linalg.in_span(F, span, emb.vectors[i]):
-            chosen.append(i)
-            span = linalg.rref(F, list(span) + [emb.vectors[i]])
-    current = closure(space, chosen)
-    while current.bits != target.bits:
-        nxt = next(i for i in ids if not (current.bits >> i) & 1)
-        chosen.append(nxt)
-        current = closure(space, chosen)
+    chosen = generating_points(space, X)
     for i in list(chosen):
         rest = [j for j in chosen if j != i]
         if closure(space, rest).bits == target.bits:

@@ -347,6 +347,19 @@ def closure(space: PolarSpace, X, closed=0) -> PointSet:
     return out
 
 
+def generating_points(space: PolarSpace, X) -> list:
+    """Indices of a generating subset of X, ascending: the lowest point
+    of X outside the running closure, again and again."""
+    bits = _bits(space, X)
+    gens, span, todo = [], 0, bits
+    while todo:
+        low = todo & -todo
+        gens.append(low.bit_length() - 1)
+        span = closure(space, low, span).bits
+        todo = bits & ~span
+    return gens
+
+
 def is_subspace(space: PolarSpace, X) -> bool:
     bits = _bits(space, X)
     for lb in space.line_bits:
@@ -374,31 +387,24 @@ def radical_of_subspace(space: PolarSpace, S) -> PointSet:
     return PointSet(space, perp(space, S.bits).bits & S.bits)
 
 
-def _singular_chain(space: PolarSpace, allowed: int, span: int = 0):
-    """Grow the closed singular set `span` by a greedy chain: the lowest
-    point of `allowed` outside it, then only points collinear with every
-    point added.  Returns the final span and the number of points added.
-
-    `allowed` must lie in perp(span).  Pairwise collinear points span a
-    totally singular subspace, every projective point of which is a point
-    of the space reached by lines, so the chain's vector span is its
-    closure, tracked from a closed base."""
-    size = 0
+def rank_of(space: PolarSpace, S) -> int:
+    """Polar rank of a subspace: the common vector dimension of its
+    maximal singular subspaces, found by greedy chain growth with
+    lowest-index tie-breaking: the lowest point of S outside the chain's
+    span, then only points collinear with every point added.  Pairwise
+    collinear points span a totally singular subspace, every projective
+    point of which is a point of the space reached by lines, so the
+    chain's vector span is its closure, tracked from a closed base."""
+    allowed = _require_subspace(space, S).bits
+    span = size = 0
     while True:
         todo = allowed & ~span
         if not todo:
-            return span, size
+            return size
         low = todo & -todo
         allowed &= space.adj[low.bit_length() - 1]
         span = closure(space, low, span).bits
         size += 1
-
-
-def rank_of(space: PolarSpace, S) -> int:
-    """Polar rank of a subspace: the common vector dimension of its
-    maximal singular subspaces, found by greedy chain growth with
-    lowest-index tie-breaking."""
-    return _singular_chain(space, _require_subspace(space, S).bits)[1]
 
 
 def rank_nd(space: PolarSpace, S) -> int:
@@ -533,76 +539,45 @@ def check_partial_frame(space: PolarSpace, A, B) -> PartialFrame:
     return PartialFrame(space, A, tuple(matched))
 
 
-def _dfs_disjoint_maximal(space, seed_ids, avoid_bits):
-    """First (lowest-index) maximal singular subspace containing the
-    independent singular seed chain and meeting avoid_bits in no point,
-    as the closure bits of its points."""
-    n = space.n
+def _frame_search(space: PolarSpace, within: int, k: int, a_ids=(), b_ids=()):
+    """Lexicographically first rank-k chain of pairs inside `within` that
+    extends the partial frame (a_ids, b_ids), as (A, B) lists, or None.
 
-    def rec(chain, span, collin):
-        if len(chain) == n:
-            return span
-        start = chain[-1] + 1 if len(chain) > len(seed_ids) else 0
-        for p in _iter_bits((collin & ~span) >> start << start):
-            new_span = closure(space, 1 << p, span).bits
-            if new_span & avoid_bits:
-                continue
-            got = rec(chain + [p], new_span, collin & space.adj[p])
-            if got is not None:
-                return got
+    Each step takes the lowest a in the common perp outside <A>, then the
+    lowest b there that is outside <B> and not collinear with a, tracking
+    the spans by closure from a closed base.  Over the whole space the
+    perp of a rank-k frame span is non-degenerate of rank n - k, so every
+    a has a partner b and the search never backtracks."""
+
+    def rec(a_ids, b_ids, spanA, spanB, common_perp):
+        if len(a_ids) == k:
+            return a_ids, b_ids
+        for a in _iter_bits(within & common_perp & ~spanA):
+            for b in _iter_bits(within & common_perp & ~space.adj[a] & ~spanB):
+                got = rec(a_ids + [a], b_ids + [b],
+                          closure(space, 1 << a, spanA).bits,
+                          closure(space, 1 << b, spanB).bits,
+                          common_perp & space.adj[a] & space.adj[b])
+                if got is not None:
+                    return got
         return None
 
-    got = rec(list(seed_ids), closure(space, seed_ids).bits, perp(space, seed_ids).bits)
-    if got is None:
-        raise GeometryError("no maximal singular subspace avoids the given one")
-    return got
-
-
-def _solve_in_subspace(F, basis, constraint_rows):
-    """Coefficient-space kernel basis for 'x in span(basis), rows(x) = 0'."""
-    mat = [tuple(linalg.dot(F, r, bv) for bv in basis) for r in constraint_rows]
-    return linalg.right_kernel(F, mat, len(basis))
-
-
-def _coeff_points(F, kernel, basis):
-    """Vectors of the coefficient-kernel subspace, in projective lex order."""
-    for coeffs in linalg.projective_reps(F, len(kernel)):
-        yield linalg.combine(F, linalg.combine(F, coeffs, kernel), basis)
+    return rec(list(a_ids), list(b_ids), closure(space, a_ids).bits,
+               closure(space, b_ids).bits, perp(space, a_ids + b_ids).bits)
 
 
 def extend_frame(space: PolarSpace, fr: PartialFrame) -> PartialFrame:
-    """Complete a partial frame to rank n: grow <A> to a maximal singular
-    subspace M, find one through <B> disjoint from M, then complete both
-    bases by biorthogonal pair chasing with lowest-index tie-breaking."""
+    """Complete a partial frame to rank n: the lexicographically first
+    rank-n frame of the space whose first pairs are fr's, found by the
+    search of `find_partial_frame` started from fr's pairs."""
     if fr.space is not space:
         raise GeometryError("frame belongs to a different space")
-    n = space.n
-    if fr.rank == n:
+    if fr.rank == space.n:
         return fr
-    F = space.field
-    bil = space.bilinear
-    M_bits = _singular_chain(space, perp(space, fr.a).bits, closure(space, fr.a).bits)[0]
-    N_bits = _dfs_disjoint_maximal(space, fr.b, M_bits)
-    M, N = (linalg.rref(F, [space.points[i] for i in _iter_bits(b)]) for b in (M_bits, N_bits))
-    a_vecs = [space.points[i] for i in fr.a]
-    b_vecs = [space.points[i] for i in fr.b]
-    while len(a_vecs) < n:
-        w_kernel = _solve_in_subspace(F, M, [bil.functional(bv) for bv in b_vecs])
-        x = next(_coeff_points(F, w_kernel, M))
-        u_kernel = _solve_in_subspace(F, N, [bil.functional(av) for av in a_vecs])
-        y = None
-        fx = bil.functional(x)
-        for cand in _coeff_points(F, u_kernel, N):
-            if linalg.dot(F, fx, cand) != 0:
-                y = cand
-                break
-        if y is None:
-            raise GeometryError("biorthogonal completion failed")  # unreachable
-        a_vecs.append(x)
-        b_vecs.append(y)
-    a_ids = tuple(space.index[linalg.normalize_point(F, v)] for v in a_vecs)
-    b_ids = tuple(space.index[linalg.normalize_point(F, v)] for v in b_vecs)
-    return check_partial_frame(space, a_ids, b_ids)
+    got = _frame_search(space, space.all_bits, space.n, fr.a, fr.b)
+    if got is None:
+        raise GeometryError("frame completion failed")  # unreachable
+    return check_partial_frame(space, *got)
 
 
 def find_partial_frame(space: PolarSpace, S, k: int) -> PartialFrame:
@@ -615,47 +590,10 @@ def find_partial_frame(space: PolarSpace, S, k: int) -> PartialFrame:
         raise GeometryError("subspace is degenerate: it has a nonempty radical")
     if rank_of(space, S) < k:
         raise GeometryError(f"subspace rank {rank_of(space, S)} < requested {k}")
-
-    def rec(a_ids, b_ids, spanA, spanB, common_perp):
-        if len(a_ids) == k:
-            return a_ids, b_ids
-        for a in _iter_bits(S.bits & common_perp & ~spanA):
-            for b in _iter_bits(S.bits & common_perp & ~space.adj[a] & ~spanB):
-                got = rec(a_ids + [a], b_ids + [b],
-                          closure(space, 1 << a, spanA).bits,
-                          closure(space, 1 << b, spanB).bits,
-                          common_perp & space.adj[a] & space.adj[b])
-                if got is not None:
-                    return got
-        return None
-
-    got = rec([], [], 0, 0, space.all_bits)
+    got = _frame_search(space, S.bits, k)
     if got is None:
         raise GeometryError("no partial frame of the requested rank exists in S")
-    return check_partial_frame(space, got[0], got[1])
-
-
-def sample_partial_frame(space: PolarSpace, k: int, rng) -> PartialFrame | None:
-    """One random hyperbolic-chain draw from the whole space; None when
-    the draw dead-ends.  Deterministic given the rng state."""
-    a_ids, b_ids = [], []
-    spanA = spanB = 0
-    common = space.all_bits
-    for _ in range(k):
-        cand_a = list(_iter_bits(common & ~spanA))
-        if not cand_a:
-            return None
-        a = rng.choice(cand_a)
-        cand_b = list(_iter_bits(common & ~space.adj[a] & ~spanB))
-        if not cand_b:
-            return None
-        b = rng.choice(cand_b)
-        a_ids.append(a)
-        b_ids.append(b)
-        spanA = closure(space, 1 << a, spanA).bits
-        spanB = closure(space, 1 << b, spanB).bits
-        common &= space.adj[a] & space.adj[b]
-    return check_partial_frame(space, a_ids, b_ids)
+    return check_partial_frame(space, *got)
 
 
 def frame_span(space: PolarSpace, fr: PartialFrame) -> PointSet:
@@ -688,8 +626,12 @@ class StarSpace:
 
 
 def star_space(space: PolarSpace, R) -> StarSpace:
-    """The star of the singular subspace R; its residue is smaller than the
-    space, so it is built under a cap of the space's point count."""
+    """The star of the singular subspace R, spanned by W.  The residue is
+    the polar space of the form induced on a complement of W in W-perp;
+    it is smaller than the space, so it is built under a cap of the
+    space's point count.  The member of a residue point x is <W, x>,
+    which is totally singular, so its points are closure(R u {x}),
+    grown from the closed base R."""
     Rset = PointSet(space, _bits(space, R))
     if Rset.bits == 0:
         members = tuple(PointSet(space, 1 << i) for i in range(len(space.points)))
@@ -730,11 +672,8 @@ def star_space(space: PolarSpace, R) -> StarSpace:
         raise GeometryError("residue rank mismatch")  # unreachable
     members = []
     for pvec in residue.points:
-        x = linalg.combine(F, pvec, comp)
-        bits = 0
-        for pt in linalg.subspace_points(F, list(W) + [x]):
-            bits |= 1 << space.index[pt]
-        members.append(PointSet(space, bits))
+        x = linalg.normalize_point(F, linalg.combine(F, pvec, comp))
+        members.append(closure(space, 1 << space.index[x], Rset.bits))
     members = tuple(members)
     line_members = tuple(
         PointSet(space, reduce(lambda acc, pid: acc | members[pid].bits, pts, 0))

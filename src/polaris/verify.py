@@ -57,8 +57,6 @@ ENUMERATION_COST_LIMIT = 2**20   # node budget of the non-collinear set scan
 class SamplePlan:
     seed: int = 0
     samples: int = 500
-    min_size: int = 2
-    max_size: int | None = None   # defaults to 2n + 2 at run time
     mode: str = "auto"            # auto | random | exhaustive
 
     def rng_for(self, index: int) -> random.Random:
@@ -84,8 +82,8 @@ class CheckReport:
     check: str
     space: str
     mode: str
-    seed: int
-    samples_requested: int
+    seed: int | None
+    samples_requested: int | None
     sampled: int = 0
     applicable: int = 0
     passed: int = 0
@@ -153,11 +151,10 @@ def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
             yield PointSet(space, bits)
         return
     N = len(space.points)
-    hi = plan.max_size if plan.max_size is not None else 2 * space.n + 2
-    hi = max(plan.min_size, min(hi, N))
+    hi = max(2, min(2 * space.n + 2, N))
     for idx in range(plan.samples):
         rng = plan.rng_for(idx)
-        size = rng.randint(plan.min_size, hi)
+        size = rng.randint(2, hi)
         yield closure(space, rng.sample(range(N), size))
 
 
@@ -259,7 +256,8 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """In rank n > 2, every hyperplane must be maximal of rank n-1 or n.
     Every hyperplane is the zero set of exactly one projective functional
     of the universal embedding (Ronan 1987), so the walk over the dual
-    space judges each once; the plan's seed and sample count play no part."""
+    space judges each once.  The plan's seed and sample count play no
+    part, so the report prints neither."""
     if space.n <= 2:
         raise UsageError("corollary3 needs ambient rank > 2")
     emb = universal_embedding(space)
@@ -277,6 +275,7 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
 
     report = _drive("corollary3", space, plan, "exhaustive", hyperplanes, judge)
     report.info["rank_histogram"] = dict(sorted(rank_hist.items()))
+    report.seed = report.samples_requested = None
     return report
 
 

@@ -141,3 +141,48 @@ def oracle_coatoms(subspaces, all_bits):
     proper = [s for s in subspaces if s != all_bits]
     return {s for s in proper
             if not any(t != s and t & s == s for t in proper)}
+
+
+def oracle_frame_completion(F, points, orth, n, a_ids, b_ids):
+    """The lexicographically first rank-n partial frame whose first pairs
+    are (a_ids, b_ids), as (A, B) tuples with a_i opposite b_i, or None.
+    Pairs (a, b) are tried in lexicographic order of point index, and a
+    pair is kept while the extended sets pass the frame axioms F1-F4,
+    checked directly on the vectors and orthogonality; dead ends
+    backtrack."""
+    def span_points(ids):
+        basis = [points[i] for i in ids]
+        r = linalg.rank(F, basis)
+        return {j for j, v in enumerate(points) if linalg.rank(F, basis + [v]) == r}
+
+    def is_frame(A, B):
+        k = len(A)
+        if len(set(A) | set(B)) != 2 * k:
+            return False
+        # F1: each side pairwise orthogonal
+        if any(j not in orth[i] for S in (A, B) for i in S for j in S):
+            return False
+        # F2: a_i orthogonal to b_j exactly when i != j
+        if any((B[j] in orth[A[i]]) != (i != j) for i in range(k) for j in range(k)):
+            return False
+        # F3: each side independent
+        if any(linalg.rank(F, [points[i] for i in S]) != k for S in (A, B)):
+            return False
+        # F4: perp(A) misses <B> and perp(B) misses <A>
+        for S, T in ((A, B), (B, A)):
+            if set.intersection(*(orth[i] for i in S)) & span_points(T):
+                return False
+        return True
+
+    def rec(A, B):
+        if len(A) == n:
+            return A, B
+        for a in range(len(points)):
+            for b in range(len(points)):
+                if is_frame(A + (a,), B + (b,)):
+                    got = rec(A + (a,), B + (b,))
+                    if got is not None:
+                        return got
+        return None
+
+    return rec(tuple(a_ids), tuple(b_ids))

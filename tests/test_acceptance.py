@@ -33,7 +33,6 @@ from polaris.polar import (
     find_partial_frame,
     frame_span,
     rank_of,
-    sample_partial_frame,
 )
 from polaris.records import RecordWriter
 from polaris.verify import (
@@ -45,6 +44,7 @@ from polaris.verify import (
 )
 
 from oracles import oracle_points_and_lines, oracle_subspaces
+from test_frames import sample_partial_frame
 
 SAMPLED_SPACES = ("Q4_3", "Qm5_2", "Qp5_2", "H3_4", "H4_4", "Q6_2", "Sp4_3")
 
@@ -242,6 +242,8 @@ CLI_BATTERY = [
      "001bf89e314f5bffd63c033e69e1be0d8e34f0347e465930e697437e13c87908"),
     (["frame", "find", "--preset", "Q6_2", "--k", "3"],
      "72685e17066921220714177ba484f268f6701db574a54cb01241c15cd76eed00"),
+    (["frame", "extend", "--preset", "Q6_2", "--a", "0,2", "--b", "1,5"],
+     "6a3cfb91f3dfc55b92b27e57cb8c593e59c62f53d244f0633374f26f05d98a3e"),
     (["frame", "check", "--preset", "W3_2", "--a", "0,3", "--b", "1,7"],
      "9826aceb0326f94f4f2237077df47293ef6f74af37de9367f6399635a3257cd7"),
     (["check", "theorem1", "--preset", "Q4_2", "--samples", "0"],
@@ -259,9 +261,9 @@ CLI_BATTERY = [
     (["check", "corollary2", "--preset", "H4_4", "--samples", "8"],
      "f4cfe37bf57c778377224c390217abdc2c6e64d2a736d475de8c102f20f2b8c3"),
     (["check", "corollary3", "--preset", "Q6_2", "--samples", "20", "--seed", "1"],
-     "91a0b345f1493537aed49e0098428288e291f67750686f15e683ed9c8fccb18c"),
+     "0eda2404364f53de88bec8e3575fd37b380d2ef91366e6226989233ef07c78dd"),
     (["check", "corollary3", "--preset", "W5_2", "--samples", "10"],
-     "a81a1f0e7e66c89806bc279edc8ea820ea888c791262cb81f75c6527a65bec06"),
+     "2736d0b71fe58fb878eb47841af5c238e5ccceb7d6f3a41d1a24979fdd5c0614"),
     (["check", "prop5", "--preset", "H3_4", "--samples", "120", "--seed", "2"],
      "4f126aa786bba491516ed59bf7bac8d2184707bfd7ca383b6dd7e4f5c2300f6c"),
     (["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "30"],
@@ -282,6 +284,8 @@ CLI_BATTERY = [
      "cb8c961d2720184f848e8025a308ee10e0a13c77b24358f8aa92d860680480f1"),
     (["mingen", "--preset", "Q4_2", "--points", "all"],
      "3fc330c34d734877fed6eebc37f7c24c57f0383cbc3b52ab1078efec5aaba704"),
+    (["mingen", "--preset", "H4_4", "--points", "all"],
+     "9e49426e1c604750a7abccaac533d65a1a420aadbc4729ac93ebd9414071e6e3"),
 ]
 
 

@@ -178,6 +178,16 @@ def test_mingen_command():
     assert "size: 5" in out and "regenerates: true" in out
 
 
+def test_corollary3_report_ignores_seed_and_samples():
+    code, out, _ = run_cli(["check", "corollary3", "--preset", "Q6_2",
+                            "--samples", "20", "--seed", "1"])
+    code0, out0, _ = run_cli(["check", "corollary3", "--preset", "Q6_2",
+                              "--samples", "0"])
+    assert code == code0 == 0
+    assert out == out0
+    assert "seed: -\n" in out and "samples-requested: -\n" in out
+
+
 def test_search_and_explore_exit0():
     code, out, _ = run_cli(["search", "rank1-nonarising", "--preset", "Q4_2",
                             "--samples", "20"])

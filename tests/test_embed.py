@@ -3,7 +3,7 @@ import random
 import pytest
 
 from polaris import linalg, polar
-from polaris.catalog import build_preset
+from polaris.catalog import PRESETS, build_preset
 from polaris.embed import (
     Embedding,
     arises_from,
@@ -441,6 +441,31 @@ def test_mingen_whole_q42(space):
     for i in Y:
         rest = [j for j in Y.indices() if j != i]
         assert closure(Q, rest).bits != Q.all_bits
+
+
+UNIVERSAL_PRESETS = [name for name in sorted(PRESETS) if not build_preset(name).is_grid]
+
+
+@pytest.mark.parametrize("name", UNIVERSAL_PRESETS)
+def test_mingen_property_on_random_sets(name, space):
+    # Y has dim <X> members, generates closure(X) and drops no member
+    sp = space(name)
+    emb = universal_embedding(sp)
+    N = len(sp.points)
+    rng = random.Random(41)
+    done = 0
+    while done < 30:
+        X = rng.sample(range(N), rng.randint(2, min(N, 3 * sp.n + 3)))
+        target = closure(sp, X)
+        if rank_nd(sp, target) < 2:
+            continue
+        Y = minimal_generating_subset(emb, X).indices()
+        assert set(Y) <= set(X)
+        assert len(Y) == len(projective_span(emb, X)), X
+        assert closure(sp, Y).bits == target.bits, X
+        for i in Y:
+            assert closure(sp, [j for j in Y if j != i]).bits != target.bits, X
+        done += 1
 
 
 def test_mingen_rejects_thin_closure(space):

@@ -4,7 +4,10 @@ import pytest
 
 from polaris.errors import FrameError, GeometryError
 from polaris.polar import (
+    PartialFrame,
     PointSet,
+    PolarSpace,
+    _iter_bits,
     check_partial_frame,
     closure,
     extend_frame,
@@ -15,6 +18,8 @@ from polaris.polar import (
     radical_of_subspace,
     rank_of,
 )
+
+from oracles import oracle_frame_completion, oracle_orthogonality, oracle_points_and_lines
 
 
 def w32_standard_frame(space):
@@ -58,9 +63,31 @@ def test_check_frame_matches_b_order(space):
     assert fr.b == b  # reordered to match a
 
 
+def sample_partial_frame(space: PolarSpace, k: int, rng) -> PartialFrame | None:
+    """One random hyperbolic-chain draw from the whole space; None when
+    the draw dead-ends.  Deterministic given the rng state."""
+    a_ids, b_ids = [], []
+    spanA = spanB = 0
+    common = space.all_bits
+    for _ in range(k):
+        cand_a = list(_iter_bits(common & ~spanA))
+        if not cand_a:
+            return None
+        a = rng.choice(cand_a)
+        cand_b = list(_iter_bits(common & ~space.adj[a] & ~spanB))
+        if not cand_b:
+            return None
+        b = rng.choice(cand_b)
+        a_ids.append(a)
+        b_ids.append(b)
+        spanA = closure(space, 1 << a, spanA).bits
+        spanB = closure(space, 1 << b, spanB).bits
+        common &= space.adj[a] & space.adj[b]
+    return check_partial_frame(space, a_ids, b_ids)
+
+
 def sample_random_frame(sp, k, rng):
     """Random hyperbolic pair chain; None if the draw dead-ends."""
-    from polaris.polar import sample_partial_frame
     fr = sample_partial_frame(sp, k, rng)
     return None if fr is None else (fr.a, fr.b)
 
@@ -121,6 +148,25 @@ def test_extend_frame_many_random(space):
             assert full.rank == sp.n
             assert set(fr.a) <= set(full.a)
             done += 1
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "W5_2", "Qp5_2"])
+def test_extend_frame_matches_completion_oracle(name, space):
+    # the completion is the oracle's lexicographically first frame with
+    # the given first pairs, over points and orthogonality of its own
+    sp = space(name)
+    points = oracle_points_and_lines(sp.form)[0]
+    orth = oracle_orthogonality(sp.form, points)
+    rng = random.Random(11)
+    done = 0
+    while done < 30:
+        fr = sample_partial_frame(sp, 2, rng)
+        if fr is None:
+            continue
+        full = extend_frame(sp, fr)
+        assert (full.a, full.b) == oracle_frame_completion(
+            sp.field, points, orth, sp.n, fr.a, fr.b), (fr.a, fr.b)
+        done += 1
 
 
 def test_find_partial_frame_golden(space):
