@@ -5,12 +5,14 @@ vector.  Its universality tag follows the classification by form kind
 and characteristic: quadratic and hermitian sources, and everything
 away from characteristic 2, carry the universal embedding; the
 characteristic-2 alternating inclusion is a proper quotient of the
-parabolic-quadric embedding one dimension up; grids are tagged unknown
-and refused by the theorem-check commands.
+parabolic-quadric embedding one dimension up, x -> (sqrt(Q0(x)), x)
+with Q0 the strict upper triangle of the gram, which is the universal
+one; grids are tagged unknown and refused by the theorem-check commands.
 
 A subspace S "arises" from an embedding when the preimage of the
 projective span of its image is S itself; `arises_from` reports a
-witness point otherwise.
+witness point otherwise.  Preimages, hyperplanes and the line check of
+`validate_embedding` are zero sets of functionals (`linalg.zero_set`).
 
 Embeddings are immutable after construction, with one exception: each
 holds a write-once cache, the value-slice table `slices` that preimages
@@ -26,7 +28,6 @@ from . import linalg
 from .errors import EmbeddingError, GeometryError
 from .forms import (
     eval_quadratic,
-    polarize,
     quadratic_form,
     radical_of_form,
     sesquilinear_form,
@@ -61,12 +62,7 @@ class Embedding:
     def slices(self) -> tuple:
         """slices[j][c]: the bitset of the points whose representative
         vector has coordinate j equal to c."""
-        table = [[0] * self.space.field.q for _ in range(self.dim)]
-        for i, v in enumerate(self.vectors):
-            bit = 1 << i
-            for row, c in zip(table, v):
-                row[c] |= bit
-        return tuple(tuple(row) for row in table)
+        return linalg.value_slices(self.space.field, self.vectors)
 
 
 def natural_embedding(space: PolarSpace) -> Embedding:
@@ -83,7 +79,10 @@ def natural_embedding(space: PolarSpace) -> Embedding:
 
 
 def validate_embedding(emb: Embedding) -> None:
-    """Injectivity, spanning, and line-onto-projective-line, by enumeration."""
+    """Injectivity, spanning, and line-onto-projective-line.  Once the
+    map is injective, a line maps onto the projective line through the
+    images u, v of two of its points exactly when the preimage of <u, v>
+    is the line: both sides then hold q + 1 points."""
     F = emb.space.field
     vecs = emb.vectors
     norm = [linalg.normalize_point(F, v) for v in vecs]
@@ -93,11 +92,8 @@ def validate_embedding(emb: Embedding) -> None:
         raise EmbeddingError("embedding is not injective on points")
     if len(linalg.rref(F, list(vecs))) != emb.dim:
         raise EmbeddingError("image does not span the ambient space")
-    for pts in emb.space.lines:
-        image = {norm[i] for i in pts}
-        u, v = vecs[pts[0]], vecs[pts[1]]
-        proj_line = set(linalg.subspace_points(F, [u, v]))
-        if image != proj_line:
+    for pts, lb in zip(emb.space.lines, emb.space.line_bits):
+        if preimage(emb, [vecs[pts[0]], vecs[pts[1]]]).bits != lb:
             raise EmbeddingError("a line does not map onto a projective line")
 
 
@@ -112,31 +108,9 @@ def projective_span(emb: Embedding, X) -> tuple:
 
 def zero_set(emb: Embedding, a, within: int | None = None) -> int:
     """Bitset of the points of `within` (default all) whose vector the
-    functional a kills, for every point at once.
-
-    cls[s] holds the points whose partial sum of a_j v_j over the
-    coordinates seen so far is s; each nonzero a_j moves the points with
-    v_j = c from class s to class s + a_j c.  Only the field's addition
-    table and multiplication are used, so every GF(q) takes this path."""
-    F = emb.space.field
-    q, add = F.q, F._add
-    slices = emb.slices
-    cls = [0] * q
-    cls[0] = emb.space.all_bits if within is None else within
-    for j, aj in enumerate(a):
-        if not aj:
-            continue
-        new = [0] * q
-        for c, sl in enumerate(slices[j]):
-            if not sl:
-                continue
-            t = F.mul(aj, c)
-            for s, members in enumerate(cls):
-                hit = members & sl
-                if hit:
-                    new[add[s * q + t]] |= hit
-        cls = new
-    return cls[0]
+    functional a kills, for every point at once (`linalg.zero_set`)."""
+    bits = emb.space.all_bits if within is None else within
+    return linalg.zero_set(emb.space.field, emb.slices, a, bits)
 
 
 def _annihilated(emb: Embedding, annihilator) -> PointSet:
@@ -239,15 +213,7 @@ def quotient_embedding(emb: Embedding, X) -> QuotientResult:
         qmap.append(qspace.index[nrm])
     if len(set(qmap)) != len(qmap) or len(qmap) != len(qspace.points):
         raise EmbeddingError("quotient map is not a point bijection")
-    # collinearity must transfer both ways
-    N = len(space.points)
-    for i in range(N):
-        for j in _iter_bits(space.adj[i] >> i << i):
-            if not (qspace.adj[qmap[i]] >> qmap[j]) & 1:
-                raise EmbeddingError("quotient map loses collinearity")
-    for i in range(N):
-        if (space.adj[i]).bit_count() != (qspace.adj[qmap[i]]).bit_count():
-            raise EmbeddingError("quotient map gains collinearity")
+    _check_collinearity_transfer(space, qspace, qmap, "quotient map")
     out = Embedding(space, e, tuple(qvecs), "quotient", kernel=Xrows)
     validate_embedding(out)
     return QuotientResult(out, qspace, tuple(qmap))
@@ -265,84 +231,80 @@ class HullResult:
     universal: Embedding       # universal embedding of the symplectic space
 
 
-def _symplectic_basis(space: PolarSpace):
-    """Hyperbolic pairs (u1, v1, u2, v2, ...) of the alternating form,
-    lowest-candidate first, pairings scaled to 1."""
+def _check_collinearity_transfer(space: PolarSpace, image_space: PolarSpace,
+                                 point_map, name: str) -> None:
+    """Collinearity must transfer both ways along a point bijection: the
+    image of each collinearity row is the row of the image point."""
+    for i, row in enumerate(space.adj):
+        image = 0
+        for j in _iter_bits(row):
+            image |= 1 << point_map[j]
+        target = image_space.adj[point_map[i]]
+        if image & ~target:
+            raise EmbeddingError(f"{name} loses collinearity")
+        if image != target:
+            raise EmbeddingError(f"{name} gains collinearity")
+
+
+def _hull_quadric(space: PolarSpace):
+    """The quadric x0^2 + Q0(x) one dimension up, where Q0 is the strict
+    upper triangle of the alternating gram, so Q0 polarizes to the form
+    and the nucleus is the first coordinate vector."""
+    d, gram = space.dim, space.form.gram
+    upper = [[0] * (d + 1) for _ in range(d + 1)]
+    upper[0][0] = 1
+    for i in range(d):
+        upper[i + 1][i + 2:] = gram[i][i + 1:]
+    return quadratic_form(space.field, upper)
+
+
+def _hull_vectors(space: PolarSpace) -> tuple:
+    """x -> (sqrt(Q0(x)), x), normalized: the point of the hull quadric
+    that projects from the nucleus onto x."""
     F = space.field
-    form = space.form
-    d = space.dim
-    basis = []
-    while len(basis) < d:
-        kernel = linalg.right_kernel(F, [form.functional(b) for b in basis], d)
-        u = None
-        for coeffs in linalg.projective_reps(F, len(kernel)):
-            v = linalg.combine(F, coeffs, kernel)
-            if u is None:
-                u = v
-                continue
-            pairing = linalg.dot(F, form.functional(u), v)
-            if pairing:
-                v = linalg.vec_scale(F, v, F.inv(pairing))
-                basis.extend([u, v])
-                break
-        else:
-            raise GeometryError("alternating form failed hyperbolic splitting")
-    return basis
+    Q = _hull_quadric(space)
+    return tuple(
+        linalg.normalize_point(F, (F.sqrt_char2(eval_quadratic(Q, (0,) + x)),) + x)
+        for x in space.points)
 
 
 def hull_of_symplectic_char2(space: PolarSpace) -> HullResult:
-    """Rebuild the parabolic quadric whose nucleus quotient is this
-    symplectic space and return the induced point bijection.  The quadric
-    is in bijection with the space, so it is built under a cap of the
-    space's point count."""
+    """Build the parabolic quadric whose nucleus quotient is this
+    symplectic space and return the point bijection that the universal
+    embedding induces.  The quadric is in bijection with the space, so it
+    is built under a cap of the space's point count."""
     if space.kind != "alternating" or space.field.char != 2:
         raise GeometryError(
             "hull construction applies to alternating spaces in characteristic 2; "
             "elsewhere the alternating embedding is already universal")
-    F = space.field
-    n = space.n
-    d = 2 * n + 1
-    U = [[0] * d for _ in range(d)]
-    U[0][0] = 1
-    for i in range(n):
-        U[2 * i + 1][2 * i + 2] = 1
-    Q = quadratic_form(F, U)
     label = f"{space.label}/hull" if space.label else None
-    qspace = build_polar_space(Q, cap=len(space.points), label=label)
-    qres = quotient_embedding(natural_embedding(qspace), radical_of_form(polarize(Q)))
-    sympl = _symplectic_basis(space)
-    to_quad = [None] * len(space.points)
-    from_quad = [None] * len(qspace.points)
-    for qi, quot_idx in enumerate(qres.point_map):
-        v = linalg.combine(F, qres.quotient_space.points[quot_idx], sympl)
-        si = space.index[linalg.normalize_point(F, v)]
-        if to_quad[si] is not None:
-            raise GeometryError("hull bijection collapsed two points")
-        to_quad[si] = qi
+    qspace = build_polar_space(_hull_quadric(space), cap=len(space.points), label=label)
+    universal = universal_embedding(space)
+    # the vectors are distinct points of a quadric capped at as many
+    # points, so the lookup is a bijection
+    to_quad = []
+    for v in universal.vectors:
+        qi = qspace.index.get(v)
+        if qi is None:
+            raise GeometryError("a hull vector is not a point of the hull quadric")
+        to_quad.append(qi)
+    from_quad = [None] * len(to_quad)
+    for si, qi in enumerate(to_quad):
         from_quad[qi] = si
-    # isomorphism check, edge by edge in both directions
-    for i in range(len(space.points)):
-        for j in _iter_bits(space.adj[i]):
-            if not (qspace.adj[to_quad[i]] >> to_quad[j]) & 1:
-                raise GeometryError("hull bijection loses collinearity")
-        if space.adj[i].bit_count() != qspace.adj[to_quad[i]].bit_count():
-            raise GeometryError("hull bijection gains collinearity")
-    universal = Embedding(space, d,
-                          tuple(qspace.points[to_quad[i]]
-                                for i in range(len(space.points))),
-                          "universal")
-    validate_embedding(universal)
+    _check_collinearity_transfer(space, qspace, to_quad, "hull bijection")
     return HullResult(qspace, tuple(to_quad), tuple(from_quad), universal)
 
 
 def universal_embedding(space: PolarSpace) -> Embedding:
     """The universal embedding: natural when already tagged universal,
-    hull-composed for characteristic-2 symplectic spaces.  Built once per
-    space and kept in its write-once `_universal` slot."""
+    x -> (sqrt(Q0(x)), x) into the hull quadric for characteristic-2
+    symplectic spaces.  Built once per space and kept in its write-once
+    `_universal` slot."""
     if space._universal is None:
         emb = natural_embedding(space)
         if emb.tag == "quotient":
-            emb = hull_of_symplectic_char2(space).universal
+            emb = Embedding(space, space.dim + 1, _hull_vectors(space), "universal")
+            validate_embedding(emb)
         elif emb.tag != "universal":
             raise EmbeddingError(
                 "no designated universal embedding for this space (grid case)")

@@ -3,6 +3,12 @@
 Vectors are tuples of element codes; matrices are tuples of row
 vectors.  Everything is deterministic: reduced row echelon form uses
 leftmost pivots and unit pivot entries, so bases are bit-exact.
+
+Every "which of these vectors does a functional kill" question goes
+through one bitset kernel: `value_slices` indexes a vector list once by
+coordinate value, and `zero_set` answers the question for all of them
+at once.  Polar spaces use it for collinearity rows, embeddings for
+preimages and hyperplanes.
 """
 
 from __future__ import annotations
@@ -159,11 +165,38 @@ def subspace_vectors(F: Field, basis):
             for coeffs in product(range(F.q), repeat=len(basis))]
 
 
-def subspace_points(F: Field, basis):
-    """Sorted normalized projective points of the row span of basis."""
-    pts = set()
-    for v in subspace_vectors(F, basis):
-        nv = normalize_point(F, v)
-        if nv is not None:
-            pts.add(nv)
-    return sorted(pts)
+def value_slices(F: Field, vectors) -> tuple:
+    """slices[j][c]: the bitset of the vectors whose coordinate j is c."""
+    table = [[0] * F.q for _ in range(len(vectors[0]))]
+    for i, v in enumerate(vectors):
+        bit = 1 << i
+        for row, c in zip(table, v):
+            row[c] |= bit
+    return tuple(tuple(row) for row in table)
+
+
+def zero_set(F: Field, slices, a, within: int) -> int:
+    """Bitset of the vectors of `within` that the functional a kills, for
+    every vector at once, given their `value_slices`.
+
+    cls[s] holds the vectors whose partial sum of a_j v_j over the
+    coordinates seen so far is s; each nonzero a_j moves the vectors with
+    v_j = c from class s to class s + a_j c.  Only the field's addition
+    table and multiplication are used, so every GF(q) takes this path."""
+    q, add = F.q, F._add
+    cls = [0] * q
+    cls[0] = within
+    for j, aj in enumerate(a):
+        if not aj:
+            continue
+        new = [0] * q
+        for c, sl in enumerate(slices[j]):
+            if not sl:
+                continue
+            t = F.mul(aj, c)
+            for s, members in enumerate(cls):
+                hit = members & sl
+                if hit:
+                    new[add[s * q + t]] |= hit
+        cls = new
+    return cls[0]

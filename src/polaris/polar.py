@@ -7,7 +7,10 @@ lexicographically by coordinate codes) and its lines are the totally
 isotropic/singular 2-dimensional vector subspaces, stored as full
 point-index tuples.  Collinearity lives in per-point bitsets, with
 p in perp(p) by convention, so closure and perp are pure integer
-bitset work.
+bitset work.  Each collinearity row is the zero set of one functional
+over all points (`linalg.zero_set`), and each line is {p, q}^perp^perp
+of two of its points, so building a space takes no pairwise vector
+arithmetic.
 
 Spaces are immutable after construction, apart from the write-once
 `_universal` slot that `embed.universal_embedding` fills; PointSet
@@ -96,14 +99,26 @@ class PolarSpace:
 
 
 def build_polar_space(form, cap: int | None = None, label: str | None = None) -> PolarSpace:
-    """Enumerate the polar space of a non-degenerate form of rank >= 2."""
+    """Enumerate the polar space of a non-degenerate form of rank >= 2.
+
+    Collinearity row i is the zero set of f(p_i, -) over all points, and
+    the line through collinear p, q is {p, q}^perp^perp, the points
+    collinear with every point collinear with both (Buekenhout-Shult),
+    so lines take only bitset work."""
     cap = DEFAULT_POINT_CAP if cap is None else cap
+    if not isinstance(form, (QuadraticForm, SesquilinearForm)):
+        raise GeometryError(f"not a form: {form!r}")
+    F: Field = form.field
+    d = form.dim
+    q = F.q
+    if (q**d - 1) // (q - 1) > ENUM_GUARD:
+        raise GeometryError("ambient projective space too large to enumerate")
     if isinstance(form, QuadraticForm):
         kind = "quadratic"
         if radical_of_quadratic(form):
             raise GeometryError("degenerate quadratic form (rad(Q) != 0)")
         bilinear = polarize(form)
-    elif isinstance(form, SesquilinearForm):
+    else:
         kind = form.kind
         if radical_of_form(form):
             raise GeometryError("degenerate sesquilinear form (rad(f) != 0)")
@@ -113,14 +128,6 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
                 "the geometry would be degenerate and admits no inclusion embedding"
             )
         bilinear = form
-    else:
-        raise GeometryError(f"not a form: {form!r}")
-
-    F: Field = form.field
-    d = form.dim
-    q = F.q
-    if (q**d - 1) // (q - 1) > ENUM_GUARD:
-        raise GeometryError("ambient projective space too large to enumerate")
 
     n = witt_index(form)
     if n < 2:
@@ -139,24 +146,14 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
     points = tuple(points)
     N = len(points)
     index = {v: i for i, v in enumerate(points)}
+    all_bits = (1 << N) - 1
 
-    adj = [0] * N
-    for i in range(N):
-        row = bilinear.functional(points[i])
-        for j in range(i, N):
-            v = points[j]
-            acc = 0
-            for c, x in zip(row, v):
-                if c and x:
-                    acc = F.add(acc, F.mul(c, x))
-            if acc == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    slices = linalg.value_slices(F, points)
+    adj = tuple(linalg.zero_set(F, slices, bilinear.functional(v), all_bits)
+                for v in points)
     for i in range(N):
         if not (adj[i] >> i) & 1:
             raise GeometryError("point not collinear with itself")  # unreachable
-    all_bits = (1 << N) - 1
-    for i in range(N):
         if adj[i] == all_bits:
             raise GeometryError("a point is collinear with every point")  # unreachable
 
@@ -167,12 +164,13 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
         todo &= ~covered[i]
         while todo:
             j = (todo & -todo).bit_length() - 1
-            pts = _line_points(F, points, index, i, j)
-            lines.append(pts)
-            lb = 0
-            for a in pts:
-                lb |= 1 << a
-            for a in pts:
+            lb = all_bits                     # {i, j}^perp^perp
+            for x in _iter_bits(adj[i] & adj[j]):
+                lb &= adj[x]
+            if lb.bit_count() != q + 1:
+                raise GeometryError(f"line has {lb.bit_count()} points, expected {q + 1}")
+            lines.append(tuple(_iter_bits(lb)))
+            for a in _iter_bits(lb):
                 covered[a] |= lb
             todo &= ~covered[i]
     lines.sort()
@@ -186,23 +184,7 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
 
     is_grid = n == 2 and N > 0 and all(len(ls) == 2 for ls in lines_at)
     return PolarSpace(F, form, kind, bilinear, d, n, points, index,
-                      tuple(adj), lines, line_bits, lines_at, is_grid, label)
-
-
-def _line_points(F, points, index, i, j):
-    u, v = points[i], points[j]
-    ids = [j]
-    for t in F.elements():
-        w = linalg.vec_add(F, u, linalg.vec_scale(F, v, t))
-        nw = linalg.normalize_point(F, w)
-        pid = index.get(nw)
-        if pid is None:
-            raise GeometryError("line through collinear points left the point set")
-        ids.append(pid)
-    ids = tuple(sorted(set(ids)))
-    if len(ids) != F.q + 1:
-        raise GeometryError(f"line has {len(ids)} points, expected {F.q + 1}")
-    return ids
+                      adj, lines, line_bits, lines_at, is_grid, label)
 
 
 # ---------------------------------------------------------------------------

@@ -222,20 +222,18 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """Every maximal proper subspace of rank >= 2 must meet all lines.
 
     Exhaustive mode tests each subspace for maximality; sampled mode
-    grows each candidate to a maximal subspace and skips a grown
-    subspace met before as a duplicate."""
+    grows each candidate to a maximal subspace in the candidate stream,
+    so the driver's dedup sees grown subspaces.  Growing leaves the whole
+    space as it is, and the judge skips it as improper."""
     mode = plan.resolved_mode(space)
     exhaustive = mode == "exhaustive"
-    grown = set()
+    candidates = _subspaces(space, plan, mode)
+    if not exhaustive:
+        candidates = (_grow_to_maximal(space, S) for S in candidates)
 
     def judge(S):
         if S.bits == space.all_bits:
             return "improper"
-        if not exhaustive:
-            S = _grow_to_maximal(space, S)
-            if S.bits in grown:
-                return "duplicate"
-            grown.add(S.bits)
         if S.rank < 2:
             return "rank_lt_2"
         if exhaustive and not is_maximal_subspace(space, S):
@@ -249,7 +247,7 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
                                 if not lb & S.bits),
         }
 
-    return _drive("corollary2", space, plan, mode, _subspaces(space, plan, mode), judge)
+    return _drive("corollary2", space, plan, mode, candidates, judge)
 
 
 def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:

@@ -37,6 +37,17 @@ def oracle_points_and_lines(form):
     return pts, lines
 
 
+def oracle_span_points(F, basis):
+    """Sorted normalized projective points of the row span of basis, by
+    enumerating every vector of the span."""
+    pts = set()
+    for v in linalg.subspace_vectors(F, basis):
+        nv = linalg.normalize_point(F, v)
+        if nv is not None:
+            pts.add(nv)
+    return sorted(pts)
+
+
 def oracle_subspaces(form):
     """Every subspace as a bitset over the oracle's points, ascending, by
     testing each of the 2^N point subsets against every oracle line."""

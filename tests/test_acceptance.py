@@ -281,7 +281,7 @@ CLI_BATTERY = [
     (["quotient", "--preset", "Q6_2"],
      "cc6ad32189f4d6d9fb3a4a1c351bc47973d88d4a7673ac73ce4130370b783879"),
     (["hull", "--preset", "W5_2"],
-     "cb8c961d2720184f848e8025a308ee10e0a13c77b24358f8aa92d860680480f1"),
+     "57b3ca5653deb04535004e6f44d2e1d11464b64e41c8aa0259c9102e47ef9316"),
     (["mingen", "--preset", "Q4_2", "--points", "all"],
      "3fc330c34d734877fed6eebc37f7c24c57f0383cbc3b52ab1078efec5aaba704"),
     (["mingen", "--preset", "H4_4", "--points", "all"],

@@ -156,6 +156,26 @@ def test_degenerate_spec_exits_2(tmp_path):
     assert code == 2 and "degenerate" in err
 
 
+@pytest.mark.parametrize("kind", ["symmetric", "hermitian"])
+def test_oversized_spec_exits_2_at_once(kind, tmp_path):
+    # GF(16)^8 has 286,331,153 projective points: the size guard must
+    # refuse it before any sweep over the ambient vectors starts
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    f = tmp_path / "big.spec"
+    rows = "".join("row " + " ".join("1" if i == j else "0" for j in range(8)) + "\n"
+                   for i in range(8))
+    f.write_text(f"field p=2 k=4\nform kind={kind} dim=8\n{rows}")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "polaris", "build", "--spec", str(f)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "ambient projective space too large to enumerate" in proc.stderr
+
+
 def test_preset_alias():
     code, out, _ = run_cli(["build", "--preset", "W3_3"])
     assert code == 0 and "space: Sp4_3" in out

@@ -29,6 +29,8 @@ from polaris.polar import (
     rank_nd,
 )
 
+from oracles import oracle_points_and_lines, oracle_span_points
+
 
 def grid_of(space, name="Q4_2"):
     Q = space(name)
@@ -92,7 +94,7 @@ def test_preimage_is_always_a_subspace(space):
 
 def _preimage_by_enumeration(emb, W):
     F = emb.space.field
-    span = set(linalg.subspace_points(F, W))
+    span = set(oracle_span_points(F, W))
     return {i for i, v in enumerate(emb.vectors)
             if linalg.normalize_point(F, v) in span}
 
@@ -359,8 +361,8 @@ def test_hull_rejects_odd_characteristic(space):
 
 
 def test_hull_on_nonstandard_gram():
-    # pairing (0,2) and (1,3) instead of the block layout: the hyperbolic
-    # splitting has to discover the pairs on its own
+    # pairing (0,2) and (1,3) instead of the block layout: the hull
+    # quadric follows the gram, not a fixed hyperbolic basis
     from polaris.field import field_make
     from polaris.forms import alternating_form
     from polaris.polar import build_polar_space, find_partial_frame
@@ -375,6 +377,48 @@ def test_hull_on_nonstandard_gram():
     fr = find_partial_frame(W, W.universe(), 2)
     span = frame_span(W, fr)
     assert span == preimage(emb, projective_span(emb, fr.point_set()))
+
+
+def test_hull_over_gf4_takes_the_square_root():
+    # over GF(2) the square root is the identity; W(3,4) with gram entries
+    # w, w^2 and 1 puts the points over x at (sqrt(Q0(x)), x), not (Q0(x), x)
+    from polaris.field import field_make
+    from polaris.forms import alternating_form
+    from polaris.polar import build_polar_space
+    from polaris.verify import SamplePlan, check_theorem1
+    F = field_make(2, 2)
+    w = 2
+    g = [[0] * 4 for _ in range(4)]
+    g[0][2] = g[2][0] = w
+    g[1][3] = g[3][1] = F.mul(w, w)
+    g[0][3] = g[3][0] = 1
+    W = build_polar_space(alternating_form(F, g), label="W3_4-twisted")
+    pts, lines = oracle_points_and_lines(W.form)
+    assert list(W.points) == pts
+    assert {frozenset(W.points[i] for i in line) for line in W.lines} == lines
+    emb = universal_embedding(W)
+    assert emb.tag == "universal" and emb.dim == 5
+    hull = hull_of_symplectic_char2(W)
+    assert sorted(hull.to_quad) == list(range(len(W.points))) == list(range(85))
+    fr = find_partial_frame(W, W.universe(), 2)
+    assert frame_span(W, fr) == preimage(emb, projective_span(emb, fr.point_set()))
+    report = check_theorem1(W, emb, SamplePlan(seed=0, samples=40))
+    assert report.failed == 0 and report.applicable > 0
+
+
+def test_universal_embedding_builds_no_quadric(monkeypatch):
+    # the char-2 symplectic universal embedding is a formula on the
+    # space's own points; only the `hull` command builds the quadric
+    from polaris import embed
+    from polaris.catalog import preset_text
+    from polaris.specfile import build_space_from_spec, parse_spec
+    calls = []
+    real = embed.build_polar_space
+    monkeypatch.setattr(embed, "build_polar_space",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    W = build_space_from_spec(parse_spec(preset_text("W5_2")), label="W5_2")
+    assert universal_embedding(W).dim == 7
+    assert calls == []
 
 
 def test_universal_embedding_helper(space):

@@ -2,7 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polaris import linalg, polar
@@ -16,8 +16,13 @@ from polaris.forms import (
     isotropic_vector_test,
     polarize,
     quadratic_form,
+    radical_of_form,
+    radical_of_quadratic,
+    sesquilinear_form,
     standard_alternating_gram,
     symmetric_form,
+    trace_valued_check,
+    witt_index,
 )
 from polaris.polar import (
     PointSet,
@@ -97,6 +102,60 @@ def test_preset_axioms(name, space):
     assert check_one_or_all(sp) is None
     assert sp.points == tuple(sorted(sp.points))
     assert sp.lines == tuple(sorted(sp.lines))
+
+
+# (field, kind, dimension) of the random-form test; each shape gets its
+# own draws, so the rank-3 shapes (GF(2) in dimension 6) are always met.
+# The oracle's line scan takes about a second on a sesquilinear form with
+# 85 points, so GF(4) draws no alternating forms (test_embed checks one
+# W(3,4) against the oracle) and hermitian ones stop at dimension 4.
+RANDOM_FORM_SHAPES = [
+    ((2, 1), "alternating", 4), ((2, 1), "alternating", 6),
+    ((2, 1), "quadratic", 4), ((2, 1), "quadratic", 5), ((2, 1), "quadratic", 6),
+    ((3, 1), "alternating", 4), ((3, 1), "symmetric", 4), ((3, 1), "symmetric", 5),
+    ((3, 1), "quadratic", 4), ((3, 1), "quadratic", 5),
+    ((2, 2), "hermitian", 4), ((2, 2), "quadratic", 4), ((2, 2), "quadratic", 5),
+]
+
+
+@st.composite
+def random_forms(draw, F, kind, d):
+    """A random form of the given shape; degenerate ones, ones whose
+    isotropic vectors do not span, and rank < 2 are filtered out."""
+    code = st.integers(0, F.q - 1)
+    g = [[draw(code) if j >= i else 0 for j in range(d)] for i in range(d)]
+    if kind == "quadratic":
+        form = quadratic_form(F, g)
+        assume(not radical_of_quadratic(form))
+    else:
+        for i in range(d):
+            if kind == "alternating":
+                g[i][i] = 0
+            elif kind == "hermitian":
+                g[i][i] = draw(st.sampled_from([0, 1]))   # the fixed field GF(2)
+            for j in range(i):
+                g[i][j] = {"alternating": F.neg(g[j][i]), "symmetric": g[j][i],
+                           "hermitian": F.frob(g[j][i], 1)}[kind]
+        form = sesquilinear_form(F, g, kind)
+        assume(not radical_of_form(form) and trace_valued_check(form))
+    assume(witt_index(form) >= 2)
+    return form
+
+
+@pytest.mark.parametrize("pk,kind,d", RANDOM_FORM_SHAPES,
+                         ids=[f"GF{p**k}-{kind}-{d}" for (p, k), kind, d in RANDOM_FORM_SHAPES])
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(data=st.data())
+def test_random_forms_match_brute_force(pk, kind, d, data):
+    # collinearity rows from zero sets and lines as {p, q}^perp^perp agree
+    # with direct evaluation on random non-degenerate forms of rank >= 2
+    form = data.draw(random_forms(field_make(*pk), kind, d))
+    sp = build_polar_space(form)
+    pts, lines = oracle_points_and_lines(form)
+    assert list(sp.points) == pts
+    orth = oracle_orthogonality(form, sp.points)
+    assert [set(polar._iter_bits(row)) for row in sp.adj] == orth
+    assert {frozenset(sp.points[i] for i in line) for line in sp.lines} == lines
 
 
 def test_build_rejects_degenerate_and_thin():
