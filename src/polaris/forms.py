@@ -70,6 +70,20 @@ def pair_family(F: Field, pair: AdmissiblePair) -> str:
 KINDS = ("alternating", "symmetric", "hermitian")
 
 
+def default_pair(F: Field, kind: str) -> AdmissiblePair:
+    """The pair a form of the given kind takes when none is given:
+    (id, -1) for alternating, (sigma: t -> t^sqrt(q), 1) for hermitian,
+    and (id, 1) otherwise (symmetric, and the unused pair of quadratic
+    specs)."""
+    if kind == "alternating":
+        return AdmissiblePair(Automorphism(0), F.minus_one)
+    if kind != "hermitian":
+        return AdmissiblePair(Automorphism(0), 1)
+    if F.k % 2 != 0:
+        raise FormError(f"GF({F.q}) admits no hermitian involution")
+    return AdmissiblePair(Automorphism(F.k // 2), 1)
+
+
 @dataclass(frozen=True)
 class SesquilinearForm:
     field: Field
@@ -109,14 +123,7 @@ def sesquilinear_form(F: Field, gram, kind: str, pair: AdmissiblePair | None = N
     if any(len(row) != d for row in gram):
         raise FormError("gram matrix is not square")
     if pair is None:
-        if kind == "alternating":
-            pair = AdmissiblePair(Automorphism(0), F.minus_one)
-        elif kind == "symmetric":
-            pair = AdmissiblePair(Automorphism(0), 1)
-        else:
-            if F.k % 2 != 0:
-                raise FormError(f"GF({F.q}) admits no hermitian involution")
-            pair = AdmissiblePair(Automorphism(F.k // 2), 1)
+        pair = default_pair(F, kind)
     pair = validate_admissible_pair(F, pair.sigma, pair.epsilon)
     m, eps = pair.sigma.m, pair.epsilon
     if kind == "alternating":
@@ -327,23 +334,18 @@ def isotropic_vector_test(form) -> callable:
 
 
 def trace_valued_check(f: SesquilinearForm) -> bool:
-    """True iff the isotropic vectors span the whole space.
+    """True iff f(x, x) is a trace t + sigma(t) epsilon for every x.
 
-    Always true away from characteristic 2; there the span is computed
-    by sweeping projective representatives with an early exit.
+    f(x, x) is the sum of the sigma(x_i) g_ii x_i and of traces
+    u + sigma(u) epsilon with u = sigma(x_i) g_ij x_j for i < j, so this holds
+    exactly when every diagonal entry is a trace: always away from
+    characteristic 2 or with sigma != id, and only for a zero diagonal
+    with sigma = id in characteristic 2, where the isotropic vectors of
+    a non-alternating form lie in the hyperplane sum sqrt(g_ii) x_i = 0.
     """
-    F = f.field
-    if F.char != 2:
-        return True
-    if f.kind == "alternating":
-        return True
-    span = ()
-    for v in linalg.projective_reps(F, f.dim):
-        if eval_form(f, v, v) == 0 and not linalg.in_span(F, span, v):
-            span = linalg.rref(F, list(span) + [v])
-            if len(span) == f.dim:
-                return True
-    return len(span) == f.dim
+    F, m, eps = f.field, f.pair.sigma.m, f.pair.epsilon
+    traces = {F.add(t, F.mul(F.frob(t, m), eps)) for t in F.elements()}
+    return all(f.gram[i][i] in traces for i in range(f.dim))
 
 
 def _orthogonality_rows(form, vectors):

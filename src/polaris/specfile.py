@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SpecError
+from .errors import FormError, SpecError
 from .field import Automorphism, Field, field_make
 from .forms import (
     AdmissiblePair,
+    default_pair,
     quadratic_form,
     sesquilinear_form,
 )
@@ -59,13 +60,11 @@ def _parse_kv(tokens, allowed, line):
 
 
 def _default_pair(F: Field, kind: str, line: int):
-    if kind == "alternating":
-        return 0, F.minus_one
-    if kind == "symmetric" or kind == "quadratic":
-        return 0, 1
-    if F.k % 2 != 0:
-        raise SpecError(f"GF({F.q}) has no hermitian involution", line)
-    return F.k // 2, 1
+    try:
+        pair = default_pair(F, kind)
+    except FormError as exc:
+        raise SpecError(str(exc), line)
+    return pair.sigma.m, pair.epsilon
 
 
 def parse_spec(text: str) -> SpaceSpec:

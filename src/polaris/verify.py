@@ -33,7 +33,6 @@ from .catalog import PRESETS
 from .embed import (
     Embedding,
     arises_from,
-    natural_embedding,
     universal_embedding,
     zero_set,
 )
@@ -280,11 +279,12 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
 def check_prop5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """A generalized quadrangle whose universal embedding has projective
     dimension 3 admits no proper subspace of non-degenerate rank >= 2."""
-    emb = natural_embedding(space)
-    if emb.tag != "universal" or emb.dim != 4:
+    emb = universal_embedding(space)
+    if emb.dim != 4:
         raise UsageError(
             "prop5 needs a universal embedding of projective dimension 3 "
-            f"(vector dimension 4); this space has vector dimension {emb.dim}")
+            "(vector dimension 4); this space's universal embedding has "
+            f"vector dimension {emb.dim}")
     mode = plan.resolved_mode(space)
 
     def judge(S):

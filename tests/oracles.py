@@ -48,6 +48,15 @@ def oracle_span_points(F, basis):
     return sorted(pts)
 
 
+def oracle_trace_valued(form):
+    """Whether f(x, x) is a trace t + sigma(t) epsilon for every vector
+    x, by evaluating f(x, x) on every vector."""
+    F, m, eps = form.field, form.pair.sigma.m, form.pair.epsilon
+    traces = {F.add(t, F.mul(F.frob(t, m), eps)) for t in F.elements()}
+    return all(eval_form(form, x, x) in traces
+               for x in product(range(F.q), repeat=form.dim))
+
+
 def oracle_subspaces(form):
     """Every subspace as a bitset over the oracle's points, ascending, by
     testing each of the 2^N point subsets against every oracle line."""
@@ -154,43 +163,45 @@ def oracle_coatoms(subspaces, all_bits):
             if not any(t != s and t & s == s for t in proper)}
 
 
-def oracle_frame_completion(F, points, orth, n, a_ids, b_ids):
-    """The lexicographically first rank-n partial frame whose first pairs
-    are (a_ids, b_ids), as (A, B) tuples with a_i opposite b_i, or None.
-    Pairs (a, b) are tried in lexicographic order of point index, and a
-    pair is kept while the extended sets pass the frame axioms F1-F4,
-    checked directly on the vectors and orthogonality; dead ends
-    backtrack."""
+def oracle_is_frame(F, points, orth, A, B):
+    """Whether (A, B), with a_i opposite b_i, passes the frame axioms
+    F1-F4, checked directly on the vectors and orthogonality."""
     def span_points(ids):
         basis = [points[i] for i in ids]
         r = linalg.rank(F, basis)
         return {j for j, v in enumerate(points) if linalg.rank(F, basis + [v]) == r}
 
-    def is_frame(A, B):
-        k = len(A)
-        if len(set(A) | set(B)) != 2 * k:
+    k = len(A)
+    if len(set(A) | set(B)) != 2 * k:
+        return False
+    # F1: each side pairwise orthogonal
+    if any(j not in orth[i] for S in (A, B) for i in S for j in S):
+        return False
+    # F2: a_i orthogonal to b_j exactly when i != j
+    if any((B[j] in orth[A[i]]) != (i != j) for i in range(k) for j in range(k)):
+        return False
+    # F3: each side independent
+    if any(linalg.rank(F, [points[i] for i in S]) != k for S in (A, B)):
+        return False
+    # F4: perp(A) misses <B> and perp(B) misses <A>
+    for S, T in ((A, B), (B, A)):
+        if set.intersection(*(orth[i] for i in S)) & span_points(T):
             return False
-        # F1: each side pairwise orthogonal
-        if any(j not in orth[i] for S in (A, B) for i in S for j in S):
-            return False
-        # F2: a_i orthogonal to b_j exactly when i != j
-        if any((B[j] in orth[A[i]]) != (i != j) for i in range(k) for j in range(k)):
-            return False
-        # F3: each side independent
-        if any(linalg.rank(F, [points[i] for i in S]) != k for S in (A, B)):
-            return False
-        # F4: perp(A) misses <B> and perp(B) misses <A>
-        for S, T in ((A, B), (B, A)):
-            if set.intersection(*(orth[i] for i in S)) & span_points(T):
-                return False
-        return True
+    return True
 
+
+def oracle_frame_completion(F, points, orth, n, a_ids, b_ids):
+    """The lexicographically first rank-n partial frame whose first pairs
+    are (a_ids, b_ids), as (A, B) tuples with a_i opposite b_i, or None.
+    Pairs (a, b) are tried in lexicographic order of point index, and a
+    pair is kept while the extended sets pass `oracle_is_frame`; dead
+    ends backtrack."""
     def rec(A, B):
         if len(A) == n:
             return A, B
         for a in range(len(points)):
             for b in range(len(points)):
-                if is_frame(A + (a,), B + (b,)):
+                if oracle_is_frame(F, points, orth, A + (a,), B + (b,)):
                     got = rec(A + (a,), B + (b,))
                     if got is not None:
                         return got

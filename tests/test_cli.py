@@ -91,6 +91,32 @@ def test_check_theorem1_quotient_guard_exit2():
     assert "Q(6,2)" in err and "--preset Q6_2" in err and "Q4_2" not in err
 
 
+def test_char2_symmetric_spec_with_zero_diagonal_is_alternating(tmp_path):
+    # in characteristic 2 the pair (id, 1) is (id, -1), so the W5_2 gram
+    # written as kind=symmetric is the symplectic space W(5,2)
+    from polaris.catalog import preset_text
+    f = tmp_path / "w52sym.spec"
+    f.write_text(preset_text("W5_2").replace("kind=alternating", "kind=symmetric"))
+    code, out, _ = run_cli(["build", "--spec", str(f)])
+    assert code == 0
+    assert "kind: alternating" in out and "embedding-tag: quotient" in out
+    code, out, err = run_cli(["check", "theorem1", "--spec", str(f), "--samples", "100"])
+    assert code == 2 and out == "" and "Q(6,2)" in err
+    code, out, _ = run_cli(["check", "corollary3", "--spec", str(f)])
+    assert code == 0 and "sampled: 127" in out and "failed: 0" in out
+    code, out, _ = run_cli(["hull", "--spec", str(f)])
+    assert code == 0 and "quadric-points: 63" in out and "universal-dim: 7" in out
+
+
+@pytest.mark.parametrize("preset,why", [
+    ("W3_2", "this space's universal embedding has vector dimension 5"),
+    ("Qp3_2", "no designated universal embedding for this space (grid case)"),
+])
+def test_prop5_refusals_name_the_universal_embedding(preset, why):
+    code, out, err = run_cli(["check", "prop5", "--preset", preset])
+    assert code == 2 and out == "" and why in err
+
+
 def test_quotient_of_non_quadratic_space_exits_2():
     code, out, err = run_cli(["quotient", "--preset", "W3_2"])
     assert code == 2 and out == ""

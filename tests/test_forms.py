@@ -28,6 +28,8 @@ from polaris.forms import (
     witt_index,
 )
 
+from oracles import oracle_trace_valued
+
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
@@ -346,6 +348,52 @@ def test_trace_valued_examples():
     assert not trace_valued_check(bad)
     assert trace_valued_check(hermitian_form(F4, h34_gram(2)))
     assert trace_valued_check(symmetric_form(F3, [[1, 0], [0, 1]]))
+
+
+def test_trace_valued_check_sweeps_no_vectors(monkeypatch):
+    # GF(16)^6 has 1,118,481 projective points; the diagonal decides
+    def no_sweep(*args):
+        raise AssertionError("trace_valued_check enumerated vectors")
+
+    F16 = field_make(2, 4)
+    monkeypatch.setattr(linalg, "projective_reps", no_sweep)
+    assert not trace_valued_check(symmetric_form(F16, h34_gram(6)))
+    assert trace_valued_check(symmetric_form(F16, [[0, 1], [1, 0]]))
+
+
+def _random_reflexive_form(rng, F, kind, d):
+    """A random (possibly degenerate) form of the given kind and dimension."""
+    m = F.k // 2 if kind == "hermitian" else 0
+    fixed = [t for t in F.elements() if F.frob(t, m) == t]
+    g = [[0] * d for _ in range(d)]
+    for i in range(d):
+        if kind == "symmetric":
+            g[i][i] = rng.randrange(F.q)
+        elif kind == "hermitian":
+            g[i][i] = rng.choice(fixed)
+        for j in range(i + 1, d):
+            g[i][j] = rng.randrange(F.q)
+            g[j][i] = {"alternating": F.neg(g[i][j]), "symmetric": g[i][j],
+                       "hermitian": F.frob(g[i][j], m)}[kind]
+    return sesquilinear_form(F, g, kind)
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)],
+                         ids=lambda pk: f"GF{pk[0] ** pk[1]}")
+def test_trace_valued_check_matches_brute_force(pk):
+    # the diagonal test against "f(x, x) is a trace for every x"
+    F = field_make(*pk)
+    kinds = ("alternating", "symmetric") + (("hermitian",) if F.k % 2 == 0 else ())
+    rng = random.Random(pk[0] ** pk[1])
+    seen = set()
+    for kind in kinds:
+        for d in (1, 2, 3):
+            for _ in range(25):
+                f = _random_reflexive_form(rng, F, kind, d)
+                want = oracle_trace_valued(f)
+                assert trace_valued_check(f) == want, (kind, f.gram)
+                seen.add(want)
+    assert seen == ({True, False} if F.char == 2 else {True})
 
 
 # ---------------------------------------------------------------------------

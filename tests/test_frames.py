@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,7 +20,12 @@ from polaris.polar import (
     rank_of,
 )
 
-from oracles import oracle_frame_completion, oracle_orthogonality, oracle_points_and_lines
+from oracles import (
+    oracle_frame_completion,
+    oracle_is_frame,
+    oracle_orthogonality,
+    oracle_points_and_lines,
+)
 
 
 def w32_standard_frame(space):
@@ -63,6 +69,37 @@ def test_check_frame_matches_b_order(space):
     assert fr.b == b  # reordered to match a
 
 
+def _check_verdict(sp, A, B):
+    """B matched to A when check_partial_frame accepts (A, B), else None."""
+    try:
+        return check_partial_frame(sp, A, B).b
+    except FrameError:
+        return None
+
+
+def _oracle_verdict(sp, points, orth, A, B):
+    """The ordering of B that oracle_is_frame accepts against A, or None."""
+    got = [P for P in permutations(B) if oracle_is_frame(sp.field, points, orth, A, P)]
+    assert len(got) <= 1
+    return got[0] if got else None
+
+
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2"])
+def test_check_partial_frame_matches_oracle_on_every_2_set_pair(name, space):
+    # F1 and F2 alone decide; the oracle also tests F3 and F4 on vectors
+    sp = space(name)
+    points = oracle_points_and_lines(sp.form)[0]
+    orth = oracle_orthogonality(sp.form, points)
+    N = len(points)
+    accepted = 0
+    for A in combinations(range(N), 2):
+        for B in combinations([i for i in range(N) if i not in A], 2):
+            want = _oracle_verdict(sp, points, orth, A, B)
+            assert _check_verdict(sp, A, B) == want, (A, B)
+            accepted += want is not None
+    assert accepted > 0
+
+
 def sample_partial_frame(space: PolarSpace, k: int, rng) -> PartialFrame | None:
     """One random hyperbolic-chain draw from the whole space; None when
     the draw dead-ends.  Deterministic given the rng state."""
@@ -90,6 +127,33 @@ def sample_random_frame(sp, k, rng):
     """Random hyperbolic pair chain; None if the draw dead-ends."""
     fr = sample_partial_frame(sp, k, rng)
     return None if fr is None else (fr.a, fr.b)
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "W5_2"])
+def test_check_partial_frame_matches_oracle_on_sampled_3_sets(name, space):
+    # random rank-3 frames, half of them with one point moved to another
+    # point collinear with the rest of its side, so F1 still holds
+    sp = space(name)
+    points = oracle_points_and_lines(sp.form)[0]
+    orth = oracle_orthogonality(sp.form, points)
+    rng = random.Random(13)
+    verdicts = []
+    while len(verdicts) < 200:
+        fr = sample_partial_frame(sp, 3, rng)
+        if fr is None:
+            continue
+        A, B = list(fr.a), list(fr.b)
+        rng.shuffle(B)
+        if rng.random() < 0.5:
+            side = rng.choice((A, B))
+            i = rng.randrange(3)
+            rest = [p for j, p in enumerate(side) if j != i]
+            side[i] = rng.choice(list(_iter_bits(perp(sp, rest).bits
+                                                 & ~PointSet.of(sp, rest).bits)))
+        want = _oracle_verdict(sp, points, orth, A, B)
+        assert _check_verdict(sp, A, B) == want, (A, B)
+        verdicts.append(want is not None)
+    assert 20 < sum(verdicts) < 180
 
 
 FRAME_SPACES = ["W3_2", "Sp4_3", "Q4_2", "Q4_3", "Qm5_2", "Qp5_2",

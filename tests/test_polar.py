@@ -104,6 +104,12 @@ def test_preset_axioms(name, space):
     assert sp.lines == tuple(sorted(sp.lines))
 
 
+@pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
+def test_clique_rank_of_the_space_is_the_witt_index(name, space):
+    sp = space(name)
+    assert rank_of(sp, sp.universe()) == sp.n
+
+
 # (field, kind, dimension) of the random-form test; each shape gets its
 # own draws, so the rank-3 shapes (GF(2) in dimension 6) are always met.
 # The oracle's line scan takes about a second on a sesquilinear form with
@@ -156,6 +162,7 @@ def test_random_forms_match_brute_force(pk, kind, d, data):
     orth = oracle_orthogonality(form, sp.points)
     assert [set(polar._iter_bits(row)) for row in sp.adj] == orth
     assert {frozenset(sp.points[i] for i in line) for line in sp.lines} == lines
+    assert rank_of(sp, sp.universe()) == sp.n
 
 
 def test_build_rejects_degenerate_and_thin():
@@ -173,6 +180,9 @@ def test_build_rejects_non_trace_valued():
     with pytest.raises(GeometryError):
         build_polar_space(symmetric_form(F2, [[1 if i == j else 0 for j in range(4)]
                                               for i in range(4)]))
+    # a 1-dim hermitian form is trace-valued but anisotropic
+    with pytest.raises(GeometryError, match="rank 0 < 2"):
+        build_polar_space(sesquilinear_form(field_make(2, 2), [[1]], "hermitian"))
 
 
 def test_point_cap_enforced():

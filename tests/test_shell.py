@@ -108,6 +108,13 @@ def test_parse_error_carries_line_number():
     assert exc.value.line == 4
 
 
+def test_hermitian_spec_over_odd_degree_carries_line_number():
+    bad = "field p=3 k=1\nform kind=hermitian dim=1\nrow 1\n"
+    with pytest.raises(SpecError, match="GF.3. admits no hermitian involution") as exc:
+        parse_spec(bad)
+    assert exc.value.line == 2
+
+
 def test_comments_and_blanks_ignored():
     text = "# a space\n\n" + preset_text("Qp3_2") + "\n# trailing\n"
     assert parse_spec(text) == parse_spec(preset_text("Qp3_2"))
