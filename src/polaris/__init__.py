@@ -7,18 +7,15 @@ from .field import Automorphism, Field, apply_automorphism, field_make
 from .forms import (
     AdmissiblePair,
     QuadraticForm,
-    ScalarGroup,
     SesquilinearForm,
     alternating_form,
     eval_form,
     eval_quadratic,
     hermitian_form,
     polarize,
-    proportional_check,
     quadratic_form,
     radical_of_form,
     radical_of_quadratic,
-    scalar_group,
     sesquilinear_form,
     symmetric_form,
     trace_valued_check,
@@ -44,8 +41,6 @@ from .polar import (
     radical_of_subspace,
     rank_nd,
     rank_of,
-    singular_hyperplane,
-    star_space,
 )
 from .embed import (
     Embedding,

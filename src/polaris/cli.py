@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 a theorem check reported failures, 2 usage or
 parse errors (including violated command preconditions).  All output in
 `--format records` mode is deterministic given identical flags and
-seed; `--format text` adds timing lines.
+seed; `--format text` adds timing lines.  A reader that closes standard
+output early ends the run quietly, with the exit code the command would
+have had.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .embed import (
     universal_embedding,
 )
 from .errors import PolarisError, UsageError
-from .forms import radical_of_form
 from .polar import (
     PointSet,
     check_partial_frame,
@@ -290,11 +291,7 @@ def run(args, out) -> int:
 
     if cmd == "quotient":
         space = _load_space(args)
-        radf = radical_of_form(space.bilinear)
-        if space.kind == "quadratic" and not radf:
-            raise UsageError("rad(f_Q) = 0: the bilinearization is non-degenerate, "
-                             "so there is no quotient")
-        res = quotient_embedding(natural_embedding(space), radf)
+        res = quotient_embedding(natural_embedding(space))
         w.emit("quotient", [
             ("space", space.label or "custom"),
             ("kernel-dim", len(res.embedding.kernel)),
@@ -347,7 +344,7 @@ def main(argv=None, out=None, err=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return run(args, out)
-    except (PolarisError, OSError) as exc:
+    except PolarisError as exc:
         print(f"polaris: error: {exc}", file=err)
         return 2
 

@@ -162,32 +162,26 @@ class QuotientResult:
     point_map: tuple              # original point index -> quotient point index
 
 
-def quotient_embedding(emb: Embedding, X) -> QuotientResult:
-    """Project a universal quadratic embedding from a nonzero subspace X
-    of the radical of its bilinearization; over a finite field this
-    forces X = rad(f_Q) and the quotient is the alternating embedding.
-    The quotient space is in bijection with the given one, so it is built
-    under a cap of the given point count."""
+def quotient_embedding(emb: Embedding) -> QuotientResult:
+    """Project a universal quadratic embedding from X = rad(f_Q), the
+    radical of its bilinearization, which over a finite field is the only
+    kernel a quotient can have; the quotient is the alternating
+    embedding.  The quotient space is in bijection with the given one, so
+    it is built under a cap of the given point count."""
     space = emb.space
+    X = radical_of_form(space.bilinear)
+    if space.kind == "quadratic" and not X:
+        raise EmbeddingError("rad(f_Q) = 0: the bilinearization is non-degenerate, "
+                             "so there is no quotient")
     if emb.tag != "universal" or space.kind != "quadratic":
         raise EmbeddingError("quotients are taken from the universal quadratic embedding")
     F = space.field
-    Xrows = linalg.rref(F, list(X))
-    if not Xrows:
-        raise EmbeddingError("X must be a nonzero subspace")
-    radf = radical_of_form(space.bilinear)
-    for row in Xrows:
-        if not linalg.in_span(F, radf, row):
-            raise EmbeddingError("X is not contained in rad(f_Q)")
-    if Xrows != radf:
-        raise EmbeddingError("over a finite field the kernel must be all of rad(f_Q)")
     # the values Q(x) on the kernel sweep out the whole field
-    values = {eval_quadratic(space.form, v)
-              for v in linalg.subspace_vectors(F, Xrows)}
+    values = {eval_quadratic(space.form, v) for v in linalg.subspace_vectors(F, X)}
     if values != set(F.elements()):
         raise EmbeddingError("kernel values do not exhaust the field")  # unreachable
 
-    piv = set(linalg.pivots(Xrows))
+    piv = set(linalg.pivots(X))
     keep = [j for j in range(space.dim) if j not in piv]
     comp = [tuple(1 if i == j else 0 for i in range(space.dim)) for j in keep]
     e = len(keep)
@@ -204,7 +198,7 @@ def quotient_embedding(emb: Embedding, X) -> QuotientResult:
     qvecs = []
     qmap = []
     for v in space.points:
-        red = linalg.reduce_mod(F, Xrows, v)
+        red = linalg.reduce_mod(F, X, v)
         proj = tuple(red[j] for j in keep)
         nrm = linalg.normalize_point(F, proj)
         if nrm is None:
@@ -214,7 +208,7 @@ def quotient_embedding(emb: Embedding, X) -> QuotientResult:
     if len(set(qmap)) != len(qmap) or len(qmap) != len(qspace.points):
         raise EmbeddingError("quotient map is not a point bijection")
     _check_collinearity_transfer(space, qspace, qmap, "quotient map")
-    out = Embedding(space, e, tuple(qvecs), "quotient", kernel=Xrows)
+    out = Embedding(space, e, tuple(qvecs), "quotient", kernel=X)
     validate_embedding(out)
     return QuotientResult(out, qspace, tuple(qmap))
 

@@ -79,12 +79,6 @@ class Automorphism:
 
     m: int
 
-    def compose(self, other: "Automorphism", k: int) -> "Automorphism":
-        return Automorphism((self.m + other.m) % k)
-
-    def inverse(self, k: int) -> "Automorphism":
-        return Automorphism((-self.m) % k)
-
     def is_involution(self, k: int) -> bool:
         return (2 * self.m) % k == 0
 
@@ -213,13 +207,6 @@ class Field:
             raise ZeroDivisionError("zero has no inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero field element")
-        if a == 0:
-            return 0
-        return self.exp[self.log[a] + (self.q - 1) - self.log[b]]
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -241,14 +228,6 @@ class Field:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def nonzero(self) -> range:
-        return range(1, self.q)
-
-    def automorphism(self, m: int) -> Automorphism:
-        if not 0 <= m < self.k:
-            raise FieldError(f"automorphism exponent {m} out of range [0, {self.k})")
-        return Automorphism(m)
 
     def check_code(self, code: int) -> int:
         if not isinstance(code, int) or not 0 <= code < self.q:

@@ -60,13 +60,6 @@ def validate_admissible_pair(F: Field, sigma: Automorphism, epsilon: int) -> Adm
     return AdmissiblePair(sigma, epsilon)
 
 
-def pair_family(F: Field, pair: AdmissiblePair) -> str:
-    """Which form family the pair parameterizes."""
-    if pair.sigma.m % F.k == 0:
-        return "alternating" if pair.epsilon == F.minus_one else "symmetric"
-    return "hermitian" if pair.epsilon == 1 else "sesquilinear"
-
-
 KINDS = ("alternating", "symmetric", "hermitian")
 
 
@@ -158,16 +151,6 @@ def symmetric_form(F: Field, gram) -> SesquilinearForm:
 
 def hermitian_form(F: Field, gram) -> SesquilinearForm:
     return sesquilinear_form(F, gram, "hermitian")
-
-
-def standard_alternating_gram(F: Field, n: int):
-    """Block-diagonal hyperbolic gram for a rank-n alternating form on F^(2n)."""
-    d = 2 * n
-    g = [[0] * d for _ in range(d)]
-    for i in range(n):
-        g[2 * i][2 * i + 1] = 1
-        g[2 * i + 1][2 * i] = F.minus_one
-    return tuple(tuple(row) for row in g)
 
 
 def eval_form(f: SesquilinearForm, x, y) -> int:
@@ -264,66 +247,6 @@ def radical_of_quadratic(Q: QuadraticForm):
     roots = [F.sqrt_char2(eval_quadratic(Q, u)) for u in radf]
     coeff_basis = linalg.right_kernel(F, (tuple(roots),), len(radf))
     return linalg.rref(F, [linalg.combine(F, coeffs, radf) for coeffs in coeff_basis])
-
-
-@dataclass(frozen=True)
-class ScalarGroup:
-    """The additive groups {t - sigma(t) epsilon} and {t : t + sigma(t) epsilon = 0}."""
-
-    pair: AdmissiblePair
-    K_se: tuple
-    K_upper: tuple
-
-
-def scalar_group(pair: AdmissiblePair, F: Field) -> ScalarGroup:
-    m, eps = pair.sigma.m, pair.epsilon
-    lower = sorted({F.sub(t, F.mul(F.frob(t, m), eps)) for t in F.elements()})
-    upper = sorted(t for t in F.elements()
-                   if F.add(t, F.mul(F.frob(t, m), eps)) == 0)
-    for name, grp in (("K_se", lower), ("K_upper", upper)):
-        gs = set(grp)
-        for t in grp:
-            for s in F.elements():
-                conj = F.mul(F.mul(F.frob(s, m), t), s)
-                if conj not in gs:
-                    raise FormError(f"{name} not closed under t -> sigma(s) t s "
-                                    f"(t={t}, s={s})")
-    if not set(lower) <= set(upper):
-        raise FormError("K_se is not contained in K_upper")
-    return ScalarGroup(pair, tuple(lower), tuple(upper))
-
-
-def proportional_check(f: SesquilinearForm, g: SesquilinearForm):
-    """The scalar kappa with g = kappa * f entrywise, or None."""
-    if f.field is not g.field or f.dim != g.dim:
-        raise FormError("forms live on different spaces")
-    F, d = f.field, f.dim
-    kappa = None
-    for i in range(d):
-        for j in range(d):
-            if f.gram[i][j]:
-                kappa = F.div(g.gram[i][j], f.gram[i][j])
-                break
-        if kappa is not None:
-            break
-    if kappa is None:
-        # f is the zero form: proportional only to the zero form
-        return 1 if all(x == 0 for row in g.gram for x in row) else None
-    if kappa == 0:
-        return None
-    for i in range(d):
-        for j in range(d):
-            if g.gram[i][j] != F.mul(kappa, f.gram[i][j]):
-                return None
-    # the scaled form carries the transformed pair (sigma, kappa*sigma(kappa)^-1*eps)
-    m = f.pair.sigma.m
-    eta = F.mul(F.mul(kappa, F.inv(F.frob(kappa, m))), f.pair.epsilon)
-    if g.pair.sigma.m % F.k != m % F.k or g.pair.epsilon != eta:
-        raise FormError(
-            f"proportional gram but mismatched pair: expected epsilon {eta}, "
-            f"form declares {g.pair.epsilon}"
-        )
-    return kappa
 
 
 def isotropic_vector_test(form) -> callable:

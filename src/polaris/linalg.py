@@ -103,10 +103,6 @@ def in_span(F: Field, rref_rows, v) -> bool:
     return is_zero_vec(reduce_mod(F, rref_rows, v))
 
 
-def rank(F: Field, rows) -> int:
-    return len(rref(F, rows))
-
-
 def transpose(rows):
     return tuple(zip(*rows)) if rows else ()
 

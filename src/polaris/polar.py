@@ -31,11 +31,8 @@ from .field import Field
 from .forms import (
     QuadraticForm,
     SesquilinearForm,
-    eval_form,
-    eval_quadratic,
     isotropic_vector_test,
     polarize,
-    quadratic_form,
     radical_of_form,
     radical_of_quadratic,
     sesquilinear_form,
@@ -52,10 +49,6 @@ def _iter_bits(bits):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
-
-
-def _popcount(bits):
-    return bits.bit_count()
 
 
 class PolarSpace:
@@ -97,9 +90,6 @@ class PolarSpace:
 
     def universe(self) -> "PointSet":
         return PointSet(self, self.all_bits)
-
-    def empty(self) -> "PointSet":
-        return PointSet(self, 0)
 
 
 def build_polar_space(form, cap: int | None = None, label: str | None = None) -> PolarSpace:
@@ -231,7 +221,7 @@ class PointSet:
         return _iter_bits(self.bits)
 
     def __len__(self):
-        return _popcount(self.bits)
+        return self.bits.bit_count()
 
     def __contains__(self, i):
         return bool((self.bits >> i) & 1)
@@ -426,14 +416,6 @@ def is_hyperplane(space: PolarSpace, S) -> bool:
     return all(lb & S.bits for lb in space.line_bits)
 
 
-def singular_hyperplane(space: PolarSpace, p: int) -> PointSet:
-    """perp(p), checked to meet every line."""
-    H = perp(space, 1 << p)
-    if not is_hyperplane(space, H):
-        raise GeometryError("perp of a point failed the hyperplane scan")  # unreachable
-    return H
-
-
 def is_maximal_subspace(space: PolarSpace, S) -> bool:
     """True iff adding any outside point generates the whole space.
     If p and x lie outside S on a line that meets S at h, that line is
@@ -587,91 +569,8 @@ def frame_span(space: PolarSpace, fr: PartialFrame) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# stars (residues)
+# exhaustive subspace enumeration (small spaces)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StarSpace:
-    """The polar space of singular subspaces through a fixed singular R,
-    realized as the quotient geometry, with each residue point and line
-    mapped back to its point set in the parent space."""
-
-    base: PointSet
-    residue: PolarSpace
-    members: tuple
-    line_members: tuple
-
-
-def star_space(space: PolarSpace, R) -> StarSpace:
-    """The star of the singular subspace R, spanned by W.  The residue is
-    the polar space of the form induced on a complement of W in W-perp;
-    it is smaller than the space, so it is built under a cap of the
-    space's point count.  The member of a residue point x is <W, x>,
-    which is totally singular, so its points are closure(R u {x}),
-    grown from the closed base R."""
-    Rset = PointSet(space, _bits(space, R))
-    if Rset.bits == 0:
-        members = tuple(PointSet(space, 1 << i) for i in range(len(space.points)))
-        line_members = tuple(PointSet(space, lb) for lb in space.line_bits)
-        return StarSpace(Rset, space, members, line_members)
-    if not Rset.is_subspace or not Rset.is_singular:
-        raise GeometryError("R must be a singular subspace")
-    F = space.field
-    W = linalg.rref(F, [space.points[i] for i in Rset])
-    r = len(W)
-    if space.n - r < 2:
-        raise GeometryError(f"residual rank {space.n - r} < 2")
-    rows = [space.bilinear.functional(w) for w in W]
-    wperp = linalg.right_kernel(F, rows, space.dim)
-    comp = []
-    span = W
-    for v in wperp:
-        if not linalg.in_span(F, span, v):
-            comp.append(v)
-            span = linalg.rref(F, list(span) + [v])
-    e = len(comp)
-    if space.kind == "quadratic":
-        U = [[0] * e for _ in range(e)]
-        for i in range(e):
-            U[i][i] = eval_quadratic(space.form, comp[i])
-            for j in range(i + 1, e):
-                U[i][j] = eval_form(space.bilinear, comp[i], comp[j])
-        induced = quadratic_form(F, U)
-    else:
-        g = [[eval_form(space.form, comp[i], comp[j]) for j in range(e)]
-             for i in range(e)]
-        induced = sesquilinear_form(F, g, space.kind, pair=space.form.pair)
-    label = f"{space.label}/star" if space.label else None
-    residue = build_polar_space(induced, cap=len(space.points), label=label)
-    if residue.n != space.n - r:
-        raise GeometryError("residue rank mismatch")  # unreachable
-    members = []
-    for pvec in residue.points:
-        x = linalg.normalize_point(F, linalg.combine(F, pvec, comp))
-        members.append(closure(space, 1 << space.index[x], Rset.bits))
-    members = tuple(members)
-    line_members = tuple(
-        PointSet(space, reduce(lambda acc, pid: acc | members[pid].bits, pts, 0))
-        for pts in residue.lines
-    )
-    return StarSpace(Rset, residue, members, line_members)
-
-
-# ---------------------------------------------------------------------------
-# axiom scans and exhaustive subspace enumeration (small spaces)
-# ---------------------------------------------------------------------------
-
-def check_one_or_all(space: PolarSpace):
-    """First (point, line) pair violating the one-or-all axiom, or None."""
-    for li, lb in enumerate(space.line_bits):
-        for p in range(len(space.points)):
-            if (lb >> p) & 1:
-                continue
-            c = _popcount(space.adj[p] & lb)
-            if c != 1 and c != space.q + 1:
-                return (p, li)
-    return None
-
 
 def enumerate_subspaces(space: PolarSpace) -> list:
     """All subspaces as bitsets in ascending order, by NextClosure (B. Ganter,

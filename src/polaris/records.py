@@ -8,6 +8,8 @@ never prints timing, so identical runs are byte-identical.
 
 from __future__ import annotations
 
+import os
+
 # printed in every check report, zero or not; other reasons follow, sorted
 SKIP_REASONS = ("improper", "singular", "rank_nd_lt_2", "duplicate")
 
@@ -26,15 +28,29 @@ def fmt_value(v) -> str:
 
 
 class RecordWriter:
+    """Writes each record in one piece and flushes it.  A reader that has
+    gone (a broken pipe) ends the output quietly: the record is dropped
+    and a stream with a file descriptor is pointed at the null device, so
+    later records and the flush at exit raise nothing."""
+
     def __init__(self, out, mode: str = "records"):
         self.out = out
         self.mode = mode  # records | text
 
     def emit(self, rtype: str, fields):
-        print(f"record: {rtype}", file=self.out)
-        for key, value in fields:
-            print(f"{key}: {fmt_value(value)}", file=self.out)
-        print(file=self.out)
+        lines = [f"record: {rtype}"]
+        lines += [f"{key}: {fmt_value(value)}" for key, value in fields]
+        try:
+            self.out.write("\n".join(lines) + "\n\n")
+            self.out.flush()
+        except BrokenPipeError:
+            try:
+                fd = self.out.fileno()
+            except (AttributeError, OSError):
+                return
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
 
     def emit_report(self, report):
         """One check-report record of a `verify.CheckReport`."""

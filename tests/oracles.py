@@ -24,7 +24,7 @@ def oracle_points_and_lines(form):
     pts = sorted(pts)
     lines = set()
     for u, v in combinations(pts, 2):
-        if linalg.rank(F, [u, v]) != 2:
+        if len(linalg.rref(F, [u, v])) != 2:
             continue
         vecs = linalg.subspace_vectors(F, [u, v])
         if quadratic:
@@ -129,6 +129,24 @@ def oracle_orthogonality(form, points):
     return [{j for j, v in enumerate(points) if orthogonal(u, v)} for u in points]
 
 
+def oracle_one_or_all(form, points, lines):
+    """First (point, line) pair breaking the one-or-all axiom, or None: a
+    point off a line is orthogonal to exactly one of its points or to all
+    of them.  `points` and `lines` take the shape `oracle_points_and_lines`
+    returns, lines as sets of point vectors; orthogonality comes from
+    `oracle_orthogonality`."""
+    orth = oracle_orthogonality(form, points)
+    pos = {v: i for i, v in enumerate(points)}
+    q = form.field.q
+    for line in lines:
+        on = {pos[v] for v in line}
+        for p in range(len(points)):
+            c = len(on & orth[p])
+            if p not in on and c != 1 and c != q + 1:
+                return points[p], line
+    return None
+
+
 def oracle_rank(F, points, orth, ids):
     """(rank, rank_nd) of the subspace on `ids`: the largest vector rank
     of a pairwise-orthogonal subset, by a search over all such subsets
@@ -140,7 +158,7 @@ def oracle_rank(F, points, orth, ids):
         def grow(clique, common):
             nonlocal best
             if common == set(clique):
-                best = max(best, linalg.rank(F, [points[i] for i in clique]))
+                best = max(best, len(linalg.rref(F, [points[i] for i in clique])))
             for j in sorted(common):
                 if not clique or j > clique[-1]:
                     grow(clique + [j], common & orth[j])
@@ -168,8 +186,8 @@ def oracle_is_frame(F, points, orth, A, B):
     F1-F4, checked directly on the vectors and orthogonality."""
     def span_points(ids):
         basis = [points[i] for i in ids]
-        r = linalg.rank(F, basis)
-        return {j for j, v in enumerate(points) if linalg.rank(F, basis + [v]) == r}
+        r = len(linalg.rref(F, basis))
+        return {j for j, v in enumerate(points) if len(linalg.rref(F, basis + [v])) == r}
 
     k = len(A)
     if len(set(A) | set(B)) != 2 * k:
@@ -181,7 +199,7 @@ def oracle_is_frame(F, points, orth, A, B):
     if any((B[j] in orth[A[i]]) != (i != j) for i in range(k) for j in range(k)):
         return False
     # F3: each side independent
-    if any(linalg.rank(F, [points[i] for i in S]) != k for S in (A, B)):
+    if any(len(linalg.rref(F, [points[i] for i in S])) != k for S in (A, B)):
         return False
     # F4: perp(A) misses <B> and perp(B) misses <A>
     for S, T in ((A, B), (B, A)):

@@ -24,10 +24,8 @@ from polaris.embed import (
     quotient_embedding,
     universal_embedding,
 )
-from polaris.forms import polarize, radical_of_form
 from polaris.polar import (
     PointSet,
-    check_one_or_all,
     closure,
     enumerate_subspaces,
     find_partial_frame,
@@ -43,7 +41,7 @@ from polaris.verify import (
     check_theorem1,
 )
 
-from oracles import oracle_points_and_lines, oracle_subspaces
+from oracles import oracle_one_or_all, oracle_points_and_lines, oracle_subspaces
 from test_frames import sample_partial_frame
 
 SAMPLED_SPACES = ("Q4_3", "Qm5_2", "Qp5_2", "H3_4", "H4_4", "Q6_2", "Sp4_3")
@@ -137,7 +135,7 @@ def test_criterion_4_quotient_discrimination():
     assert len(grid) == 9
     assert arises_from(uni, grid).arises
 
-    quo = quotient_embedding(uni, radical_of_form(polarize(Q.form))).embedding
+    quo = quotient_embedding(uni).embedding
     verdict = arises_from(quo, grid)
     assert not verdict.arises
     assert verdict.preimage.bits == Q.all_bits  # exactly all 15 points
@@ -209,7 +207,7 @@ def test_criterion_7_structural_oracles():
         assert list(sp.points) == pts, name
         got = {frozenset(sp.points[i] for i in line) for line in sp.lines}
         assert got == lines, name
-        assert check_one_or_all(sp) is None, name
+        assert oracle_one_or_all(sp.form, pts, lines) is None, name
 
     # closure(X) equals the intersection of all subspaces containing X,
     # for every X, with the subspace family from the full 2^N sweep

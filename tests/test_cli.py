@@ -123,7 +123,7 @@ def test_quotient_of_non_quadratic_space_exits_2():
     assert "quotients are taken from the universal quadratic embedding" in err
 
 
-@pytest.mark.parametrize("preset", ["Q4_3", "Qm5_2", "Qp5_2"])
+@pytest.mark.parametrize("preset", ["Q4_3", "Qm5_2", "Qp5_2", "Qp3_2"])
 def test_quotient_of_non_degenerate_bilinearization_exits_2(preset):
     code, out, err = run_cli(["quotient", "--preset", preset])
     assert code == 2 and out == ""
@@ -144,6 +144,31 @@ def test_exit_code_1_on_failing_report(monkeypatch):
     code, out, _ = run_cli(["check", "theorem1", "--preset", "Q4_2"])
     assert code == 1
     assert "status: fail" in out and "witness:" in out
+
+
+class GoneReader(io.StringIO):
+    """An output stream whose reader has gone: every write is a broken pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failed,status", [(0, 0), (1, 1)])
+def test_gone_reader_keeps_the_exit_status(monkeypatch, failed, status):
+    def fake_check(space, emb, plan):
+        report = CheckReport("theorem1", "X", "random", plan.seed, plan.samples)
+        report.sampled = report.applicable = 1
+        report.failed = failed
+        report.passed = 1 - failed
+        return report
+
+    import polaris.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "check_theorem1", fake_check)
+    err = io.StringIO()
+    code = main(["check", "theorem1", "--preset", "Q4_2"], out=GoneReader(), err=err)
+    assert code == status and err.getvalue() == ""
+    code = main(["points", "--preset", "Q4_2"], out=GoneReader(), err=err)
+    assert code == 0 and err.getvalue() == ""
 
 
 def test_usage_errors_exit2():

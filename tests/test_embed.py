@@ -17,7 +17,7 @@ from polaris.embed import (
     validate_embedding,
 )
 from polaris.errors import EmbeddingError, GeometryError
-from polaris.forms import polarize, radical_of_form
+from polaris.forms import radical_of_form
 from polaris.polar import (
     PointSet,
     closure,
@@ -204,7 +204,7 @@ def test_singular_subspaces_always_arise(space):
             assert is_singular(sp, S)
             assert arises_from(emb, S).arises
         assert arises_from(emb, PointSet.of(sp, [0])).arises
-        assert arises_from(emb, sp.empty()).arises
+        assert arises_from(emb, PointSet(sp, 0)).arises
 
 
 def test_grid_discrimination(space):
@@ -273,9 +273,7 @@ def test_arises_from_agrees_with_preimage_of_projective_span(name, space):
 
 def test_quotient_q42_to_w32(space):
     Q = space("Q4_2")
-    emb = natural_embedding(Q)
-    X = radical_of_form(polarize(Q.form))
-    res = quotient_embedding(emb, X)
+    res = quotient_embedding(natural_embedding(Q))
     assert res.embedding.tag == "quotient"
     assert res.embedding.dim == 4
     assert res.quotient_space.kind == "alternating"
@@ -285,31 +283,37 @@ def test_quotient_q42_to_w32(space):
 
 def test_quotient_q62_to_w52(space):
     Q = space("Q6_2")
-    res = quotient_embedding(natural_embedding(Q), radical_of_form(polarize(Q.form)))
+    res = quotient_embedding(natural_embedding(Q))
     assert len(res.quotient_space.points) == 63
     assert res.quotient_space.n == 3
 
 
+@pytest.mark.parametrize("name", ["Q4_2", "Q6_2"])
+def test_quotient_kernel_is_the_radical(name, space):
+    Q = space(name)
+    res = quotient_embedding(natural_embedding(Q))
+    assert res.embedding.kernel == radical_of_form(Q.bilinear)
+    assert len(res.embedding.kernel) == 1
+
+
 def test_quotient_rejects_zero_kernel(space):
-    Q = space("Q4_2")
-    with pytest.raises(EmbeddingError):
-        quotient_embedding(natural_embedding(Q), [])
-    with pytest.raises(EmbeddingError):
-        quotient_embedding(natural_embedding(Q), [(0, 1, 0, 0, 0)])
+    # rad(f_Q) = 0 away from characteristic 2 and in even dimension
+    for name in ("Q4_3", "Qp5_2"):
+        with pytest.raises(EmbeddingError, match="rad\\(f_Q\\) = 0"):
+            quotient_embedding(natural_embedding(space(name)))
 
 
 def test_quotient_rejects_non_quadratic(space):
     W = space("W3_2")
     with pytest.raises(EmbeddingError):
-        quotient_embedding(natural_embedding(W), [(1, 0, 0, 0)])
+        quotient_embedding(natural_embedding(W))
 
 
 def test_quotient_kernel_conditions(space):
     # the kernel meets no image point and no secant line: no point vector
     # reduces to zero modulo the kernel, and distinct points stay distinct
     Q = space("Q4_2")
-    res = quotient_embedding(natural_embedding(Q),
-                             radical_of_form(polarize(Q.form)))
+    res = quotient_embedding(natural_embedding(Q))
     X = res.embedding.kernel
     for v in Q.points:
         assert not linalg.in_span(Q.field, X, v)
@@ -321,7 +325,7 @@ def test_quotient_transport(space):
     # universal one; exhaustive over the subspace lattice of Q(4,2)
     Q = space("Q4_2")
     uni = natural_embedding(Q)
-    res = quotient_embedding(uni, radical_of_form(polarize(Q.form)))
+    res = quotient_embedding(uni)
     quo = res.embedding
     both = neither = quotient_only = 0
     for bits in enumerate_subspaces(Q):
@@ -443,7 +447,7 @@ def test_derived_spaces_take_the_cap_of_their_source(monkeypatch):
     assert universal_embedding(W).dim == 5
     assert len(hull_of_symplectic_char2(W).quad_space.points) == 15
     Q = build_preset("Q4_2", cap=15)
-    res = quotient_embedding(natural_embedding(Q), radical_of_form(Q.bilinear))
+    res = quotient_embedding(natural_embedding(Q))
     assert len(res.quotient_space.points) == 15
 
 

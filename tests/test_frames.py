@@ -14,7 +14,6 @@ from polaris.polar import (
     extend_frame,
     find_partial_frame,
     frame_span,
-    is_singular,
     perp,
     radical_of_subspace,
     rank_of,
@@ -102,23 +101,22 @@ def test_check_partial_frame_matches_oracle_on_every_2_set_pair(name, space):
 
 def sample_partial_frame(space: PolarSpace, k: int, rng) -> PartialFrame | None:
     """One random hyperbolic-chain draw from the whole space; None when
-    the draw dead-ends.  Deterministic given the rng state."""
+    the draw dead-ends.  Deterministic given the rng state.  The common
+    perp never meets <A> or <B> (see `check_partial_frame`), so the
+    candidates need no span mask."""
     a_ids, b_ids = [], []
-    spanA = spanB = 0
     common = space.all_bits
     for _ in range(k):
-        cand_a = list(_iter_bits(common & ~spanA))
+        cand_a = list(_iter_bits(common))
         if not cand_a:
             return None
         a = rng.choice(cand_a)
-        cand_b = list(_iter_bits(common & ~space.adj[a] & ~spanB))
+        cand_b = list(_iter_bits(common & ~space.adj[a]))
         if not cand_b:
             return None
         b = rng.choice(cand_b)
         a_ids.append(a)
         b_ids.append(b)
-        spanA = closure(space, 1 << a, spanA).bits
-        spanB = closure(space, 1 << b, spanB).bits
         common &= space.adj[a] & space.adj[b]
     return check_partial_frame(space, a_ids, b_ids)
 

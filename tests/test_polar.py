@@ -1,5 +1,4 @@
 import random
-from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,16 +9,10 @@ from polaris.catalog import build_preset, preset_text
 from polaris.errors import GeometryError
 from polaris.field import field_make
 from polaris.forms import (
-    alternating_form,
-    eval_form,
-    eval_quadratic,
-    isotropic_vector_test,
-    polarize,
     quadratic_form,
     radical_of_form,
     radical_of_quadratic,
     sesquilinear_form,
-    standard_alternating_gram,
     symmetric_form,
     trace_valued_check,
     witt_index,
@@ -27,7 +20,6 @@ from polaris.forms import (
 from polaris.polar import (
     PointSet,
     build_polar_space,
-    check_one_or_all,
     closure,
     enumerate_subspaces,
     is_hyperplane,
@@ -38,8 +30,6 @@ from polaris.polar import (
     radical_of_subspace,
     rank_nd,
     rank_of,
-    singular_hyperplane,
-    star_space,
 )
 from polaris.specfile import build_space_from_spec, parse_spec
 
@@ -53,6 +43,7 @@ F2 = field_make(2, 1)
 from oracles import (  # noqa: E402
     oracle_closure,
     oracle_coatoms,
+    oracle_one_or_all,
     oracle_orthogonality,
     oracle_points_and_lines,
     oracle_rank,
@@ -99,7 +90,8 @@ def test_preset_axioms(name, space):
         assert sp.adj[i] != sp.all_bits
         for j in range(len(sp.points)):
             assert ((sp.adj[i] >> j) & 1) == ((sp.adj[j] >> i) & 1)
-    assert check_one_or_all(sp) is None
+    lines = {frozenset(sp.points[i] for i in line) for line in sp.lines}
+    assert oracle_one_or_all(sp.form, sp.points, lines) is None
     assert sp.points == tuple(sorted(sp.points))
     assert sp.lines == tuple(sorted(sp.lines))
 
@@ -329,7 +321,7 @@ def test_rank_examples(space):
     assert rank_nd(W, line) == 0
     assert is_singular(W, line)
 
-    H = singular_hyperplane(W, 0)
+    H = perp(W, 1 << 0)
     assert radical_of_subspace(W, H).indices() == (0,)
     assert rank_of(W, H) == 2
     assert rank_nd(W, H) == 1
@@ -350,7 +342,7 @@ def test_rank_cross_checked_exhaustively(space):
     for bits in subs:
         if bits and is_singular(W, bits):
             vecs = [W.points[i] for i in PointSet(W, bits)]
-            singular_dims[bits] = linalg.rank(W.field, vecs)
+            singular_dims[bits] = len(linalg.rref(W.field, vecs))
     rng = random.Random(23)
     picks = [s for s in subs if s][:40] + rng.sample(subs, 40)
     for bits in picks:
@@ -419,7 +411,7 @@ def test_pointset_caches_agree_with_recomputation(space):
 
 def test_hyperplane_examples(space):
     W = space("W3_2")
-    H = singular_hyperplane(W, 0)
+    H = perp(W, 1 << 0)
     assert is_hyperplane(W, H)
     assert rank_of(W, H) == 2 and rank_nd(W, H) == 1
 
@@ -433,7 +425,7 @@ def test_hyperplane_examples(space):
 
 def test_maximality_examples(space):
     W = space("W3_2")
-    assert is_maximal_subspace(W, singular_hyperplane(W, 0))
+    assert is_maximal_subspace(W, perp(W, 1 << 0))
     assert not is_maximal_subspace(W, PointSet.of(W, W.lines[0]))
     Q = space("Q4_2")
     from polaris.polar import find_partial_frame
@@ -445,7 +437,7 @@ def test_every_singular_hyperplane_is_maximal(space):
     for name in ("W3_2", "Q4_2", "Qm5_2"):
         sp = space(name)
         for p in range(0, len(sp.points), 5):
-            H = singular_hyperplane(sp, p)
+            H = perp(sp, 1 << p)
             assert is_hyperplane(sp, H) and is_maximal_subspace(sp, H)
 
 
@@ -508,52 +500,3 @@ def test_hyperplane_rejects_improper(space):
     W = space("W3_2")
     with pytest.raises(GeometryError):
         is_hyperplane(W, W.universe())
-
-
-# ---------------------------------------------------------------------------
-# stars
-# ---------------------------------------------------------------------------
-
-def test_star_of_point_in_q62(space):
-    Q = space("Q6_2")
-    st = star_space(Q, [0])
-    assert st.residue.n == 2
-    assert len(st.residue.points) == 15  # the lines through the point
-    assert len(st.residue.lines) == 15   # a quadrangle of order (2,2)
-    assert len(st.residue.points) == len(Q.lines_at[0])
-    assert check_one_or_all(st.residue) is None
-    # members are the rank-2 singular subspaces through the base point
-    for mem in st.members:
-        assert 0 in mem
-        assert is_singular(Q, mem) and is_subspace(Q, mem)
-        assert linalg.rank(Q.field, [Q.points[i] for i in mem]) == 2
-    # residue collinearity matches containment in a common rank-3 singular
-    line_sets = {mem.bits for mem in st.line_members}
-    for lm in st.line_members:
-        assert is_singular(Q, lm) and linalg.rank(Q.field, [Q.points[i] for i in lm]) == 3
-
-
-def test_star_of_empty_set_is_the_space(space):
-    W = space("W3_2")
-    st = star_space(W, [])
-    assert st.residue is W
-    assert len(st.members) == 15
-
-
-def test_star_residue_takes_the_cap_of_its_space(monkeypatch):
-    monkeypatch.setattr(polar, "DEFAULT_POINT_CAP", 10)
-    st = star_space(build_preset("Q6_2", cap=63), [0])
-    assert len(st.residue.points) == 15
-
-
-def test_star_residual_rank_too_small(space):
-    W = space("W3_2")
-    with pytest.raises(GeometryError):
-        star_space(W, [0])
-
-
-def test_star_rejects_non_singular(space):
-    Q = space("Q6_2")
-    noncol = next(iter(PointSet(Q, Q.all_bits & ~Q.adj[0])))
-    with pytest.raises(GeometryError):
-        star_space(Q, [0, noncol])

@@ -1,3 +1,9 @@
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,3 +162,23 @@ def test_build_is_deterministic_across_rebuilds():
     a = build_space_from_spec(spec)
     b = build_space_from_spec(spec)
     assert a.points == b.points and a.lines == b.lines and a.adj == b.adj
+
+
+def _polaris(argv, shell_tail=""):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = " ".join(shlex.quote(a) for a in [sys.executable, "-m", "polaris", *argv])
+    return subprocess.run(["bash", "-c", cmd + shell_tail], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_output_piped_into_a_reader_that_leaves_early():
+    argv = ["check", "prop5", "--preset", "H3_4", "--samples", "5"]
+    # head -3 keeps three lines; `true` leaves before a byte is written
+    proc = _polaris(argv, ' | head -3; exit "${PIPESTATUS[0]}"')
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["record: check-report", "check: prop5", "space: H3_4"]
+    proc = _polaris(argv, ' | true; exit "${PIPESTATUS[0]}"')
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "")
+    proc = _polaris(["points", "--preset", "H4_4"], ' | head -1; exit "${PIPESTATUS[0]}"')
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "record: points\n")

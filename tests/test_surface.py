@@ -1,0 +1,63 @@
+"""Guard against unreached library code.
+
+Every top-level public function or class of `src/polaris` must be named
+somewhere in the package outside its own definition; the re-exports of
+`__init__` do not count.  A name that only tests, the benchmark or an
+outside caller reach must be on the allowlist below with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+import polaris
+
+PACKAGE = Path(polaris.__file__).resolve().parent
+
+ALLOWED = {
+    "catalog.preset_names": "the list of presets, which the test fixtures walk",
+    "catalog.preset_text": "a preset's spec text, which the benchmark parses",
+    "embed.projective_span": "a benchmark tracer span",
+    "forms.alternating_form": "form-kind constructor",
+    "forms.hermitian_form": "form-kind constructor",
+    "forms.symmetric_form": "form-kind constructor",
+    "specfile.format_spec": "the spec round-trip, the inverse of parse_spec",
+}
+
+
+def _names(node, modules) -> set:
+    """Names that `node` refers to: bare names, `module.name` attributes
+    of package modules, and names imported from a module."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                and sub.value.id in modules:
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unreached_names() -> list:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    modules = set(trees)
+    # names each top-level statement refers to, by module
+    refs = {stem: [(stmt, _names(stmt, modules)) for stmt in tree.body]
+            for stem, tree in trees.items()}
+    out = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            if not any(node.name in names
+                       for other in modules
+                       for stmt, names in refs[other] if stmt is not node):
+                out.append(f"{stem}.{node.name}")
+    return sorted(out)
+
+
+def test_every_public_name_is_reached_or_allowed():
+    assert unreached_names() == sorted(ALLOWED)
