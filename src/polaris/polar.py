@@ -6,13 +6,15 @@ quadratic form: its points are the isotropic/singular projective points
 lexicographically by coordinate codes) and its lines are the totally
 isotropic/singular 2-dimensional vector subspaces, stored as full
 point-index tuples.  Collinearity lives in per-point bitsets, with
-p in perp(p) by convention, so closure and perp are pure integer
-bitset work.  Each collinearity row is the zero set of one functional
-over all points (`linalg.zero_set`), and each line is {p, q}^perp^perp
-of two of its points, so building a space takes no pairwise vector
-arithmetic.  Ranks and frames come from the collinearity bitsets alone:
-a subspace's rank is the point count of one greedy clique inside it,
-and the frame search and frame check track no spans.
+p in perp(p) by convention, and each point keeps the bitsets of the
+lines through it and a row of their indices, so closure, perp and the
+subspace and hyperplane tests are pure integer bitset work.  Each
+collinearity row is the zero set of one functional over all points
+(`linalg.zero_set`), and each line is {p, q}^perp^perp of two of its
+points, so building a space takes no pairwise vector arithmetic.
+Ranks and frames come from the collinearity bitsets alone: a
+subspace's rank is the point count of one greedy clique inside it, and
+the frame search and frame check track no spans.
 
 Spaces are immutable after construction, apart from the write-once
 `_universal` slot that `embed.universal_embedding` fills; PointSet
@@ -23,7 +25,6 @@ concurrently: two threads filling one cache write equal values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from . import linalg
 from .errors import FrameError, GeometryError
@@ -56,10 +57,10 @@ class PolarSpace:
 
     __slots__ = ("field", "form", "kind", "bilinear", "dim", "q", "n",
                  "points", "index", "adj", "lines", "line_bits", "lines_at",
-                 "all_bits", "is_grid", "label", "_universal")
+                 "line_rows", "all_bits", "is_grid", "label", "_universal")
 
     def __init__(self, field, form, kind, bilinear, dim, n, points, index,
-                 adj, lines, line_bits, lines_at, is_grid, label):
+                 adj, lines, line_bits, lines_at, line_rows, is_grid, label):
         self.field = field
         self.form = form
         self.kind = kind
@@ -72,7 +73,8 @@ class PolarSpace:
         self.adj = adj
         self.lines = lines
         self.line_bits = line_bits
-        self.lines_at = lines_at
+        self.lines_at = lines_at      # per point: the bitsets of its lines
+        self.line_rows = line_rows    # per point: the bitset of its line indices
         self.all_bits = (1 << len(points)) - 1
         self.is_grid = is_grid
         self.label = label
@@ -167,22 +169,25 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
                 lb &= adj[x]
             if lb.bit_count() != q + 1:
                 raise GeometryError(f"line has {lb.bit_count()} points, expected {q + 1}")
-            lines.append(tuple(_iter_bits(lb)))
-            for a in _iter_bits(lb):
+            pts = tuple(_iter_bits(lb))
+            lines.append((pts, lb))
+            for a in pts:
                 covered[a] |= lb
             todo &= ~covered[i]
-    lines.sort()
-    lines = tuple(lines)
-    line_bits = tuple(reduce(lambda acc, a: acc | (1 << a), pts, 0) for pts in lines)
+    lines.sort()   # by point tuple, which no two lines share
+    line_bits = tuple(lb for _, lb in lines)
+    lines = tuple(pts for pts, _ in lines)
     lines_at_mut = [[] for _ in range(N)]
-    for li, pts in enumerate(lines):
+    line_rows = [0] * N
+    for li, (pts, lb) in enumerate(zip(lines, line_bits)):
         for a in pts:
-            lines_at_mut[a].append(li)
+            lines_at_mut[a].append(lb)
+            line_rows[a] |= 1 << li
     lines_at = tuple(tuple(ls) for ls in lines_at_mut)
 
     is_grid = n == 2 and N > 0 and all(len(ls) == 2 for ls in lines_at)
     return PolarSpace(F, form, kind, bilinear, d, n, points, index,
-                      adj, lines, line_bits, lines_at, is_grid, label)
+                      adj, lines, line_bits, lines_at, tuple(line_rows), is_grid, label)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +317,11 @@ def closure(space: PolarSpace, X, closed=0) -> PointSet:
     bits = closed | _bits(space, X)
     todo = bits & ~closed
     all_bits = space.all_bits
-    line_bits, lines_at = space.line_bits, space.lines_at
+    lines_at = space.lines_at
     while todo and bits != all_bits:
         low = todo & -todo
         todo ^= low
-        for li in lines_at[low.bit_length() - 1]:
-            lb = line_bits[li]
+        for lb in lines_at[low.bit_length() - 1]:
             inter = lb & bits
             if inter != lb and inter & (inter - 1):
                 todo |= lb & ~bits
@@ -341,11 +345,20 @@ def generating_points(space: PolarSpace, X) -> list:
 
 
 def is_subspace(space: PolarSpace, X) -> bool:
+    """True iff no line meets X twice without lying in X: a half adder
+    over the line rows of X marks the lines met twice, and none of them
+    may pass through a point outside X."""
     bits = _bits(space, X)
-    for lb in space.line_bits:
-        inter = lb & bits
-        if inter != lb and inter & (inter - 1):
-            return False
+    rows = space.line_rows
+    once = twice = 0
+    for p in _iter_bits(bits):
+        r = rows[p]
+        twice |= once & r
+        once |= r
+    if twice:
+        for p in _iter_bits(space.all_bits & ~bits):
+            if rows[p] & twice:
+                return False
     return True
 
 
@@ -411,32 +424,47 @@ def _require_proper_subspace(space, X) -> PointSet:
 
 
 def is_hyperplane(space: PolarSpace, S) -> bool:
-    """True iff the proper subspace S meets every line."""
+    """True iff the proper subspace S meets every line: the line rows of
+    its points cover every line index."""
     S = _require_proper_subspace(space, S)
-    return all(lb & S.bits for lb in space.line_bits)
+    rows = space.line_rows
+    met = 0
+    for p in _iter_bits(S.bits):
+        met |= rows[p]
+    return met == (1 << len(space.lines)) - 1
+
+
+def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
+    """The points outside the subspace S reached from the outside point p
+    along lines that meet S, p included.  If p and x lie outside S on a
+    line that meets S at h, that line is <p, h> = <x, h>, so
+    closure(S u p) = closure(S u x): one closure decides the whole class."""
+    lines_at = space.lines_at
+    cls = frontier = 1 << p
+    within = space.all_bits & ~s_bits & ~cls
+    while frontier:
+        f = frontier & -frontier
+        frontier ^= f
+        for lb in lines_at[f.bit_length() - 1]:
+            if lb & s_bits:
+                new = lb & within
+                if new:
+                    frontier |= new
+                    within ^= new
+                    cls |= new
+    return cls
 
 
 def is_maximal_subspace(space: PolarSpace, S) -> bool:
-    """True iff adding any outside point generates the whole space.
-    If p and x lie outside S on a line that meets S at h, that line is
-    <p, h> = <x, h>, so closure(S u p) = closure(S u x).  One closure from
-    the lowest undecided point p thus decides every point reached from p
-    along lines that meet S."""
+    """True iff adding any outside point generates the whole space: one
+    closure from the lowest undecided point decides its `_line_class`."""
     s_bits = _require_proper_subspace(space, S).bits
-    line_bits, lines_at = space.line_bits, space.lines_at
     todo = space.all_bits & ~s_bits
     while todo:
-        frontier = todo & -todo
-        if closure(space, frontier, s_bits).bits != space.all_bits:
+        p = (todo & -todo).bit_length() - 1
+        if closure(space, 1 << p, s_bits).bits != space.all_bits:
             return False
-        todo ^= frontier
-        while frontier:
-            f = frontier & -frontier
-            frontier ^= f
-            for li in lines_at[f.bit_length() - 1]:
-                if line_bits[li] & s_bits:
-                    frontier |= line_bits[li] & todo
-            todo &= ~frontier
+        todo &= ~_line_class(space, s_bits, p)
     return True
 
 

@@ -40,7 +40,7 @@ from .errors import UsageError
 from .polar import (
     PointSet,
     PolarSpace,
-    _iter_bits,
+    _line_class,
     closure,
     enumerate_subspaces,
     is_hyperplane,
@@ -208,12 +208,18 @@ def check_theorem1(space: PolarSpace, emb: Embedding, plan: SamplePlan) -> Check
 def _grow_to_maximal(space: PolarSpace, S: PointSet) -> PointSet:
     """Extend a proper subspace to a maximal one in one ascending pass,
     adding each point whose closure with S stays proper.  Closure is
-    monotone, so a point rejected once stays rejected as S grows."""
-    for p in _iter_bits(space.all_bits & ~S.bits):
-        if not (S.bits >> p) & 1:
-            c = closure(space, 1 << p, S.bits)
-            if c.bits != space.all_bits:
-                S = c
+    monotone, so a point rejected once stays rejected as S grows, and a
+    rejected point takes its whole `_line_class` with it: each member
+    has the same closure with S, the whole space."""
+    todo = space.all_bits & ~S.bits
+    while todo:
+        p = (todo & -todo).bit_length() - 1
+        c = closure(space, 1 << p, S.bits)
+        if c.bits != space.all_bits:
+            S = c
+            todo &= ~c.bits
+        else:
+            todo &= ~_line_class(space, S.bits, p)
     return S
 
 

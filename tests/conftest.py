@@ -2,6 +2,8 @@ import pytest
 
 from polaris.catalog import build_preset, preset_names
 
+from oracles import oracle_points_and_lines
+
 
 @pytest.fixture(scope="session")
 def space():
@@ -14,3 +16,16 @@ def space():
 @pytest.fixture(scope="session")
 def all_preset_names():
     return preset_names()
+
+
+@pytest.fixture(scope="session")
+def preset_oracle():
+    """The brute-force points and lines of each preset's form, built once
+    per session: `oracle_points_and_lines` takes seconds on H4_4."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = oracle_points_and_lines(build_preset(name).form)
+        return cache[name]
+    return get

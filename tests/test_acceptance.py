@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and
 prints one PASS/FAIL line (run with -s to see them live)."""
 
+import functools
 import hashlib
 import io
 import os
@@ -41,7 +42,7 @@ from polaris.verify import (
     check_theorem1,
 )
 
-from oracles import oracle_one_or_all, oracle_points_and_lines, oracle_subspaces
+from oracles import oracle_one_or_all, oracle_subspaces
 from test_frames import sample_partial_frame
 
 SAMPLED_SPACES = ("Q4_3", "Qm5_2", "Qp5_2", "H3_4", "H4_4", "Q6_2", "Sp4_3")
@@ -49,6 +50,7 @@ SAMPLED_SPACES = ("Q4_3", "Qm5_2", "Qp5_2", "H3_4", "H4_4", "Q6_2", "Sp4_3")
 
 def announce(num, desc):
     def deco(fn):
+        @functools.wraps(fn)   # keeps the signature, so fixtures reach fn
         def wrapper(*a, **k):
             try:
                 fn(*a, **k)
@@ -56,7 +58,6 @@ def announce(num, desc):
                 print(f"\nACCEPTANCE {num} FAIL  {desc}")
                 raise
             print(f"\nACCEPTANCE {num} PASS  {desc}")
-        wrapper.__name__ = fn.__name__
         return wrapper
     return deco
 
@@ -192,7 +193,7 @@ def test_criterion_6_prop5():
 
 
 @announce(7, "structural oracles: counts, one-or-all, closure as intersection")
-def test_criterion_7_structural_oracles():
+def test_criterion_7_structural_oracles(preset_oracle):
     expected = {
         "W3_2": (15, 15), "Sp4_3": (40, 40), "Q4_2": (15, 15),
         "Q4_3": (40, 40), "Qm5_2": (27, 45), "Qp5_2": (35, 105),
@@ -202,7 +203,7 @@ def test_criterion_7_structural_oracles():
     assert set(expected) == set(PRESETS)
     for name in sorted(PRESETS):
         sp = build_preset(name)
-        pts, lines = oracle_points_and_lines(sp.form)
+        pts, lines = preset_oracle(name)
         assert (len(pts), len(lines)) == expected[name], name
         assert list(sp.points) == pts, name
         got = {frozenset(sp.points[i] for i in line) for line in sp.lines}

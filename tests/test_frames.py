@@ -23,7 +23,6 @@ from oracles import (
     oracle_frame_completion,
     oracle_is_frame,
     oracle_orthogonality,
-    oracle_points_and_lines,
 )
 
 
@@ -84,10 +83,10 @@ def _oracle_verdict(sp, points, orth, A, B):
 
 
 @pytest.mark.parametrize("name", ["W3_2", "Q4_2"])
-def test_check_partial_frame_matches_oracle_on_every_2_set_pair(name, space):
+def test_check_partial_frame_matches_oracle_on_every_2_set_pair(name, space, preset_oracle):
     # F1 and F2 alone decide; the oracle also tests F3 and F4 on vectors
     sp = space(name)
-    points = oracle_points_and_lines(sp.form)[0]
+    points = preset_oracle(name)[0]
     orth = oracle_orthogonality(sp.form, points)
     N = len(points)
     accepted = 0
@@ -128,11 +127,11 @@ def sample_random_frame(sp, k, rng):
 
 
 @pytest.mark.parametrize("name", ["Q6_2", "W5_2"])
-def test_check_partial_frame_matches_oracle_on_sampled_3_sets(name, space):
+def test_check_partial_frame_matches_oracle_on_sampled_3_sets(name, space, preset_oracle):
     # random rank-3 frames, half of them with one point moved to another
     # point collinear with the rest of its side, so F1 still holds
     sp = space(name)
-    points = oracle_points_and_lines(sp.form)[0]
+    points = preset_oracle(name)[0]
     orth = oracle_orthogonality(sp.form, points)
     rng = random.Random(13)
     verdicts = []
@@ -213,11 +212,11 @@ def test_extend_frame_many_random(space):
 
 
 @pytest.mark.parametrize("name", ["Q6_2", "W5_2", "Qp5_2"])
-def test_extend_frame_matches_completion_oracle(name, space):
+def test_extend_frame_matches_completion_oracle(name, space, preset_oracle):
     # the completion is the oracle's lexicographically first frame with
     # the given first pairs, over points and orthogonality of its own
     sp = space(name)
-    points = oracle_points_and_lines(sp.form)[0]
+    points = preset_oracle(name)[0]
     orth = oracle_orthogonality(sp.form, points)
     rng = random.Random(11)
     done = 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from polaris import linalg, polar
 from polaris.catalog import build_preset, preset_text
+from polaris.embed import natural_embedding, universal_embedding, zero_set
 from polaris.errors import GeometryError
 from polaris.field import field_make
 from polaris.forms import (
@@ -68,12 +69,12 @@ EXPECTED_COUNTS = {
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
-def test_preset_counts_match_brute_force(name, space):
+def test_preset_counts_match_brute_force(name, space, preset_oracle):
     sp = space(name)
     npts, nlines = EXPECTED_COUNTS[name]
     assert len(sp.points) == npts
     assert len(sp.lines) == nlines
-    pts, lines = oracle_points_and_lines(sp.form)
+    pts, lines = preset_oracle(name)
     assert list(sp.points) == pts
     got = {frozenset(sp.points[i] for i in line) for line in sp.lines}
     assert got == lines
@@ -279,10 +280,10 @@ def test_closure_equals_subspace_intersection_small(space):
 
 
 @pytest.mark.parametrize("name", ["Q6_2", "Sp4_3", "H3_4"])
-def test_closure_from_closed_base_matches_oracle(name, space):
+def test_closure_from_closed_base_matches_oracle(name, space, preset_oracle):
     # lines of 3, 4 and 5 points; the line set comes from the oracle
     sp = space(name)
-    _, lines = oracle_points_and_lines(sp.form)
+    _, lines = preset_oracle(name)
     oracle_lines = [sum(1 << sp.index[v] for v in line) for line in lines]
     N = len(sp.points)
     rng = random.Random(11)
@@ -408,6 +409,47 @@ def test_pointset_caches_agree_with_recomputation(space):
 # ---------------------------------------------------------------------------
 # hyperplanes and maximality
 # ---------------------------------------------------------------------------
+
+def _scan_is_subspace(sp, bits):
+    return not any((lb & bits) != lb and (lb & bits) & ((lb & bits) - 1)
+                   for lb in sp.line_bits)
+
+
+def _line_row_inputs(sp, rng):
+    """Point sets for the line-row tests: the edge cases, random subsets
+    of three densities, closures, zero sets of functionals, and closures
+    and zero sets with one point taken out."""
+    N = len(sp.points)
+    # a grid has no designated universal embedding; its natural one
+    # gives its hyperplane sections
+    emb = natural_embedding(sp) if sp.is_grid else universal_embedding(sp)
+    zero_sets = [zero_set(emb, x) for x in linalg.projective_reps(sp.field, emb.dim)]
+    out = [0, 1, 1 << (N - 1), sp.line_bits[0], sp.line_bits[-1], sp.all_bits]
+    for k in (2, 4, N // 2):
+        out += [sum(1 << p for p in rng.sample(range(N), k)) for _ in range(20)]
+    closures = [closure(sp, rng.sample(range(N), rng.randint(2, 2 * sp.n + 2))).bits
+                for _ in range(40)]
+    for bits in closures + rng.sample(zero_sets, min(40, len(zero_sets))):
+        out += [bits, bits & ~(1 << rng.choice(PointSet(sp, bits).indices()))]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
+def test_line_row_tests_match_a_line_scan(name, space):
+    # is_subspace and is_hyperplane read per-point line rows; the plain
+    # scan over every line is the reference
+    sp = space(name)
+    subspaces = hyperplanes = 0
+    for bits in _line_row_inputs(sp, random.Random(23)):
+        want = _scan_is_subspace(sp, bits)
+        assert is_subspace(sp, bits) == want, PointSet(sp, bits).indices()
+        subspaces += want
+        if want and bits != sp.all_bits:
+            meets_all = all(lb & bits for lb in sp.line_bits)
+            assert is_hyperplane(sp, bits) == meets_all, PointSet(sp, bits).indices()
+            hyperplanes += meets_all
+    assert subspaces >= 40 and hyperplanes >= 10
+
 
 def test_hyperplane_examples(space):
     W = space("W3_2")

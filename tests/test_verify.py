@@ -119,18 +119,73 @@ def test_corollary2_sampled_q62(space):
     assert r.applicable > 0
 
 
-@pytest.mark.parametrize("name", ["Q6_2", "W5_2", "H4_4"])
+@pytest.mark.parametrize("name", ["Q6_2", "W5_2", "H4_4", "Sp4_3", "Q4_3", "H3_4"])
 def test_grow_to_maximal_matches_restart_loop(name, space):
     # the restart loop runs over the space's own lines, which other tests
-    # check against the oracle's; this pins the one-pass growth
+    # check against the oracle's; this pins the one-pass growth and its
+    # line-class rejections on seeds of the sampler's sizes.  On the
+    # q >= 3 spaces a line through a class point carries q >= 3 points
+    # outside S, so a class spread along the wrong lines shows.
     sp = space(name)
+    N = len(sp.points)
     rng = random.Random(4)
-    for _ in range(12):
-        S = closure(sp, rng.sample(range(len(sp.points)), rng.randint(1, 3)))
-        if S.bits == sp.all_bits:
-            continue
+    grown = 0
+    for _ in range(60):
+        S = closure(sp, rng.sample(range(N), rng.randint(2, 2 * sp.n + 2)))
         want = oracle_grow_to_maximal(sp.line_bits, sp.all_bits, S.bits)
         assert verify._grow_to_maximal(sp, S).bits == want
+        grown += want != S.bits
+    assert grown >= 20
+
+
+def _grow_work(sp, S):
+    """Closures of the ascending one-pass scan from S: one per accepted
+    step and rejected class, when a rejection decides its whole class
+    (the fixed point of spreading over the lines that meet S), and one
+    per outside point scanned, when it decides only itself."""
+    per_class = per_point = 0
+    rejected = 0
+    for p in range(len(sp.points)):
+        if S >> p & 1:
+            continue
+        per_point += 1
+        if rejected >> p & 1:
+            continue
+        per_class += 1
+        grown = closure(sp, 1 << p, S).bits
+        if grown != sp.all_bits:
+            S = grown
+            continue
+        cls, changed = 1 << p, True
+        while changed:
+            changed = False
+            for lb in sp.line_bits:
+                if lb & S and lb & cls and lb & ~S & ~cls:
+                    cls |= lb & ~S
+                    changed = True
+        rejected |= cls
+    return per_class, per_point
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "H4_4"])
+def test_grow_to_maximal_closes_once_per_class(name, space, monkeypatch):
+    # one closure per accepted step and per rejected class, where the
+    # one-pass scan took one per outside point it scanned
+    sp = space(name)
+    plan = SamplePlan(seed=7, samples=20, mode="random")
+    seeds = [S for S in verify._subspaces(sp, plan, "random") if S.bits != sp.all_bits]
+    calls = []
+    original = verify.closure
+    monkeypatch.setattr(verify, "closure",
+                        lambda *args: calls.append(1) or original(*args))
+    fewer = 0
+    for S in seeds:
+        per_class, per_point = _grow_work(sp, S.bits)
+        calls.clear()
+        verify._grow_to_maximal(sp, S)
+        assert len(calls) <= per_class
+        fewer += per_class < per_point
+    assert fewer == len(seeds) >= 10
 
 
 def test_corollary3_q62(space):
