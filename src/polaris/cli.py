@@ -48,7 +48,9 @@ def _add_common(p, samples=False):
     p.add_argument("--spec", help="path of a space-spec file")
     p.add_argument("--preset", help="name of a built-in space")
     p.add_argument("--format", choices=("records", "text"), default="records")
-    p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="sampling seed: any integer; distinct values give "
+                        "distinct sample streams")
     if samples:
         p.add_argument("--samples", type=int, default=None,
                        help="sample count; 0 forces exhaustive mode")

@@ -9,10 +9,13 @@ hypothesis, None when it passes, or a witness dict when it fails.  The
 open-problem commands are experimental: their reports file the dicts as
 exhibits, count those candidates as passed and never count failures.
 
-Every sampled check draws each sample from its own deterministic
-substream (indexed by sample number), so identical plans replay
-identical sample sequences and reports.  Candidate subspaces are
-closures of random seed sets with sizes uniform in [2, 2n+2].
+A sampled check call seeds one random stream from its plan, once, and
+draws every sample from it in order: identical plans replay identical
+sample sequences and reports, and a k-sample run is a prefix of a
+longer one.  The stream's key is the text `polaris-sample/<seed>`,
+which is injective in the seed, so distinct seeds (negative ones
+included) give distinct streams.  Candidate subspaces are closures of
+random seed sets with sizes uniform in [2, 2n+2].
 Exhaustive mode walks the full subspace lattice by NextClosure and is
 the default at 15 points or fewer; corollary3 walks the dual space.
 
@@ -58,8 +61,11 @@ class SamplePlan:
     samples: int = 500
     mode: str = "auto"            # auto | random | exhaustive
 
-    def rng_for(self, index: int) -> random.Random:
-        return random.Random(self.seed * 1_000_003 + index)
+    def rng_for(self) -> random.Random:
+        """The plan's one sample stream.  `random.Random` seeds from a str
+        key's own bytes plus their SHA-512 digest, so distinct integer
+        seeds give distinct streams."""
+        return random.Random(f"polaris-sample/{self.seed}")
 
     def resolved_mode(self, space: PolarSpace) -> str:
         if self.mode == "exhaustive":
@@ -151,8 +157,8 @@ def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
         return
     N = len(space.points)
     hi = max(2, min(2 * space.n + 2, N))
-    for idx in range(plan.samples):
-        rng = plan.rng_for(idx)
+    rng = plan.rng_for()
+    for _ in range(plan.samples):
         size = rng.randint(2, hi)
         yield closure(space, rng.sample(range(N), size))
 
@@ -384,8 +390,9 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     exhaustive = mode == "exhaustive"
 
     def saturations():
-        for idx in range(plan.samples):
-            p = plan.rng_for(idx).randrange(len(space.points))
+        rng = plan.rng_for()
+        for _ in range(plan.samples):
+            p = rng.randrange(len(space.points))
             yield PointSet(space, _saturate(space, p))
 
     def judge(S):

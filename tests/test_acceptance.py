@@ -248,35 +248,35 @@ CLI_BATTERY = [
     (["check", "theorem1", "--preset", "Q4_2", "--samples", "0"],
      "7c9d84681602674d444df305a0823f086133aedf50db0732a979132e6b05a0f2"),
     (["check", "theorem1", "--preset", "Sp4_3", "--samples", "80", "--seed", "5"],
-     "c550e49d9782414e100e2fe1e3a30ac45a572c46daface3b8ee4df93fe430c0c"),
+     "d0d22963bdc59ae73825d83663a3a3b7fe9fb1dd83064f9959ca2fe48f6e56a5"),
     (["check", "theorem1", "--preset", "H4_4", "--samples", "40"],
-     "5851ffb2f98cd3b40e26004072dee1608b4a84df54598b5faf554c365cbe8694"),
+     "5201b9b26e7e255f037ac7ba6daac79465dd869d28479da639c1013a50a46ae7"),
     (["check", "theorem1", "--preset", "Q6_2", "--samples", "60"],
-     "2cb3df486db68e2fd59616dbe5070e5bf7e754315ff2a5dc7ea879552c545c77"),
+     "33887a0d9e4f05d4c5685300d6672add935ca51e21d1e7758dc58e5b4cdcf1de"),
     (["check", "corollary2", "--preset", "Q4_2", "--samples", "0"],
      "e790a4d1862acc68fbb95f7f45c19e1065ab8a5dbaf858eaa8b2331273954d57"),
     (["check", "corollary2", "--preset", "Q6_2", "--samples", "12"],
-     "c314089c5f7180a00a1276b1326ee972357b014b1459749a9881a478d8b84a8a"),
+     "a55cdcbcccf8fddef02dbc0384b1c659780fdc145141c202e6b8e5d945763fa1"),
     (["check", "corollary2", "--preset", "H4_4", "--samples", "8"],
-     "f4cfe37bf57c778377224c390217abdc2c6e64d2a736d475de8c102f20f2b8c3"),
+     "1cf69291af29181920146fa49219eda087e6bf358d03eba9e463c51a68c033f1"),
     (["check", "corollary3", "--preset", "Q6_2", "--samples", "20", "--seed", "1"],
      "0eda2404364f53de88bec8e3575fd37b380d2ef91366e6226989233ef07c78dd"),
     (["check", "corollary3", "--preset", "W5_2", "--samples", "10"],
      "2736d0b71fe58fb878eb47841af5c238e5ccceb7d6f3a41d1a24979fdd5c0614"),
     (["check", "prop5", "--preset", "H3_4", "--samples", "120", "--seed", "2"],
-     "4f126aa786bba491516ed59bf7bac8d2184707bfd7ca383b6dd7e4f5c2300f6c"),
+     "55c049f9f6636a03350b0178b8cecaae45f4be66fe485ab76acc8fbb2e972665"),
     (["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "30"],
-     "9ae2aa167f0208a042c1f7354f957cad7e5a54f6311dd4f3148882a605ea261c"),
+     "9567b80ddb75e33f1e913d510004ca1d079f309a3939f0b96ebaae5995ed18db"),
     (["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "0"],
      "4ab9495e509d7292b15e134109460b0c2d7dfcd46d37d58de076d2bdd6d630dc"),
     (["search", "rank1-nonarising", "--preset", "Sp4_3", "--samples", "30", "--seed", "1"],
-     "0b85699fddfe79561afd30428db5ed52e0fec25e9a7ecf193c4c18242d7c643c"),
+     "589fec2aa5b2e5e4ca86cbd2c69c0ef6fe839e3d0ac18513191b3aa57da1cfad"),
     (["explore", "problem5", "--preset", "W3_2", "--samples", "0"],
      "fd4666d0e7f174427ba7c12bbd6786b7ab2732870984b74442cb2e5628ec7f38"),
     (["explore", "problem5", "--preset", "Q4_2", "--samples", "0"],
      "f8122186b191d829cc7d3130be7314633b82ea822b16dd8e66c6094bcda1d02c"),
     (["explore", "problem5", "--preset", "Sp4_3", "--samples", "100"],
-     "97c0e1d3328985f288cec86c4d48c2ae11747763d65982914cf8d7b960dc8f10"),
+     "384bcabac7fc2c7c11159d0e2644e53b163645fe6f33781e136bc0623850f34c"),
     (["quotient", "--preset", "Q6_2"],
      "cc6ad32189f4d6d9fb3a4a1c351bc47973d88d4a7673ac73ce4130370b783879"),
     (["hull", "--preset", "W5_2"],
@@ -316,7 +316,7 @@ def test_python_dash_m_polaris_runs_the_cli():
 # `check theorem1` refuses W5_2, whose natural embedding is a proper
 # quotient, so its hull path is pinned through the library call that the
 # command would make with the universal embedding.
-HULL_THEOREM1_DIGEST = "9fd8df4efba799bb7692c14b15247766feaa5489feaf49944e0ebdddf308f9bd"
+HULL_THEOREM1_DIGEST = "1f916f4a42569a13445e917b0d7a0294445c2f9518d0e61a8b5de890e666d41a"
 
 
 @announce(8, "pinned theorem1 records on the hull embedding of W5_2")

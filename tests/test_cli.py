@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from polaris.cli import main
+from polaris.cli import build_parser, main
 from polaris.verify import CheckReport
 
 
@@ -267,6 +267,23 @@ def test_search_and_explore_exit0():
                             "--samples", "0"])
     assert code == 0
     assert "info-ovoid-hyperplanes: 6" in out
+
+
+def test_opposite_seeds_give_different_records():
+    argv = ["check", "theorem1", "--preset", "Q6_2", "--samples", "5"]
+    code, plus, _ = run_cli(argv + ["--seed", "3"])
+    code_neg, minus, _ = run_cli(argv + ["--seed", "-3"])
+    assert code == code_neg == 0
+    assert "seed: 3\n" in plus and "seed: -3\n" in minus
+    body = [line for line in plus.splitlines() if not line.startswith("seed:")]
+    assert body != [line for line in minus.splitlines() if not line.startswith("seed:")]
+
+
+def test_seed_help_names_what_it_accepts(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check", "theorem1", "--help"])
+    out = capsys.readouterr().out
+    assert "any integer" in out and "64-bit" not in out
 
 
 @pytest.mark.parametrize("size", ["-1", "0", "1"])

@@ -433,3 +433,84 @@ def test_skip_accounting(space):
     assert r.sampled == 90
     assert r.consistent()
     assert set(r.skipped) <= {"improper", "singular", "rank_nd_lt_2", "duplicate"}
+
+
+# ---------------------------------------------------------------------------
+# sample streams
+# ---------------------------------------------------------------------------
+
+def _candidate_bits(sp, plan):
+    return [S.bits for S in verify._subspaces(sp, plan, "random")]
+
+
+def test_sample_stream_replays(space):
+    sp = space("Q6_2")
+    first = _candidate_bits(sp, SamplePlan(seed=5, samples=40, mode="random"))
+    again = _candidate_bits(sp, SamplePlan(seed=5, samples=40, mode="random"))
+    assert len(first) == 40 and first == again
+
+
+@pytest.mark.parametrize("seed", [0, 1, -4])
+def test_shorter_plan_draws_a_prefix_of_a_longer_one(seed, space):
+    sp = space("H4_4")
+    short = _candidate_bits(sp, SamplePlan(seed=seed, samples=15, mode="random"))
+    long = _candidate_bits(sp, SamplePlan(seed=seed, samples=30, mode="random"))
+    assert short == long[:15]
+
+
+def test_opposite_seeds_draw_different_first_candidates(space, monkeypatch):
+    # a candidate is the closure of its drawn seed set; the closure of a
+    # large seed set is often the whole space, so the drawn sets are
+    # compared, since they are what the stream decides
+    sp = space("Q6_2")
+    drawn = []
+    original = verify.closure
+    monkeypatch.setattr(verify, "closure",
+                        lambda sp, pts, *rest: drawn.append(tuple(pts))
+                        or original(sp, pts, *rest))
+
+    def first(seed):
+        drawn.clear()
+        next(verify._subspaces(sp, SamplePlan(seed=seed, samples=1, mode="random"),
+                               "random"))
+        return drawn[0]
+
+    for s in range(1, 21):
+        assert first(s) != first(-s), s
+
+
+def test_exhaustive_mode_draws_nothing(space, monkeypatch):
+    # prop5 shares `_subspaces` with theorem1; no preset small enough for
+    # exhaustive mode has a universal embedding of vector dimension 4
+    def no_stream(self, *args):
+        raise AssertionError("exhaustive mode drew from a sample stream")
+
+    monkeypatch.setattr(SamplePlan, "rng_for", no_stream)
+    plan = SamplePlan(seed=3, samples=50, mode="exhaustive")
+    Q, W = space("Q4_2"), space("W3_2")
+    assert check_theorem1(Q, natural_embedding(Q), plan).applicable == 10
+    assert check_corollary2(W, plan).applicable == 25
+    assert explore_problem5(W, plan).applicable == 6
+    assert search_nonarising_rank1(Q, natural_embedding(Q), plan).mode == "mixed"
+
+
+def test_each_sampled_call_seeds_one_stream(space, monkeypatch):
+    # one stream per check call, however many samples it draws
+    calls = []
+    original = SamplePlan.rng_for
+    monkeypatch.setattr(SamplePlan, "rng_for",
+                        lambda self, *args: calls.append(self) or original(self, *args))
+    Q, H, S = space("Q6_2"), space("H3_4"), space("Sp4_3")
+    plan = SamplePlan(seed=2, samples=25, mode="random")
+    runs = [
+        lambda: check_theorem1(Q, universal_embedding(Q), plan),
+        lambda: check_corollary2(Q, plan),
+        lambda: check_prop5(H, plan),
+        lambda: explore_problem5(S, plan),
+        lambda: search_nonarising_rank1(S, natural_embedding(S), plan),
+    ]
+    for run in runs:
+        calls.clear()
+        report = run()
+        assert report.consistent()
+        assert calls == [plan], report.check
