@@ -3,9 +3,8 @@ and exhaustive or seeded verification of their subspace properties."""
 
 __version__ = "0.1.0"
 
-from .field import Automorphism, Field, apply_automorphism, field_make
+from .field import Field, field_make
 from .forms import (
-    AdmissiblePair,
     QuadraticForm,
     SesquilinearForm,
     alternating_form,
@@ -19,7 +18,6 @@ from .forms import (
     sesquilinear_form,
     symmetric_form,
     trace_valued_check,
-    validate_admissible_pair,
     witt_index,
 )
 from .polar import (

@@ -87,7 +87,7 @@ def _load_space(args):
 def _plan(args) -> SamplePlan:
     samples = getattr(args, "samples", None)
     if samples is None:
-        return SamplePlan(seed=args.seed, samples=500, mode="auto")
+        return SamplePlan(seed=args.seed)
     if samples == 0:
         return SamplePlan(seed=args.seed, samples=0, mode="exhaustive")
     if samples < 0:

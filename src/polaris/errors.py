@@ -10,7 +10,7 @@ class FieldError(PolarisError):
 
 
 class FormError(PolarisError):
-    """Invalid admissible pair, gram/upper matrix, or form operation."""
+    """Invalid form kind, gram/upper matrix, or form operation."""
 
 
 class GeometryError(PolarisError):

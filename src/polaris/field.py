@@ -18,8 +18,6 @@ between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FieldError
 
 DEFAULT_ORDER_CAP = 81
@@ -71,16 +69,6 @@ def _smallest_primitive_root(p: int) -> int:
         if all(pow(r, (p - 1) // f, p) != 1 for f in factors):
             return r
     raise FieldError(f"no primitive root mod {p}")  # unreachable for prime p
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """The field automorphism x -> x^(p^m), stored as the exponent m."""
-
-    m: int
-
-    def is_involution(self, k: int) -> bool:
-        return (2 * self.m) % k == 0
 
 
 class Field:
@@ -268,7 +256,3 @@ def field_make(p: int, k: int, cap: int = DEFAULT_ORDER_CAP) -> Field:
         _CACHE[key] = Field(p, k)
     return _CACHE[key]
 
-
-def apply_automorphism(F: Field, a: Automorphism, x: int) -> int:
-    """x^(p^m) for the automorphism a: identity when a.m == 0."""
-    return F.frob(F.check_code(x), a.m)

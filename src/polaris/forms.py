@@ -1,7 +1,7 @@
 """Reflexive sesquilinear and quadratic forms over small finite fields.
 
-A sesquilinear form is stored as a d x d gram matrix G together with an
-admissible pair (sigma, epsilon):
+A sesquilinear form is stored as a d x d gram matrix G and its kind,
+which fixes the admissible pair (sigma, epsilon) (`kind_pair`):
 
     f(x, y) = sum_ij sigma(x_i) * G[i][j] * y_j
 
@@ -23,71 +23,44 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import FormError
-from .field import Automorphism, Field, apply_automorphism
+from .field import Field
 
 VECTOR_ENUM_CAP = 2**21  # refuse blind vector sweeps beyond this many candidates
-
-
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """An automorphism sigma with a unit epsilon satisfying
-    sigma(epsilon) * epsilon = 1 and sigma^2 = id."""
-
-    sigma: Automorphism
-    epsilon: int
-
-
-def validate_admissible_pair(F: Field, sigma: Automorphism, epsilon: int) -> AdmissiblePair:
-    """Check both admissibility identities; raises with a witness on failure."""
-    F.check_code(epsilon)
-    if epsilon == 0:
-        raise FormError("epsilon must be nonzero")
-    if not 0 <= sigma.m < F.k:
-        raise FormError(f"sigma exponent {sigma.m} out of range [0, {F.k})")
-    lhs = F.mul(apply_automorphism(F, sigma, epsilon), epsilon)
-    if lhs != 1:
-        raise FormError(
-            f"sigma(epsilon)*epsilon = {lhs} != 1 for epsilon={epsilon}"
-        )
-    if not sigma.is_involution(F.k):
-        # over a field sigma^2 = id must hold; exhibit a moved element
-        for t in F.elements():
-            if F.frob(t, (2 * sigma.m) % F.k) != t:
-                raise FormError(
-                    f"sigma^2 is not the identity: witness t={t} maps to "
-                    f"{F.frob(t, (2 * sigma.m) % F.k)}"
-                )
-    return AdmissiblePair(sigma, epsilon)
 
 
 KINDS = ("alternating", "symmetric", "hermitian")
 
 
-def default_pair(F: Field, kind: str) -> AdmissiblePair:
-    """The pair a form of the given kind takes when none is given:
-    (id, -1) for alternating, (sigma: t -> t^sqrt(q), 1) for hermitian,
-    and (id, 1) otherwise (symmetric, and the unused pair of quadratic
-    specs)."""
+def kind_pair(F: Field, kind: str) -> tuple:
+    """The admissible pair (m, epsilon), sigma: t -> t^(p^m), of a form of
+    the given kind over F.  Up to a scalar a reflexive form over a finite
+    field is one of three kinds, and each kind has one pair (Taylor 1992):
+    (0, -1) alternating, (k/2, 1) hermitian, i.e. t -> t^sqrt(q), and
+    (0, 1) otherwise: symmetric, and the unused pair of quadratic specs."""
     if kind == "alternating":
-        return AdmissiblePair(Automorphism(0), F.minus_one)
+        return 0, F.minus_one
     if kind != "hermitian":
-        return AdmissiblePair(Automorphism(0), 1)
+        return 0, 1
     if F.k % 2 != 0:
         raise FormError(f"GF({F.q}) admits no hermitian involution")
-    return AdmissiblePair(Automorphism(F.k // 2), 1)
+    return F.k // 2, 1
 
 
 @dataclass(frozen=True)
 class SesquilinearForm:
     field: Field
     dim: int
-    pair: AdmissiblePair
+    sigma: int  # the exponent m of sigma: t -> t^(p^m)
     gram: tuple
     kind: str
 
+    @property
+    def epsilon(self) -> int:
+        return kind_pair(self.field, self.kind)[1]
+
     def functional(self, u):
         """Row c with f(u, y) = sum_j c[j] y_j (linear in y)."""
-        F, m = self.field, self.pair.sigma.m
+        F, m = self.field, self.sigma
         d = self.dim
         su = [F.frob(x, m) for x in u]
         return tuple(
@@ -107,7 +80,7 @@ def _dot_col(F, su, gram, j, d):
     return acc
 
 
-def sesquilinear_form(F: Field, gram, kind: str, pair: AdmissiblePair | None = None) -> SesquilinearForm:
+def sesquilinear_form(F: Field, gram, kind: str) -> SesquilinearForm:
     """Validate and freeze a reflexive sesquilinear form of the given kind."""
     if kind not in KINDS:
         raise FormError(f"unknown sesquilinear kind {kind!r}")
@@ -115,22 +88,11 @@ def sesquilinear_form(F: Field, gram, kind: str, pair: AdmissiblePair | None = N
     gram = tuple(tuple(F.check_code(x) for x in row) for row in gram)
     if any(len(row) != d for row in gram):
         raise FormError("gram matrix is not square")
-    if pair is None:
-        pair = default_pair(F, kind)
-    pair = validate_admissible_pair(F, pair.sigma, pair.epsilon)
-    m, eps = pair.sigma.m, pair.epsilon
+    m, eps = kind_pair(F, kind)
     if kind == "alternating":
-        if m % F.k != 0 or eps != F.minus_one:
-            raise FormError("alternating kind requires sigma = id, epsilon = -1")
         for i in range(d):
             if gram[i][i] != 0:
                 raise FormError(f"alternating form has nonzero diagonal entry at ({i},{i})")
-    elif kind == "symmetric":
-        if m % F.k != 0 or eps != 1:
-            raise FormError("symmetric kind requires sigma = id, epsilon = 1")
-    else:
-        if m % F.k == 0 or eps != 1:
-            raise FormError("hermitian kind requires sigma != id, epsilon = 1")
     for i in range(d):
         for j in range(d):
             want = F.mul(F.frob(gram[i][j], m), eps)
@@ -138,7 +100,7 @@ def sesquilinear_form(F: Field, gram, kind: str, pair: AdmissiblePair | None = N
                 raise FormError(
                     f"reflexivity fails at ({j},{i}): have {gram[j][i]}, need {want}"
                 )
-    return SesquilinearForm(F, d, pair, gram, kind)
+    return SesquilinearForm(F, d, m, gram, kind)
 
 
 def alternating_form(F: Field, gram) -> SesquilinearForm:
@@ -157,7 +119,7 @@ def eval_form(f: SesquilinearForm, x, y) -> int:
     F = f.field
     if len(x) != f.dim or len(y) != f.dim:
         raise FormError(f"vector length != dim {f.dim}")
-    m = f.pair.sigma.m
+    m = f.sigma
     acc = 0
     for i, xi in enumerate(x):
         if not xi:
@@ -227,7 +189,7 @@ def radical_of_form(f: SesquilinearForm):
     """RREF basis of {v : f(v, x) = 0 for all x}; empty iff non-degenerate."""
     F = f.field
     w_basis = linalg.left_kernel(F, f.gram)
-    minv = (F.k - f.pair.sigma.m) % F.k
+    minv = (F.k - f.sigma) % F.k
     vecs = [tuple(F.frob(a, minv) for a in w) for w in w_basis]
     return linalg.rref(F, vecs)
 
@@ -266,7 +228,7 @@ def trace_valued_check(f: SesquilinearForm) -> bool:
     with sigma = id in characteristic 2, where the isotropic vectors of
     a non-alternating form lie in the hyperplane sum sqrt(g_ii) x_i = 0.
     """
-    F, m, eps = f.field, f.pair.sigma.m, f.pair.epsilon
+    F, m, eps = f.field, f.sigma, f.epsilon
     traces = {F.add(t, F.mul(F.frob(t, m), eps)) for t in F.elements()}
     return all(f.gram[i][i] in traces for i in range(f.dim))
 

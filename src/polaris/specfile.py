@@ -4,14 +4,16 @@ Grammar (blank lines and '#' comments are ignored):
 
     field p=<prime> k=<int>
     form kind=<alternating|symmetric|hermitian|quadratic> dim=<int>
-         [sigma=<int>] [epsilon=<code>]
     row <code> <code> ... <code>     (dim rows of dim codes each)
 
 Codes are the integer element codes of the field module.  For
 sesquilinear kinds the rows are the gram matrix; for quadratic they are
 the upper-triangular coefficient matrix, and any nonzero entry below
-the diagonal is a parse error naming the entry.  The format is plain
-text on purpose: golden files diff cleanly and round-trip bit-exactly.
+the diagonal is a parse error naming the entry.  The kind fixes the
+admissible pair (`forms.kind_pair`): a form line may spell it out as
+sigma=<int> epsilon=<code>, and any other value is a parse error that
+names the key.  The format is plain text on purpose: golden files diff
+cleanly and round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,13 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormError, SpecError
-from .field import Automorphism, Field, field_make
-from .forms import (
-    AdmissiblePair,
-    default_pair,
-    quadratic_form,
-    sesquilinear_form,
-)
+from .field import field_make
+from .forms import kind_pair, quadratic_form, sesquilinear_form
+from .polar import build_polar_space
 
 FORM_KINDS = ("alternating", "symmetric", "hermitian", "quadratic")
 
@@ -36,8 +34,6 @@ class SpaceSpec:
     k: int
     kind: str
     dim: int
-    sigma: int
-    epsilon: int
     rows: tuple
 
 
@@ -57,14 +53,6 @@ def _parse_kv(tokens, allowed, line):
             except ValueError:
                 raise SpecError(f"{key} must be an integer, got {val!r}", line)
     return out
-
-
-def _default_pair(F: Field, kind: str, line: int):
-    try:
-        pair = default_pair(F, kind)
-    except FormError as exc:
-        raise SpecError(str(exc), line)
-    return pair.sigma.m, pair.epsilon
 
 
 def parse_spec(text: str) -> SpaceSpec:
@@ -111,13 +99,14 @@ def parse_spec(text: str) -> SpaceSpec:
     dim = form_kv.get("dim")
     if not isinstance(dim, int) or not 1 <= dim <= 8:
         raise SpecError(f"dim must be in [1, 8], got {dim!r}", form_line)
-    ds, de = _default_pair(F, kind, form_line)
-    sigma = form_kv.get("sigma", ds)
-    epsilon = form_kv.get("epsilon", de)
-    if not 0 <= sigma < F.k:
-        raise SpecError(f"sigma={sigma} out of range [0, {F.k})", form_line)
-    if not 0 <= epsilon < F.q:
-        raise SpecError(f"epsilon={epsilon} is not an element code of GF({F.q})", form_line)
+    try:
+        pair = kind_pair(F, kind)
+    except FormError as exc:
+        raise SpecError(str(exc), form_line)
+    for key, need in zip(("sigma", "epsilon"), pair):
+        if form_kv.get(key, need) != need:
+            raise SpecError(f"{key}={form_kv[key]} does not fit kind={kind} over "
+                            f"GF({F.q}), which fixes {key}={need}", form_line)
 
     if len(rows) != dim:
         raise SpecError(f"expected {dim} row lines, found {len(rows)}",
@@ -141,19 +130,12 @@ def parse_spec(text: str) -> SpaceSpec:
                     "of a quadratic coefficient matrix", ln)
             vals.append(v)
         matrix.append(tuple(vals))
-    return SpaceSpec(F.p, F.k, kind, dim, sigma, epsilon, tuple(matrix))
+    return SpaceSpec(F.p, F.k, kind, dim, tuple(matrix))
 
 
 def format_spec(spec: SpaceSpec) -> str:
     """Canonical printer; parse(format_spec(s)) == s."""
-    F = field_make(spec.p, spec.k)
-    ds, de = _default_pair(F, spec.kind, None)
-    head = f"form kind={spec.kind} dim={spec.dim}"
-    if spec.sigma != ds:
-        head += f" sigma={spec.sigma}"
-    if spec.epsilon != de:
-        head += f" epsilon={spec.epsilon}"
-    lines = [f"field p={spec.p} k={spec.k}", head]
+    lines = [f"field p={spec.p} k={spec.k}", f"form kind={spec.kind} dim={spec.dim}"]
     for row in spec.rows:
         lines.append("row " + " ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -163,10 +145,8 @@ def build_form(spec: SpaceSpec):
     F = field_make(spec.p, spec.k)
     if spec.kind == "quadratic":
         return quadratic_form(F, spec.rows)
-    pair = AdmissiblePair(Automorphism(spec.sigma), spec.epsilon)
-    return sesquilinear_form(F, spec.rows, spec.kind, pair=pair)
+    return sesquilinear_form(F, spec.rows, spec.kind)
 
 
 def build_space_from_spec(spec: SpaceSpec, cap: int | None = None, label: str | None = None):
-    from .polar import build_polar_space
     return build_polar_space(build_form(spec), cap=cap, label=label)

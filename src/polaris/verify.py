@@ -199,7 +199,7 @@ def check_theorem1(space: PolarSpace, emb: Embedding, plan: SamplePlan) -> Check
         raise UsageError(
             f"embedding is a proper quotient of the parabolic quadric Q({d},{q}); use {use}")
     if emb.tag != "universal":
-        raise UsageError("no universal embedding designated for this space (grid case)")
+        raise UsageError("no designated universal embedding for this space (grid case)")
     if emb.space is not space:
         raise UsageError("embedding belongs to a different space")
     mode = plan.resolved_mode(space)

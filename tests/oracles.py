@@ -50,9 +50,14 @@ def oracle_span_points(F, basis):
 
 def oracle_trace_valued(form):
     """Whether f(x, x) is a trace t + sigma(t) epsilon for every vector
-    x, by evaluating f(x, x) on every vector."""
-    F, m, eps = form.field, form.pair.sigma.m, form.pair.epsilon
-    traces = {F.add(t, F.mul(F.frob(t, m), eps)) for t in F.elements()}
+    x, by evaluating f(x, x) on every vector.  The pair comes from the
+    kind alone: sigma is t -> t^(p^(k/2)) for hermitian forms and the
+    identity otherwise, epsilon is -1 for alternating forms and 1
+    otherwise."""
+    F = form.field
+    e = F.p ** (F.k // 2) if form.kind == "hermitian" else 1
+    eps = F.neg(1) if form.kind == "alternating" else 1
+    traces = {F.add(t, F.mul(F.pow(t, e), eps)) for t in F.elements()}
     return all(eval_form(form, x, x) in traces
                for x in product(range(F.q), repeat=form.dim))
 

@@ -108,13 +108,26 @@ def test_char2_symmetric_spec_with_zero_diagonal_is_alternating(tmp_path):
     assert code == 0 and "quadric-points: 63" in out and "universal-dim: 7" in out
 
 
+GRID_REFUSAL = "no designated universal embedding for this space (grid case)"
+
+
 @pytest.mark.parametrize("preset,why", [
     ("W3_2", "this space's universal embedding has vector dimension 5"),
-    ("Qp3_2", "no designated universal embedding for this space (grid case)"),
+    ("Qp3_2", GRID_REFUSAL),
 ])
 def test_prop5_refusals_name_the_universal_embedding(preset, why):
     code, out, err = run_cli(["check", "prop5", "--preset", preset])
     assert code == 2 and out == "" and why in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "theorem1"],
+    ["search", "rank1-nonarising"],
+    ["mingen", "--points", "all"],
+], ids=["theorem1", "search", "mingen"])
+def test_grid_refusal_has_prop5s_wording(argv):
+    code, out, err = run_cli(argv + ["--preset", "Qp3_2"])
+    assert code == 2 and out == "" and GRID_REFUSAL in err
 
 
 def test_quotient_of_non_quadratic_space_exits_2():
@@ -205,6 +218,23 @@ def test_degenerate_spec_exits_2(tmp_path):
                  "row 0 0 0\n")
     code, _, err = run_cli(["build", "--spec", str(f)])
     assert code == 2 and "degenerate" in err
+
+
+@pytest.mark.parametrize("text,key", [
+    # the GF(4) grid: a quadratic form takes no pair, so only (0, 1) is accepted
+    ("field p=2 k=2\nform kind=quadratic dim=4 sigma=1 epsilon=3\n"
+     "row 0 1 0 0\nrow 0 0 0 0\nrow 0 0 0 1\nrow 0 0 0 0\n", "sigma=1"),
+    ("field p=2 k=2\nform kind=hermitian dim=3 sigma=0\n"
+     "row 1 0 0\nrow 0 1 0\nrow 0 0 1\n", "sigma=0"),
+    ("field p=3 k=1\nform kind=alternating dim=4 epsilon=1\n"
+     "row 0 1 0 0\nrow 2 0 0 0\nrow 0 0 0 1\nrow 0 0 2 0\n", "epsilon=1"),
+], ids=["quadratic", "hermitian", "alternating"])
+def test_spec_pair_other_than_the_kinds_exits_2(text, key, tmp_path):
+    f = tmp_path / "pair.spec"
+    f.write_text(text)
+    code, out, err = run_cli(["build", "--spec", str(f)])
+    assert code == 2 and out == ""
+    assert "line 2" in err and key in err
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "hermitian"])

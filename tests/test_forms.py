@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from polaris.errors import FormError
-from polaris.field import Automorphism, field_make
+from polaris.field import field_make
 from polaris import linalg
 from polaris.forms import (
     alternating_form,
@@ -12,6 +12,7 @@ from polaris.forms import (
     eval_quadratic,
     hermitian_form,
     isotropic_vector_test,
+    kind_pair,
     polarize,
     quadratic_form,
     radical_of_form,
@@ -19,7 +20,6 @@ from polaris.forms import (
     sesquilinear_form,
     symmetric_form,
     trace_valued_check,
-    validate_admissible_pair,
     witt_index,
 )
 
@@ -65,22 +65,30 @@ def standard_alternating_gram(F, n):
 # ---------------------------------------------------------------------------
 
 def test_admissible_pair_examples():
-    validate_admissible_pair(F3, Automorphism(0), 2)
-    validate_admissible_pair(F4, Automorphism(1), 1)
-    with pytest.raises(FormError):
-        validate_admissible_pair(F4, Automorphism(0), 2)  # omega != omega^-1
+    assert kind_pair(F3, "alternating") == (0, 2)
+    assert kind_pair(F4, "hermitian") == (1, 1)  # t -> t^2 = t^sqrt(4)
+    f = alternating_form(F3, standard_alternating_gram(F3, 1))
+    assert (f.sigma, f.epsilon) == (0, 2)
+    # (id, omega) over GF(4) is not admissible (omega != omega^-1); no kind gives it
+    assert {kind_pair(F4, kind)[1] for kind in ("alternating", "symmetric", "hermitian")} == {1}
 
 
 def test_admissible_pair_zero_epsilon():
-    with pytest.raises(FormError):
-        validate_admissible_pair(F2, Automorphism(0), 0)
+    for F in (F2, F3, F4, field_make(3, 2), field_make(5, 1)):
+        kinds = ("alternating", "symmetric") + (("hermitian",) if F.k % 2 == 0 else ())
+        for kind in kinds:
+            m, eps = kind_pair(F, kind)
+            assert eps != 0
+            assert F.mul(F.frob(eps, m), eps) == 1  # sigma(epsilon) * epsilon = 1
 
 
 def test_admissible_pair_involution_required():
     F64 = field_make(2, 6)
-    with pytest.raises(FormError):
-        validate_admissible_pair(F64, Automorphism(1), 1)  # sigma^2 != id
-    validate_admissible_pair(F64, Automorphism(3), 1)
+    assert kind_pair(F64, "hermitian") == (3, 1)  # t -> t^8 = t^sqrt(64)
+    assert hermitian_form(F64, h34_gram(2)).sigma == 3
+    assert all(F64.frob(F64.frob(t, 3), 3) == t for t in F64.elements())  # sigma^2 = id
+    with pytest.raises(FormError, match="admits no hermitian involution"):
+        kind_pair(field_make(2, 3), "hermitian")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +132,7 @@ def test_reflexivity_exhaustive_small():
         symmetric_form(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
     ]
     for f in cases:
-        F, m, eps = f.field, f.pair.sigma.m, f.pair.epsilon
+        F, m, eps = f.field, f.sigma, f.epsilon
         for x in all_vectors(F, f.dim):
             for y in all_vectors(F, f.dim):
                 assert eval_form(f, y, x) == F.mul(F.frob(eval_form(f, x, y), m), eps)

@@ -61,7 +61,7 @@ def space_specs(draw):
     rows = tuple(
         tuple(draw(code) if kind != "quadratic" or c >= r else 0 for c in range(dim))
         for r in range(dim))
-    return SpaceSpec(p, k, kind, dim, draw(st.integers(0, k - 1)), draw(code), rows)
+    return SpaceSpec(p, k, kind, dim, rows)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -70,16 +70,43 @@ def test_spec_round_trip_property(spec):
     assert parse_spec(format_spec(spec)) == spec
 
 
+def own_pair(spec):
+    """The (sigma, epsilon) codes a form of the spec's kind takes, from the
+    kind alone: sigma is t -> t^sqrt(q) for hermitian and the identity
+    otherwise; epsilon is -1, code p - 1, for alternating and 1 otherwise."""
+    return (spec.k // 2 if spec.kind == "hermitian" else 0,
+            spec.p - 1 if spec.kind == "alternating" else 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spec=space_specs(), data=st.data())
+def test_spelled_out_pair_must_be_the_kinds_own(spec, data):
+    field_line, form_line, *rows = format_spec(spec).splitlines(keepends=True)
+
+    def with_keys(keys):
+        return "".join([field_line, form_line.rstrip("\n") + keys + "\n", *rows])
+
+    sigma, epsilon = own_pair(spec)
+    assert parse_spec(with_keys(f" sigma={sigma} epsilon={epsilon}")) == spec
+    choices = [("epsilon", epsilon, spec.p**spec.k)]
+    if spec.k > 1:
+        choices.append(("sigma", sigma, spec.k))
+    key, own, size = data.draw(st.sampled_from(choices))
+    other = data.draw(st.integers(0, size - 1).filter(lambda v: v != own))
+    with pytest.raises(SpecError, match=f"{key}={other} .* fixes {key}={own}") as exc:
+        parse_spec(with_keys(f" {key}={other}"))
+    assert exc.value.line == 2
+
+
 def test_w32_spec_builds_15_points():
     sp = build_space_from_spec(parse_spec(preset_text("W3_2")))
     assert len(sp.points) == 15
 
 
 def test_hermitian_spec_defaults_sigma():
-    spec = parse_spec(preset_text("H3_4"))
-    assert spec.sigma == 1 and spec.epsilon == 1
-    form = build_form(spec)
+    form = build_form(parse_spec(preset_text("H3_4")))
     assert form.kind == "hermitian"
+    assert (form.sigma, form.epsilon) == (1, 1)
 
 
 def test_parse_errors():
