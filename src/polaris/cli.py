@@ -266,7 +266,7 @@ def run(args, out) -> int:
         space = _load_space(args)
         plan = _plan(args)
         if args.what == "theorem1":
-            report = check_theorem1(space, natural_embedding(space), plan)
+            report = check_theorem1(space, universal_embedding(space), plan)
         elif args.what == "corollary2":
             report = check_corollary2(space, plan)
         elif args.what == "corollary3":
@@ -280,8 +280,7 @@ def run(args, out) -> int:
         if args.max_set_size < 2:
             raise UsageError("--max-set-size must be >= 2")
         space = _load_space(args)
-        report = search_nonarising_rank1(space, universal_embedding(space),
-                                         _plan(args), args.max_set_size)
+        report = search_nonarising_rank1(space, _plan(args), args.max_set_size)
         w.emit_report(report)
         return 0
 
@@ -293,10 +292,10 @@ def run(args, out) -> int:
 
     if cmd == "quotient":
         space = _load_space(args)
-        res = quotient_embedding(natural_embedding(space))
+        res = quotient_embedding(space)
         w.emit("quotient", [
             ("space", space.label or "custom"),
-            ("kernel-dim", len(res.embedding.kernel)),
+            ("kernel-dim", len(res.kernel)),
             ("quotient-ambient-dim", res.embedding.dim),
             ("quotient-points", len(res.quotient_space.points)),
             ("quotient-lines", len(res.quotient_space.lines)),
@@ -319,9 +318,8 @@ def run(args, out) -> int:
 
     if cmd == "mingen":
         space = _load_space(args)
-        emb = universal_embedding(space)
         X = _parse_points(args.points, space)
-        Y = minimal_generating_subset(emb, X)
+        Y = minimal_generating_subset(space, X)
         target = closure(space, X)
         w.emit("mingen", [
             ("space", space.label or "custom"),

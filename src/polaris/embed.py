@@ -7,7 +7,9 @@ away from characteristic 2, carry the universal embedding; the
 characteristic-2 alternating inclusion is a proper quotient of the
 parabolic-quadric embedding one dimension up, x -> (sqrt(Q0(x)), x)
 with Q0 the strict upper triangle of the gram, which is the universal
-one; grids are tagged unknown and refused by the theorem-check commands.
+one; grids are tagged unknown and have no universal embedding here.
+`universal_embedding(space)` is the one place that picks the embedding
+the checks and commands judge against.
 
 A subspace S "arises" from an embedding when the preimage of the
 projective span of its image is S itself; `arises_from` reports a
@@ -52,7 +54,6 @@ class Embedding:
     dim: int
     vectors: tuple
     tag: str            # universal | quotient | unknown
-    kernel: tuple | None = None
 
     def __repr__(self):
         name = self.space.label or self.space.kind
@@ -113,19 +114,14 @@ def zero_set(emb: Embedding, a, within: int | None = None) -> int:
     return linalg.zero_set(emb.space.field, emb.slices, a, bits)
 
 
-def _annihilated(emb: Embedding, annihilator) -> PointSet:
-    """The points killed by every functional of the annihilator, each
-    zero set narrowing the points the next one is tested on."""
-    bits = emb.space.all_bits
-    for a in annihilator:
-        bits = zero_set(emb, a, bits)
-    return PointSet(emb.space, bits)
-
-
 def preimage(emb: Embedding, W) -> PointSet:
     """All points whose representative vector lies in the span of W:
-    the zero sets of the annihilator of W, intersected."""
-    return _annihilated(emb, linalg.right_kernel(emb.space.field, W, emb.dim))
+    the zero sets of the annihilator of W, each one narrowing the points
+    the next is tested on."""
+    bits = emb.space.all_bits
+    for a in linalg.right_kernel(emb.space.field, W, emb.dim):
+        bits = zero_set(emb, a, bits)
+    return PointSet(emb.space, bits)
 
 
 @dataclass(frozen=True)
@@ -133,22 +129,16 @@ class ArisesVerdict:
     arises: bool
     witness: int | None
     preimage: PointSet
-    span_dim: int
 
 
 def arises_from(emb: Embedding, S) -> ArisesVerdict:
     """Compare S with the preimage of the span of its image.  The
-    generators picked by closure go straight to the annihilator, so the
+    generators picked by closure go straight to `preimage`, so the
     verdict takes one row reduction."""
     Sset = _require_subspace(emb.space, S)
-    gens = [emb.vectors[i] for i in generating_points(emb.space, Sset)]
-    annihilator = linalg.right_kernel(emb.space.field, gens, emb.dim)
-    pre = _annihilated(emb, annihilator)
-    span_dim = emb.dim - len(annihilator)
+    pre = preimage(emb, [emb.vectors[i] for i in generating_points(emb.space, Sset)])
     extra = pre.bits & ~Sset.bits
-    if extra:
-        return ArisesVerdict(False, next(_iter_bits(extra)), pre, span_dim)
-    return ArisesVerdict(True, None, pre, span_dim)
+    return ArisesVerdict(not extra, next(_iter_bits(extra), None), pre)
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +150,21 @@ class QuotientResult:
     embedding: Embedding          # of the original space, into V/X
     quotient_space: PolarSpace    # the alternating space on V/X
     point_map: tuple              # original point index -> quotient point index
+    kernel: tuple                 # RREF basis of rad(f_Q)
 
 
-def quotient_embedding(emb: Embedding) -> QuotientResult:
-    """Project a universal quadratic embedding from X = rad(f_Q), the
-    radical of its bilinearization, which over a finite field is the only
-    kernel a quotient can have; the quotient is the alternating
+def quotient_embedding(space: PolarSpace) -> QuotientResult:
+    """Project the universal embedding of a quadric from X = rad(f_Q),
+    the radical of its bilinearization, which over a finite field is the
+    only kernel a quotient can have; the quotient is the alternating
     embedding.  The quotient space is in bijection with the given one, so
     it is built under a cap of the given point count."""
-    space = emb.space
+    if space.kind != "quadratic":
+        raise EmbeddingError("quotients are taken from the universal quadratic embedding")
     X = radical_of_form(space.bilinear)
-    if space.kind == "quadratic" and not X:
+    if not X:
         raise EmbeddingError("rad(f_Q) = 0: the bilinearization is non-degenerate, "
                              "so there is no quotient")
-    if emb.tag != "universal" or space.kind != "quadratic":
-        raise EmbeddingError("quotients are taken from the universal quadratic embedding")
     F = space.field
     # the values Q(x) on the kernel sweep out the whole field
     values = {eval_quadratic(space.form, v) for v in linalg.subspace_vectors(F, X)}
@@ -208,9 +198,9 @@ def quotient_embedding(emb: Embedding) -> QuotientResult:
     if len(set(qmap)) != len(qmap) or len(qmap) != len(qspace.points):
         raise EmbeddingError("quotient map is not a point bijection")
     _check_collinearity_transfer(space, qspace, qmap, "quotient map")
-    out = Embedding(space, e, tuple(qvecs), "quotient", kernel=X)
+    out = Embedding(space, e, tuple(qvecs), "quotient")
     validate_embedding(out)
-    return QuotientResult(out, qspace, tuple(qmap))
+    return QuotientResult(out, qspace, tuple(qmap), X)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +300,10 @@ def universal_embedding(space: PolarSpace) -> Embedding:
 # minimal generating subsets
 # ---------------------------------------------------------------------------
 
-def minimal_generating_subset(emb: Embedding, X) -> PointSet:
+def minimal_generating_subset(space: PolarSpace, X) -> PointSet:
     """Y inside X with closure(Y) = closure(X) and no removable member:
     the generating points of X picked by closure, then one pass that
     drops each member whose removal still generates closure(X)."""
-    space = emb.space
-    if emb.tag != "universal":
-        raise EmbeddingError("minimal generating subsets use the universal embedding")
     target = closure(space, X)
     if rank_nd(space, target) < 2:
         raise GeometryError("closure of X has non-degenerate rank < 2")

@@ -87,9 +87,6 @@ class PolarSpace:
         name = self.label or f"{self.kind} space"
         return f"<{name}: {len(self.points)} points, {len(self.lines)} lines, rank {self.n}>"
 
-    def point_set(self, ids) -> "PointSet":
-        return PointSet.of(self, ids)
-
     def universe(self) -> "PointSet":
         return PointSet(self, self.all_bits)
 

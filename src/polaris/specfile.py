@@ -12,8 +12,9 @@ the upper-triangular coefficient matrix, and any nonzero entry below
 the diagonal is a parse error naming the entry.  The kind fixes the
 admissible pair (`forms.kind_pair`): a form line may spell it out as
 sigma=<int> epsilon=<code>, and any other value is a parse error that
-names the key.  The format is plain text on purpose: golden files diff
-cleanly and round-trip bit-exactly.
+names the key, as is a key given twice on one line.  The format is
+plain text on purpose: golden files diff cleanly and round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def _parse_kv(tokens, allowed, line):
         key, _, val = tok.partition("=")
         if key not in allowed:
             raise SpecError(f"unknown key {key!r}", line)
+        if key in out:
+            raise SpecError(f"repeated key {key!r}", line)
         if key == "kind":
             out[key] = val
         else:

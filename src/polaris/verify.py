@@ -19,6 +19,10 @@ random seed sets with sizes uniform in [2, 2n+2].
 Exhaustive mode walks the full subspace lattice by NextClosure and is
 the default at 15 points or fewer; corollary3 walks the dual space.
 
+A check that needs an embedding judges against
+`embed.universal_embedding(space)`: theorem1 takes it as an argument
+and refuses any other; corollary3, prop5 and the search build it.
+
 Failure witnesses carry enough indices to replay the failing call in
 isolation.
 """
@@ -32,7 +36,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from . import linalg
-from .catalog import PRESETS
 from .embed import (
     Embedding,
     arises_from,
@@ -191,17 +194,8 @@ def check_theorem1(space: PolarSpace, emb: Embedding, plan: SamplePlan) -> Check
     """Every proper non-singular subspace of non-degenerate rank >= 2 must
     equal the preimage of the span of its image under the universal
     embedding."""
-    if emb.tag == "quotient":
-        # the hull of W(2n-1, q) is the parabolic quadric Q(2n, q)
-        d, q = space.dim, space.field.q
-        preset = f"Q{d}_{q}"
-        use = f"--preset {preset} or `hull`" if preset in PRESETS else "`hull`"
-        raise UsageError(
-            f"embedding is a proper quotient of the parabolic quadric Q({d},{q}); use {use}")
-    if emb.tag != "universal":
-        raise UsageError("no designated universal embedding for this space (grid case)")
-    if emb.space is not space:
-        raise UsageError("embedding belongs to a different space")
+    if emb.tag != "universal" or emb.space is not space:
+        raise UsageError(f"theorem1 needs the universal embedding of this space, got {emb!r}")
     mode = plan.resolved_mode(space)
 
     def judge(S):
@@ -334,14 +328,13 @@ def _noncollinear_sets(space: PolarSpace, max_size: int, budget: int):
     return out, count > budget
 
 
-def search_nonarising_rank1(space: PolarSpace, emb: Embedding,
-                            plan: SamplePlan, max_set_size: int = 4) -> CheckReport:
-    """Hunt for low-rank subspaces that fail to arise: exhaustively over
-    small pairwise non-collinear sets, plus sampled closures of
-    non-degenerate rank at most 1, all deduplicated on one set of point
-    sets.  Experimental; exhibits, not failures."""
-    if emb.tag != "universal":
-        raise UsageError("the search runs against the universal embedding")
+def search_nonarising_rank1(space: PolarSpace, plan: SamplePlan,
+                            max_set_size: int = 4) -> CheckReport:
+    """Hunt for low-rank subspaces that fail to arise from the universal
+    embedding: exhaustively over small pairwise non-collinear sets, plus
+    sampled closures of non-degenerate rank at most 1, all deduplicated
+    on one set of point sets.  Experimental; exhibits, not failures."""
+    emb = universal_embedding(space)
     noncollinear, truncated = _noncollinear_sets(space, max_set_size,
                                                  ENUMERATION_COST_LIMIT)
     sets = ((PointSet.of(space, ids), "non-collinear set") for ids in noncollinear)

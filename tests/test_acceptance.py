@@ -33,7 +33,6 @@ from polaris.polar import (
     frame_span,
     rank_of,
 )
-from polaris.records import RecordWriter
 from polaris.verify import (
     SamplePlan,
     check_corollary2,
@@ -136,7 +135,7 @@ def test_criterion_4_quotient_discrimination():
     assert len(grid) == 9
     assert arises_from(uni, grid).arises
 
-    quo = quotient_embedding(uni).embedding
+    quo = quotient_embedding(Q).embedding
     verdict = arises_from(quo, grid)
     assert not verdict.arises
     assert verdict.preimage.bits == Q.all_bits  # exactly all 15 points
@@ -253,6 +252,9 @@ CLI_BATTERY = [
      "5201b9b26e7e255f037ac7ba6daac79465dd869d28479da639c1013a50a46ae7"),
     (["check", "theorem1", "--preset", "Q6_2", "--samples", "60"],
      "33887a0d9e4f05d4c5685300d6672add935ca51e21d1e7758dc58e5b4cdcf1de"),
+    # W5_2 is judged on its hull embedding, x -> (sqrt(Q0(x)), x)
+    (["check", "theorem1", "--preset", "W5_2", "--samples", "60"],
+     "1f916f4a42569a13445e917b0d7a0294445c2f9518d0e61a8b5de890e666d41a"),
     (["check", "corollary2", "--preset", "Q4_2", "--samples", "0"],
      "e790a4d1862acc68fbb95f7f45c19e1065ab8a5dbaf858eaa8b2331273954d57"),
     (["check", "corollary2", "--preset", "Q6_2", "--samples", "12"],
@@ -311,18 +313,3 @@ def test_python_dash_m_polaris_runs_the_cli():
     assert proc.returncode == 0 and proc.stderr == b""
     digest = next(d for a, d in CLI_BATTERY if a == argv)
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
-
-
-# `check theorem1` refuses W5_2, whose natural embedding is a proper
-# quotient, so its hull path is pinned through the library call that the
-# command would make with the universal embedding.
-HULL_THEOREM1_DIGEST = "1f916f4a42569a13445e917b0d7a0294445c2f9518d0e61a8b5de890e666d41a"
-
-
-@announce(8, "pinned theorem1 records on the hull embedding of W5_2")
-def test_criterion_8_hull_theorem1_is_pinned():
-    W = build_preset("W5_2")
-    report = check_theorem1(W, universal_embedding(W), SamplePlan(seed=0, samples=60))
-    buf = io.StringIO()
-    RecordWriter(buf).emit_report(report)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == HULL_THEOREM1_DIGEST

@@ -79,16 +79,14 @@ def test_check_theorem1_exhaustive_exit0():
     assert "failed: 0" in out and "mode: exhaustive" in out
 
 
-def test_check_theorem1_quotient_guard_exit2():
-    code, out, err = run_cli(["check", "theorem1", "--preset", "W3_2"])
-    assert code == 2
-    assert "proper quotient" in err and "hull" in err
-    assert "Q(4,2)" in err and "--preset Q4_2" in err
-    # the hull of W5_2 is the quadric one dimension up, Q(6,2), not Q(4,2)
-    code, out, err = run_cli(["check", "theorem1", "--preset", "W5_2"])
-    assert code == 2 and out == ""
-    assert "proper quotient" in err and "hull" in err
-    assert "Q(6,2)" in err and "--preset Q6_2" in err and "Q4_2" not in err
+def test_check_theorem1_char2_symplectic_runs_on_the_hull_embedding():
+    # the natural embedding of W(2n-1,2) is a proper quotient; the check
+    # judges against the universal one, x -> (sqrt(Q0(x)), x)
+    code, out, err = run_cli(["check", "theorem1", "--preset", "W3_2",
+                              "--samples", "0"])
+    assert code == 0 and err == ""
+    assert "mode: exhaustive" in out
+    assert "sampled: 278\napplicable: 10\npassed: 10\nfailed: 0\n" in out
 
 
 def test_char2_symmetric_spec_with_zero_diagonal_is_alternating(tmp_path):
@@ -101,7 +99,7 @@ def test_char2_symmetric_spec_with_zero_diagonal_is_alternating(tmp_path):
     assert code == 0
     assert "kind: alternating" in out and "embedding-tag: quotient" in out
     code, out, err = run_cli(["check", "theorem1", "--spec", str(f), "--samples", "100"])
-    assert code == 2 and out == "" and "Q(6,2)" in err
+    assert code == 0 and err == "" and "failed: 0" in out and "status: pass" in out
     code, out, _ = run_cli(["check", "corollary3", "--spec", str(f)])
     assert code == 0 and "sampled: 127" in out and "failed: 0" in out
     code, out, _ = run_cli(["hull", "--spec", str(f)])
@@ -123,11 +121,17 @@ def test_prop5_refusals_name_the_universal_embedding(preset, why):
 @pytest.mark.parametrize("argv", [
     ["check", "theorem1"],
     ["search", "rank1-nonarising"],
-    ["mingen", "--points", "all"],
-], ids=["theorem1", "search", "mingen"])
+], ids=["theorem1", "search"])
 def test_grid_refusal_has_prop5s_wording(argv):
     code, out, err = run_cli(argv + ["--preset", "Qp3_2"])
     assert code == 2 and out == "" and GRID_REFUSAL in err
+
+
+def test_mingen_runs_on_a_grid():
+    # a minimal generating subset is a closure walk; it needs no embedding
+    code, out, err = run_cli(["mingen", "--preset", "Qp3_2", "--points", "all"])
+    assert code == 0 and err == ""
+    assert "minimal: 0,1,2,5\nsize: 4\nclosure-size: 9\nregenerates: true\n" in out
 
 
 def test_quotient_of_non_quadratic_space_exits_2():
@@ -235,6 +239,22 @@ def test_spec_pair_other_than_the_kinds_exits_2(text, key, tmp_path):
     code, out, err = run_cli(["build", "--spec", str(f)])
     assert code == 2 and out == ""
     assert "line 2" in err and key in err
+
+
+@pytest.mark.parametrize("field_line,form_line,line,key", [
+    ("field p=3 k=1 p=2", "form kind=alternating dim=4", "line 1", "'p'"),
+    ("field p=3 k=1", "form kind=alternating dim=4 dim=4", "line 2", "'dim'"),
+    ("field p=3 k=1", "form kind=alternating kind=symmetric dim=4", "line 2", "'kind'"),
+], ids=["field", "form-int", "form-kind"])
+def test_repeated_spec_key_exits_2(field_line, form_line, line, key, tmp_path):
+    # a repeated key must not quietly override the first: `p=3 ... p=2`
+    # used to build over GF(2)
+    f = tmp_path / "repeated.spec"
+    f.write_text(f"{field_line}\n{form_line}\n"
+                 "row 0 1 0 0\nrow 2 0 0 0\nrow 0 0 0 1\nrow 0 0 2 0\n")
+    code, out, err = run_cli(["build", "--spec", str(f)])
+    assert code == 2 and out == ""
+    assert f"{line}: repeated key {key}" in err
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "hermitian"])

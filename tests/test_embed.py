@@ -222,7 +222,6 @@ def test_grid_discrimination(space):
     assert not verdict.arises
     assert verdict.preimage.bits == W.all_bits
     assert verdict.witness is not None and verdict.witness not in gridW
-    assert verdict.span_dim == 4
     rows = projective_span(symp, gridW)
     assert verdict.preimage == preimage(symp, rows) and len(rows) == 4
     # while the hull-composed universal embedding recovers it
@@ -264,7 +263,6 @@ def test_arises_from_agrees_with_preimage_of_projective_span(name, space):
             rows = projective_span(emb, S)
             verdict = arises_from(emb, S)
             assert verdict.preimage == preimage(emb, rows)
-            assert verdict.span_dim == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def test_arises_from_agrees_with_preimage_of_projective_span(name, space):
 
 def test_quotient_q42_to_w32(space):
     Q = space("Q4_2")
-    res = quotient_embedding(natural_embedding(Q))
+    res = quotient_embedding(Q)
     assert res.embedding.tag == "quotient"
     assert res.embedding.dim == 4
     assert res.quotient_space.kind == "alternating"
@@ -283,7 +281,7 @@ def test_quotient_q42_to_w32(space):
 
 def test_quotient_q62_to_w52(space):
     Q = space("Q6_2")
-    res = quotient_embedding(natural_embedding(Q))
+    res = quotient_embedding(Q)
     assert len(res.quotient_space.points) == 63
     assert res.quotient_space.n == 3
 
@@ -291,30 +289,30 @@ def test_quotient_q62_to_w52(space):
 @pytest.mark.parametrize("name", ["Q4_2", "Q6_2"])
 def test_quotient_kernel_is_the_radical(name, space):
     Q = space(name)
-    res = quotient_embedding(natural_embedding(Q))
-    assert res.embedding.kernel == radical_of_form(Q.bilinear)
-    assert len(res.embedding.kernel) == 1
+    res = quotient_embedding(Q)
+    assert res.kernel == radical_of_form(Q.bilinear)
+    assert len(res.kernel) == 1
 
 
 def test_quotient_rejects_zero_kernel(space):
     # rad(f_Q) = 0 away from characteristic 2 and in even dimension
     for name in ("Q4_3", "Qp5_2"):
         with pytest.raises(EmbeddingError, match="rad\\(f_Q\\) = 0"):
-            quotient_embedding(natural_embedding(space(name)))
+            quotient_embedding(space(name))
 
 
 def test_quotient_rejects_non_quadratic(space):
     W = space("W3_2")
     with pytest.raises(EmbeddingError):
-        quotient_embedding(natural_embedding(W))
+        quotient_embedding(W)
 
 
 def test_quotient_kernel_conditions(space):
     # the kernel meets no image point and no secant line: no point vector
     # reduces to zero modulo the kernel, and distinct points stay distinct
     Q = space("Q4_2")
-    res = quotient_embedding(natural_embedding(Q))
-    X = res.embedding.kernel
+    res = quotient_embedding(Q)
+    X = res.kernel
     for v in Q.points:
         assert not linalg.in_span(Q.field, X, v)
     assert len(set(res.embedding.vectors)) == len(Q.points)
@@ -325,7 +323,7 @@ def test_quotient_transport(space):
     # universal one; exhaustive over the subspace lattice of Q(4,2)
     Q = space("Q4_2")
     uni = natural_embedding(Q)
-    res = quotient_embedding(uni)
+    res = quotient_embedding(Q)
     quo = res.embedding
     both = neither = quotient_only = 0
     for bits in enumerate_subspaces(Q):
@@ -447,7 +445,7 @@ def test_derived_spaces_take_the_cap_of_their_source(monkeypatch):
     assert universal_embedding(W).dim == 5
     assert len(hull_of_symplectic_char2(W).quad_space.points) == 15
     Q = build_preset("Q4_2", cap=15)
-    res = quotient_embedding(natural_embedding(Q))
+    res = quotient_embedding(Q)
     assert len(res.quotient_space.points) == 15
 
 
@@ -482,8 +480,7 @@ def test_complete_generating_frame_spans_2n(space):
 
 def test_mingen_whole_q42(space):
     Q = space("Q4_2")
-    emb = natural_embedding(Q)
-    Y = minimal_generating_subset(emb, Q.universe())
+    Y = minimal_generating_subset(Q, Q.universe())
     assert len(Y) == 5
     assert closure(Q, Y).bits == Q.all_bits
     for i in Y:
@@ -507,7 +504,7 @@ def test_mingen_property_on_random_sets(name, space):
         target = closure(sp, X)
         if rank_nd(sp, target) < 2:
             continue
-        Y = minimal_generating_subset(emb, X).indices()
+        Y = minimal_generating_subset(sp, X).indices()
         assert set(Y) <= set(X)
         assert len(Y) == len(projective_span(emb, X)), X
         assert closure(sp, Y).bits == target.bits, X
@@ -518,20 +515,13 @@ def test_mingen_property_on_random_sets(name, space):
 
 def test_mingen_rejects_thin_closure(space):
     Q = space("Q4_2")
-    emb = natural_embedding(Q)
     with pytest.raises(GeometryError):
-        minimal_generating_subset(emb, PointSet.of(Q, Q.lines[0]))
+        minimal_generating_subset(Q, PointSet.of(Q, Q.lines[0]))
 
 
 def test_mingen_on_frame_returns_frame(space):
     Q = space("Q4_2")
-    emb = natural_embedding(Q)
     fr = find_partial_frame(Q, Q.universe(), 2)
-    Y = minimal_generating_subset(emb, fr.point_set())
+    Y = minimal_generating_subset(Q, fr.point_set())
     assert Y == fr.point_set()
 
-
-def test_mingen_requires_universal(space):
-    W = space("W3_2")
-    with pytest.raises(EmbeddingError):
-        minimal_generating_subset(natural_embedding(W), W.universe())

@@ -61,3 +61,22 @@ def unreached_names() -> list:
 
 def test_every_public_name_is_reached_or_allowed():
     assert unreached_names() == sorted(ALLOWED)
+
+
+CORE = ("errors", "field", "linalg", "forms", "polar", "embed", "verify", "records")
+FRONT = {"catalog", "specfile", "cli"}
+
+
+def test_core_modules_do_not_import_the_front_end():
+    # presets, spec files and the command line sit on top of the core:
+    # a check takes its space and embedding as given, whatever built them
+    for stem in CORE:
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                # `from .x import y` and `from polaris.x import y` name x;
+                # `from . import x` and `from polaris import x` name x too
+                mod = (node.module or "").removeprefix("polaris").lstrip(".")
+                imported |= {mod} if mod else {alias.name for alias in node.names}
+        assert not imported & FRONT, (stem, sorted(imported & FRONT))

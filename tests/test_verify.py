@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from polaris import linalg, verify
+from polaris.catalog import build_preset
 from polaris.embed import arises_from, natural_embedding, universal_embedding, zero_set
 from polaris.errors import UsageError
 from polaris.polar import (
@@ -61,8 +62,19 @@ def test_theorem1_refuses_quotient_embedding(space):
 
 def test_theorem1_refuses_grid(space):
     G = space("Qp3_2")
-    with pytest.raises(UsageError, match="grid"):
+    with pytest.raises(UsageError, match="unknown embedding of Qp3_2"):
         check_theorem1(G, natural_embedding(G), SamplePlan())
+
+
+def test_theorem1_refuses_another_spaces_universal_embedding(space):
+    # a universal embedding of an equal but distinct build is still
+    # refused; another cap keys another entry of the preset cache
+    Q, other = space("Q4_2"), build_preset("Q4_2", cap=15)
+    assert other is not Q
+    with pytest.raises(UsageError, match="universal embedding of Q4_2"):
+        check_theorem1(Q, universal_embedding(other), SamplePlan())
+    with pytest.raises(UsageError, match="universal embedding of Q6_2"):
+        check_theorem1(Q, universal_embedding(space("Q6_2")), SamplePlan())
 
 
 def test_theorem1_sampled_h34(space):
@@ -304,8 +316,7 @@ def test_corollary2_sampled_200_q62(space):
 
 def test_search_rank1_q42_exhibits(space):
     Q = space("Q4_2")
-    r = search_nonarising_rank1(Q, natural_embedding(Q),
-                                SamplePlan(seed=0, samples=50, mode="random"))
+    r = search_nonarising_rank1(Q, SamplePlan(seed=0, samples=50, mode="random"))
     assert r.experimental and r.failed == 0
     assert r.exhibits
     # no exhibit uses only three points: plane sections of this quadric
@@ -326,10 +337,10 @@ def test_search_rank1_q42_exhibits(space):
 def test_search_marks_a_truncated_noncollinear_scan(space, monkeypatch):
     W = space("Sp4_3")
     plan = SamplePlan(seed=1, samples=5, mode="random")
-    full = search_nonarising_rank1(W, natural_embedding(W), plan)
+    full = search_nonarising_rank1(W, plan)
     assert "noncollinear_truncated" not in full.info
     monkeypatch.setattr(verify, "ENUMERATION_COST_LIMIT", 50)
-    cut = search_nonarising_rank1(W, natural_embedding(W), plan)
+    cut = search_nonarising_rank1(W, plan)
     assert cut.info["noncollinear_truncated"] is True
     assert cut.sampled < full.sampled and cut.consistent()
     buf = io.StringIO()
@@ -339,8 +350,7 @@ def test_search_marks_a_truncated_noncollinear_scan(space, monkeypatch):
 
 def test_search_never_exhibits_singular(space):
     W = space("Sp4_3")
-    r = search_nonarising_rank1(W, natural_embedding(W),
-                                SamplePlan(seed=1, samples=40, mode="random"))
+    r = search_nonarising_rank1(W, SamplePlan(seed=1, samples=40, mode="random"))
     for e in r.exhibits:
         S = PointSet.of(W, e["points"])
         from polaris.polar import is_singular
@@ -491,7 +501,7 @@ def test_exhaustive_mode_draws_nothing(space, monkeypatch):
     assert check_theorem1(Q, natural_embedding(Q), plan).applicable == 10
     assert check_corollary2(W, plan).applicable == 25
     assert explore_problem5(W, plan).applicable == 6
-    assert search_nonarising_rank1(Q, natural_embedding(Q), plan).mode == "mixed"
+    assert search_nonarising_rank1(Q, plan).mode == "mixed"
 
 
 def test_each_sampled_call_seeds_one_stream(space, monkeypatch):
@@ -507,7 +517,7 @@ def test_each_sampled_call_seeds_one_stream(space, monkeypatch):
         lambda: check_corollary2(Q, plan),
         lambda: check_prop5(H, plan),
         lambda: explore_problem5(S, plan),
-        lambda: search_nonarising_rank1(S, natural_embedding(S), plan),
+        lambda: search_nonarising_rank1(S, plan),
     ]
     for run in runs:
         calls.clear()
