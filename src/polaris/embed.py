@@ -13,8 +13,12 @@ the checks and commands judge against.
 
 A subspace S "arises" from an embedding when the preimage of the
 projective span of its image is S itself; `arises_from` reports a
-witness point otherwise.  Preimages, hyperplanes and the line check of
-`validate_embedding` are zero sets of functionals (`linalg.zero_set`).
+witness point otherwise.  It spans the images of `S.generators` (the
+seed set of a cold closure, else points picked by closure) and
+certifies that this span is the span of the whole image: the
+generators lie in S, and S lies in their span's preimage.  Preimages,
+hyperplanes and the line check of `validate_embedding` are zero sets
+of functionals (`linalg.zero_set`).
 
 Embeddings are immutable after construction, with one exception: each
 holds a write-once cache, the value-slice table `slices` that preimages
@@ -132,11 +136,19 @@ class ArisesVerdict:
 
 
 def arises_from(emb: Embedding, S) -> ArisesVerdict:
-    """Compare S with the preimage of the span of its image.  The
-    generators picked by closure go straight to `preimage`, so the
-    verdict takes one row reduction."""
+    """Compare S with the preimage P of the span of the images of
+    `S.generators`, which takes one row reduction.  Two bitset tests
+    certify that this span is <e(S)>: the generators lie in S, so it is
+    inside <e(S)>, and S lies in P, so it holds e(S).  The verdict,
+    witness and preimage then do not depend on which generators S
+    carries, and generators that fail either test raise."""
     Sset = _require_subspace(emb.space, S)
-    pre = preimage(emb, [emb.vectors[i] for i in generating_points(emb.space, Sset)])
+    gens = Sset.generators
+    if gens.bits & ~Sset.bits:
+        raise GeometryError("a generator lies outside the subspace")
+    pre = preimage(emb, [emb.vectors[i] for i in gens])
+    if Sset.bits & ~pre.bits:
+        raise GeometryError("the span of the generators' images misses a point of the subspace")
     extra = pre.bits & ~Sset.bits
     return ArisesVerdict(not extra, next(_iter_bits(extra), None), pre)
 
@@ -257,10 +269,14 @@ def hull_of_symplectic_char2(space: PolarSpace) -> HullResult:
     symplectic space and return the point bijection that the universal
     embedding induces.  The quadric is in bijection with the space, so it
     is built under a cap of the space's point count."""
-    if space.kind != "alternating" or space.field.char != 2:
+    if space.kind != "alternating":
         raise GeometryError(
-            "hull construction applies to alternating spaces in characteristic 2; "
-            "elsewhere the alternating embedding is already universal")
+            f"hull construction takes an alternating space, and this space is "
+            f"{space.kind}")
+    if space.field.char != 2:
+        raise GeometryError(
+            f"hull construction applies in characteristic 2; in characteristic "
+            f"{space.field.char} the alternating embedding is already universal")
     label = f"{space.label}/hull" if space.label else None
     qspace = build_polar_space(_hull_quadric(space), cap=len(space.points), label=label)
     universal = universal_embedding(space)

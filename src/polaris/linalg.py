@@ -68,7 +68,8 @@ def rref(F: Field, rows):
         for i in range(len(work)):
             if i != r and work[i][col]:
                 c = work[i][col]
-                work[i] = [F.sub(a, F.mul(b, c)) for a, b in zip(work[i], work[r])]
+                work[i] = [F.sub(a, F.mul(b, c)) if b else a
+                           for a, b in zip(work[i], work[r])]
         r += 1
         if r == len(work):
             break

@@ -15,7 +15,9 @@ sample sequences and reports, and a k-sample run is a prefix of a
 longer one.  The stream's key is the text `polaris-sample/<seed>`,
 which is injective in the seed, so distinct seeds (negative ones
 included) give distinct streams.  Candidate subspaces are closures of
-random seed sets with sizes uniform in [2, 2n+2].
+random seed sets with sizes uniform in [2, 2n+2].  Each carries its seed
+set as `PointSet.generators`, so `arises_from` judges it without closing
+it again; an exhaustive candidate's generators are picked by closure.
 Exhaustive mode walks the full subspace lattice by NextClosure and is
 the default at 15 points or fewer; corollary3 walks the dual space.
 
@@ -167,12 +169,15 @@ def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
 
 
 def classify_subspace(space: PolarSpace, S: PointSet) -> str | None:
-    """Skip reason for the main-theorem hypotheses, None when applicable."""
+    """Skip reason for the main-theorem hypotheses, None when applicable.
+    A subspace is singular exactly when its non-degenerate rank is 0, so
+    one radical decides both skips."""
     if S.bits == space.all_bits:
         return "improper"
-    if S.is_singular:
+    r = S.rank_nd
+    if r == 0:
         return "singular"
-    if S.rank_nd < 2:
+    if r == 1:
         return "rank_nd_lt_2"
     return None
 

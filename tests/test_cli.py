@@ -290,7 +290,10 @@ def test_quotient_and_hull_commands():
     assert code == 0
     assert "quadric-points: 15" in out and "universal-dim: 5" in out
     code, _, err = run_cli(["hull", "--preset", "Sp4_3"])
-    assert code == 2 and "already universal" in err
+    assert code == 2 and "in characteristic 3 the alternating embedding is already universal" in err
+    code, _, err = run_cli(["hull", "--preset", "Q6_2"])
+    assert code == 2 and "takes an alternating space, and this space is quadratic" in err
+    assert "universal" not in err
 
 
 def test_mingen_command():

@@ -29,7 +29,7 @@ from polaris.polar import (
     rank_nd,
 )
 
-from oracles import oracle_points_and_lines, oracle_span_points
+from oracles import oracle_points_and_lines, oracle_span_points, oracle_subspaces
 
 
 def grid_of(space, name="Q4_2"):
@@ -265,6 +265,82 @@ def test_arises_from_agrees_with_preimage_of_projective_span(name, space):
             assert verdict.preimage == preimage(emb, rows)
 
 
+def _assert_arises_matches_enumeration(emb, bits, sets):
+    """arises_from(emb, S) for each S in sets, all on the point set bits,
+    against the preimage of the span of every vector of bits, enumerated
+    point by point."""
+    F = emb.space.field
+    rows = linalg.rref(F, [emb.vectors[i] for i in PointSet(emb.space, bits)])
+    want = sum(1 << i for i in _preimage_by_enumeration(emb, rows))
+    extra = want & ~bits
+    for S in sets:
+        verdict = arises_from(emb, S)
+        assert verdict.preimage.bits == want
+        assert verdict.arises == (want == bits)
+        assert verdict.witness == ((extra & -extra).bit_length() - 1 if extra else None)
+
+
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
+def test_arises_from_matches_enumeration_on_every_subspace(name, space, preset_oracle):
+    # each subspace twice: as a cold closure of itself, which records all
+    # its points as generators, and as a bare set, which derives them
+    sp = space(name)
+    assert preset_oracle(name)[0] == list(sp.points)
+    subs = oracle_subspaces(sp.form)
+    embs = {natural_embedding(sp)}
+    if not sp.is_grid:
+        embs.add(universal_embedding(sp))
+    for emb in embs:
+        for bits in subs:
+            cold = closure(sp, bits)
+            assert cold.bits == bits and cold.generators.bits == bits
+            _assert_arises_matches_enumeration(emb, bits, (cold, PointSet(sp, bits)))
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "H4_4"])
+def test_arises_from_matches_enumeration_on_sampled_closures(name, space):
+    # closures of random seed sets carry those seeds as generators
+    sp = space(name)
+    emb = universal_embedding(sp)
+    rng = random.Random(16)
+    N = len(sp.points)
+    for _ in range(200):
+        seed = rng.sample(range(N), rng.randint(2, 2 * sp.n + 2))
+        cold = closure(sp, seed)
+        assert cold.generators == PointSet.of(sp, seed)
+        _assert_arises_matches_enumeration(emb, cold.bits, (cold, PointSet(sp, cold.bits)))
+
+
+def test_arises_from_refuses_generators_that_span_too_little(space):
+    # the grid of W3_2 does not arise from the quotient embedding; one of
+    # its lines as its generators would give a preimage inside the grid
+    # and a false pass, so the certificate must raise instead
+    Q, gridQ = grid_of(space)
+    W = space("W3_2")
+    hull = hull_of_symplectic_char2(W)
+    grid_bits = PointSet.of(W, [hull.from_quad[i] for i in gridQ]).bits
+    line = next(lb for lb in W.line_bits if lb & grid_bits == lb)
+    symp = natural_embedding(W)
+    assert not arises_from(symp, closure(W, grid_bits)).arises
+    for emb in (symp, hull.universal):
+        S = PointSet(W, grid_bits)
+        S._generators = line
+        with pytest.raises(GeometryError, match="misses a point"):
+            arises_from(emb, S)
+
+
+def test_arises_from_refuses_generators_outside_the_subspace(space):
+    sp = space("Q6_2")
+    emb = universal_embedding(sp)
+    rng = random.Random(5)
+    for _ in range(20):
+        S = closure(sp, rng.sample(range(len(sp.points)), 4))
+        outside = next(iter(sp.universe() - S))
+        S._generators |= 1 << outside
+        with pytest.raises(GeometryError, match="outside the subspace"):
+            arises_from(emb, S)
+
+
 # ---------------------------------------------------------------------------
 # quotient embeddings
 # ---------------------------------------------------------------------------
@@ -358,8 +434,14 @@ def test_hull_w52(space):
 
 
 def test_hull_rejects_odd_characteristic(space):
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="characteristic 3"):
         hull_of_symplectic_char2(space("Sp4_3"))
+
+
+@pytest.mark.parametrize("name,kind", [("Q6_2", "quadratic"), ("H3_4", "hermitian")])
+def test_hull_rejects_other_kinds(name, kind, space):
+    with pytest.raises(GeometryError, match=f"this space is {kind}$"):
+        hull_of_symplectic_char2(space(name))
 
 
 def test_hull_on_nonstandard_gram():

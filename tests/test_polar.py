@@ -365,6 +365,17 @@ def test_rank_matches_oracle_on_every_subspace(name, space):
         assert (rank_of(sp, bits), rank_nd(sp, bits)) == want
 
 
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
+def test_rank_nd_is_zero_exactly_on_singular_subspaces(name, space):
+    # theorem1's classification reads both of its skips off rank_nd
+    sp = space(name)
+    orth = oracle_orthogonality(sp.form, sp.points)
+    for bits in oracle_subspaces(sp.form):
+        ids = set(PointSet(sp, bits))
+        singular = all(ids <= orth[i] for i in ids)
+        assert (rank_nd(sp, bits) == 0) == singular == PointSet(sp, bits).is_singular
+
+
 @pytest.mark.parametrize("name", ["Q6_2", "H3_4", "H4_4"])
 def test_rank_matches_oracle_on_sampled_closures(name, space):
     # closures of random sets, cut by the perp of up to two points so
@@ -404,6 +415,11 @@ def test_pointset_caches_agree_with_recomputation(space):
     assert S.rank == rank_of(W, fresh)
     assert S.rank_nd == rank_nd(W, fresh)
     assert S.radical.bits == radical_of_subspace(W, fresh).bits
+    # the recorded seed set and the derived generating set each lie in S
+    # and generate it
+    assert S.generators.bits == 0b111
+    for gens in (S.generators, fresh.generators):
+        assert gens.bits & ~S.bits == 0 and closure(W, gens).bits == S.bits
 
 
 # ---------------------------------------------------------------------------

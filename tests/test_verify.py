@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polaris import linalg, verify
+from polaris import linalg, polar, verify
 from polaris.catalog import build_preset
 from polaris.embed import arises_from, natural_embedding, universal_embedding, zero_set
 from polaris.errors import UsageError
@@ -103,6 +103,27 @@ def test_theorem1_hull_embedding_accepted(space):
     W = space("W3_2")
     r = check_theorem1(W, universal_embedding(W), SamplePlan(mode="exhaustive"))
     assert r.failed == 0 and r.applicable > 0
+
+
+def test_theorem1_generators_travel_with_sampled_candidates(space, monkeypatch):
+    # a sampled candidate carries its seed set, so no generating set is
+    # re-derived; an exhaustive candidate derives one when it is judged
+    calls = []
+    real = polar.generating_points
+
+    def counted(sp, X):
+        calls.append(X)
+        return real(sp, X)
+
+    monkeypatch.setattr(polar, "generating_points", counted)
+    Q = space("Q6_2")
+    r = check_theorem1(Q, universal_embedding(Q), SamplePlan(seed=3, samples=200,
+                                                             mode="random"))
+    assert r.failed == 0 and r.applicable > 0 and calls == []
+    W = space("W3_2")
+    r = check_theorem1(W, universal_embedding(W), SamplePlan(mode="exhaustive"))
+    assert (r.sampled, r.applicable, r.failed) == (278, 10, 0)
+    assert len(calls) == r.applicable
 
 
 # ---------------------------------------------------------------------------
