@@ -311,7 +311,7 @@ def run(args, out) -> int:
             ("space", space.label or "custom"),
             ("quadric-points", len(res.quad_space.points)),
             ("quadric-ambient-dim", res.quad_space.dim),
-            ("universal-dim", res.universal.dim),
+            ("universal-dim", universal_embedding(space).dim),
             ("to-quad", res.to_quad),
         ])
         return 0

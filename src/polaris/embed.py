@@ -11,6 +11,9 @@ one; grids are tagged unknown and have no universal embedding here.
 `universal_embedding(space)` is the one place that picks the embedding
 the checks and commands judge against.
 
+The hull runs `quotient_embedding` backwards: it builds that quadric,
+checks that its quotient is the given space, and inverts the point map.
+
 A subspace S "arises" from an embedding when the preimage of the
 projective span of its image is S itself; `arises_from` reports a
 witness point otherwise.  It spans the images of `S.generators` (the
@@ -169,8 +172,9 @@ def quotient_embedding(space: PolarSpace) -> QuotientResult:
     """Project the universal embedding of a quadric from X = rad(f_Q),
     the radical of its bilinearization, which over a finite field is the
     only kernel a quotient can have; the quotient is the alternating
-    embedding.  The quotient space is in bijection with the given one, so
-    it is built under a cap of the given point count."""
+    space of f_Q on the coordinates off the pivots of X.  The quotient
+    space is in bijection with the given one, so it is built under a cap
+    of the given point count."""
     if space.kind != "quadratic":
         raise EmbeddingError("quotients are taken from the universal quadratic embedding")
     X = radical_of_form(space.bilinear)
@@ -178,22 +182,11 @@ def quotient_embedding(space: PolarSpace) -> QuotientResult:
         raise EmbeddingError("rad(f_Q) = 0: the bilinearization is non-degenerate, "
                              "so there is no quotient")
     F = space.field
-    # the values Q(x) on the kernel sweep out the whole field
-    values = {eval_quadratic(space.form, v) for v in linalg.subspace_vectors(F, X)}
-    if values != set(F.elements()):
-        raise EmbeddingError("kernel values do not exhaust the field")  # unreachable
-
     piv = set(linalg.pivots(X))
     keep = [j for j in range(space.dim) if j not in piv]
-    comp = [tuple(1 if i == j else 0 for i in range(space.dim)) for j in keep]
-    e = len(keep)
-    g = [[0] * e for _ in range(e)]
-    bil = space.bilinear
-    for a in range(e):
-        row = bil.functional(comp[a])
-        for b in range(e):
-            g[a][b] = linalg.dot(F, row, comp[b])
-    induced = sesquilinear_form(F, g, "alternating")
+    gram = space.bilinear.gram
+    induced = sesquilinear_form(F, [[gram[a][b] for b in keep] for a in keep],
+                                "alternating")
     label = f"{space.label}/quotient" if space.label else None
     qspace = build_polar_space(induced, cap=len(space.points), label=label)
 
@@ -203,14 +196,21 @@ def quotient_embedding(space: PolarSpace) -> QuotientResult:
         red = linalg.reduce_mod(F, X, v)
         proj = tuple(red[j] for j in keep)
         nrm = linalg.normalize_point(F, proj)
-        if nrm is None:
-            raise EmbeddingError("kernel meets an image point")  # unreachable
         qvecs.append(nrm)
         qmap.append(qspace.index[nrm])
     if len(set(qmap)) != len(qmap) or len(qmap) != len(qspace.points):
         raise EmbeddingError("quotient map is not a point bijection")
-    _check_collinearity_transfer(space, qspace, qmap, "quotient map")
-    out = Embedding(space, e, tuple(qvecs), "quotient")
+    # collinearity transfers both ways: each row maps onto the image's row
+    for i, row in enumerate(space.adj):
+        image = 0
+        for j in _iter_bits(row):
+            image |= 1 << qmap[j]
+        target = qspace.adj[qmap[i]]
+        if image & ~target:
+            raise EmbeddingError("quotient map loses collinearity")
+        if image != target:
+            raise EmbeddingError("quotient map gains collinearity")
+    out = Embedding(space, len(keep), tuple(qvecs), "quotient")
     validate_embedding(out)
     return QuotientResult(out, qspace, tuple(qmap), X)
 
@@ -224,22 +224,6 @@ class HullResult:
     quad_space: PolarSpace     # parabolic quadric one dimension up
     to_quad: tuple             # symplectic point index -> quadric point index
     from_quad: tuple           # inverse permutation
-    universal: Embedding       # universal embedding of the symplectic space
-
-
-def _check_collinearity_transfer(space: PolarSpace, image_space: PolarSpace,
-                                 point_map, name: str) -> None:
-    """Collinearity must transfer both ways along a point bijection: the
-    image of each collinearity row is the row of the image point."""
-    for i, row in enumerate(space.adj):
-        image = 0
-        for j in _iter_bits(row):
-            image |= 1 << point_map[j]
-        target = image_space.adj[point_map[i]]
-        if image & ~target:
-            raise EmbeddingError(f"{name} loses collinearity")
-        if image != target:
-            raise EmbeddingError(f"{name} gains collinearity")
 
 
 def _hull_quadric(space: PolarSpace):
@@ -266,9 +250,10 @@ def _hull_vectors(space: PolarSpace) -> tuple:
 
 def hull_of_symplectic_char2(space: PolarSpace) -> HullResult:
     """Build the parabolic quadric whose nucleus quotient is this
-    symplectic space and return the point bijection that the universal
-    embedding induces.  The quadric is in bijection with the space, so it
-    is built under a cap of the space's point count."""
+    symplectic space, check that `quotient_embedding` of it gives this
+    space back, and invert its point map.  The quadric is in bijection
+    with the space, so it is built under a cap of the space's point
+    count."""
     if space.kind != "alternating":
         raise GeometryError(
             f"hull construction takes an alternating space, and this space is "
@@ -279,20 +264,13 @@ def hull_of_symplectic_char2(space: PolarSpace) -> HullResult:
             f"{space.field.char} the alternating embedding is already universal")
     label = f"{space.label}/hull" if space.label else None
     qspace = build_polar_space(_hull_quadric(space), cap=len(space.points), label=label)
-    universal = universal_embedding(space)
-    # the vectors are distinct points of a quadric capped at as many
-    # points, so the lookup is a bijection
-    to_quad = []
-    for v in universal.vectors:
-        qi = qspace.index.get(v)
-        if qi is None:
-            raise GeometryError("a hull vector is not a point of the hull quadric")
-        to_quad.append(qi)
-    from_quad = [None] * len(to_quad)
-    for si, qi in enumerate(to_quad):
-        from_quad[qi] = si
-    _check_collinearity_transfer(space, qspace, to_quad, "hull bijection")
-    return HullResult(qspace, tuple(to_quad), tuple(from_quad), universal)
+    res = quotient_embedding(qspace)
+    if res.quotient_space.points != space.points or res.quotient_space.adj != space.adj:
+        raise GeometryError("the hull quadric's nucleus quotient is not this space")
+    to_quad = [None] * len(res.point_map)
+    for qi, si in enumerate(res.point_map):
+        to_quad[si] = qi
+    return HullResult(qspace, tuple(to_quad), res.point_map)
 
 
 def universal_embedding(space: PolarSpace) -> Embedding:

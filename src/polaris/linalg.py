@@ -24,15 +24,6 @@ def vec_scale(F: Field, u, t: int):
     return tuple(F.mul(a, t) for a in u)
 
 
-def dot(F: Field, u, v) -> int:
-    """Sum of the products u_i v_i."""
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
-
-
 def combine(F: Field, coeffs, rows):
     """Sum of c * row over paired coefficients and rows; rows must be nonempty."""
     v = (0,) * len(rows[0])
@@ -151,15 +142,6 @@ def projective_reps(F: Field, dim: int):
         head = (0,) * lead + (1,)
         for tail in product(range(q), repeat=dim - 1 - lead):
             yield head + tail
-
-
-def subspace_vectors(F: Field, basis):
-    """All vectors of the row span of basis (including zero)."""
-    from itertools import product
-    if not basis:
-        return [()]
-    return [combine(F, coeffs, basis)
-            for coeffs in product(range(F.q), repeat=len(basis))]
 
 
 def value_slices(F: Field, vectors) -> tuple:

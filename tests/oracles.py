@@ -13,6 +13,20 @@ from polaris import linalg
 from polaris.forms import eval_form, eval_quadratic, isotropic_vector_test
 
 
+def span_vectors(F, basis):
+    """All vectors of the row span of basis, zero included: one linear
+    combination per coefficient tuple."""
+    if not basis:
+        return [()]
+    out = []
+    for coeffs in product(range(F.q), repeat=len(basis)):
+        v = [0] * len(basis[0])
+        for c, row in zip(coeffs, basis):
+            v = [F.add(a, F.mul(c, b)) for a, b in zip(v, row)]
+        out.append(tuple(v))
+    return out
+
+
 def oracle_points_and_lines(form):
     F, d = form.field, form.dim
     singular = isotropic_vector_test(form)
@@ -26,7 +40,7 @@ def oracle_points_and_lines(form):
     for u, v in combinations(pts, 2):
         if len(linalg.rref(F, [u, v])) != 2:
             continue
-        vecs = linalg.subspace_vectors(F, [u, v])
+        vecs = span_vectors(F, [u, v])
         if quadratic:
             totally = all(singular(w) for w in vecs)
         else:
@@ -41,7 +55,7 @@ def oracle_span_points(F, basis):
     """Sorted normalized projective points of the row span of basis, by
     enumerating every vector of the span."""
     pts = set()
-    for v in linalg.subspace_vectors(F, basis):
+    for v in span_vectors(F, basis):
         nv = linalg.normalize_point(F, v)
         if nv is not None:
             pts.add(nv)

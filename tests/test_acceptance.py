@@ -147,7 +147,7 @@ def test_criterion_4_quotient_discrimination():
     symp = natural_embedding(W)
     vW = arises_from(symp, gridW)
     assert not vW.arises and vW.preimage.bits == W.all_bits
-    assert arises_from(hull.universal, gridW).arises
+    assert arises_from(universal_embedding(W), gridW).arises
 
     # transport, exhaustively: arising from the quotient implies arising
     # from the universal embedding

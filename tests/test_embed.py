@@ -3,7 +3,7 @@ import random
 import pytest
 
 from polaris import linalg, polar
-from polaris.catalog import PRESETS, build_preset
+from polaris.catalog import PRESETS, build_preset, preset_text
 from polaris.embed import (
     Embedding,
     arises_from,
@@ -17,7 +17,8 @@ from polaris.embed import (
     validate_embedding,
 )
 from polaris.errors import EmbeddingError, GeometryError
-from polaris.forms import radical_of_form
+from polaris.field import field_make
+from polaris.forms import alternating_form, eval_quadratic, radical_of_form
 from polaris.polar import (
     PointSet,
     closure,
@@ -28,8 +29,50 @@ from polaris.polar import (
     is_subspace,
     rank_nd,
 )
+from polaris.specfile import build_space_from_spec, parse_spec
 
-from oracles import oracle_points_and_lines, oracle_span_points, oracle_subspaces
+from oracles import (
+    oracle_points_and_lines,
+    oracle_span_points,
+    oracle_subspaces,
+    span_vectors,
+)
+
+
+# W(3,2) pairing (0,2) and (1,3) instead of the presets' block layout
+PERM_GRAM = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+
+# Q(4,4): the parabolic quadric x0^2 + x1 x2 + x3 x4 over GF(4), 85 points
+Q4_4_SPEC = """\
+field p=2 k=2
+form kind=quadratic dim=5
+row 1 0 0 0 0
+row 0 0 1 0 0
+row 0 0 0 0 0
+row 0 0 0 0 1
+row 0 0 0 0 0
+"""
+
+
+def w32_perm():
+    return polar.build_polar_space(alternating_form(field_make(2, 1), PERM_GRAM),
+                                   label="W3_2-perm")
+
+
+def w34_twisted():
+    # W(3,4) with gram entries w, w^2 and 1; over GF(2) the hull's square
+    # root is the identity, over GF(4) it is not
+    F = field_make(2, 2)
+    w = 2
+    g = [[0] * 4 for _ in range(4)]
+    g[0][2] = g[2][0] = w
+    g[1][3] = g[3][1] = F.mul(w, w)
+    g[0][3] = g[3][0] = 1
+    return polar.build_polar_space(alternating_form(F, g), label="W3_4-twisted")
+
+
+BUILT = {"W3_2-perm": w32_perm, "W3_4-twisted": w34_twisted,
+         "Q4_4": lambda: build_space_from_spec(parse_spec(Q4_4_SPEC), label="Q4_4")}
 
 
 def grid_of(space, name="Q4_2"):
@@ -225,7 +268,7 @@ def test_grid_discrimination(space):
     rows = projective_span(symp, gridW)
     assert verdict.preimage == preimage(symp, rows) and len(rows) == 4
     # while the hull-composed universal embedding recovers it
-    assert arises_from(hull.universal, gridW).arises
+    assert arises_from(universal_embedding(W), gridW).arises
 
 
 def test_arises_requires_subspace(space):
@@ -322,7 +365,7 @@ def test_arises_from_refuses_generators_that_span_too_little(space):
     line = next(lb for lb in W.line_bits if lb & grid_bits == lb)
     symp = natural_embedding(W)
     assert not arises_from(symp, closure(W, grid_bits)).arises
-    for emb in (symp, hull.universal):
+    for emb in (symp, universal_embedding(W)):
         S = PointSet(W, grid_bits)
         S._generators = line
         with pytest.raises(GeometryError, match="misses a point"):
@@ -362,12 +405,28 @@ def test_quotient_q62_to_w52(space):
     assert res.quotient_space.n == 3
 
 
-@pytest.mark.parametrize("name", ["Q4_2", "Q6_2"])
+@pytest.mark.parametrize("name", ["Q4_2", "Q6_2", "Q4_4"])
 def test_quotient_kernel_is_the_radical(name, space):
-    Q = space(name)
+    # Q's values on the kernel sweep out the whole field: a quotient whose
+    # form were pseudoquadratic would have more points than the quadric
+    Q = BUILT[name]() if name in BUILT else space(name)
     res = quotient_embedding(Q)
     assert res.kernel == radical_of_form(Q.bilinear)
     assert len(res.kernel) == 1
+    assert len(res.quotient_space.points) == len(Q.points)
+    values = {eval_quadratic(Q.form, v) for v in span_vectors(Q.field, res.kernel)}
+    assert values == set(Q.field.elements())
+
+
+def test_quotient_refuses_a_form_that_loses_collinearity(monkeypatch, space):
+    # the quotient of Q(4,2) under W(3,2)'s permuted gram is still a point
+    # bijection, but the images of Q's lines are not all lines there
+    from polaris import embed
+    real = embed.sesquilinear_form
+    monkeypatch.setattr(embed, "sesquilinear_form",
+                        lambda F, gram, kind: real(F, PERM_GRAM, kind))
+    with pytest.raises(EmbeddingError, match="^quotient map loses collinearity$"):
+        quotient_embedding(space("Q4_2"))
 
 
 def test_quotient_rejects_zero_kernel(space):
@@ -423,7 +482,7 @@ def test_hull_w32(space):
     hull = hull_of_symplectic_char2(W)
     assert len(hull.quad_space.points) == 15
     assert sorted(hull.to_quad) == list(range(15))
-    assert hull.universal.tag == "universal" and hull.universal.dim == 5
+    assert hull.quad_space.dim == 5
 
 
 def test_hull_w52(space):
@@ -444,46 +503,49 @@ def test_hull_rejects_other_kinds(name, kind, space):
         hull_of_symplectic_char2(space(name))
 
 
-def test_hull_on_nonstandard_gram():
-    # pairing (0,2) and (1,3) instead of the block layout: the hull
-    # quadric follows the gram, not a fixed hyperbolic basis
-    from polaris.field import field_make
-    from polaris.forms import alternating_form
-    from polaris.polar import build_polar_space, find_partial_frame
-    F = field_make(2, 1)
-    g = [[0] * 4 for _ in range(4)]
-    g[0][2] = g[2][0] = 1
-    g[1][3] = g[3][1] = 1
-    W = build_polar_space(alternating_form(F, g), label="W3_2-perm")
+@pytest.mark.parametrize("name", ["W3_2", "W5_2", "W3_2-perm", "W3_4-twisted"])
+def test_hull_lands_where_the_universal_embedding_does(name, space):
+    # the quotient's point map, inverted, sends each point to the quadric
+    # point that the formula x -> (sqrt(Q0(x)), x) gives
+    W = BUILT[name]() if name in BUILT else space(name)
     hull = hull_of_symplectic_char2(W)
-    assert sorted(hull.to_quad) == list(range(15))
-    emb = hull.universal
+    N = len(W.points)
+    uni = universal_embedding(W).vectors
+    assert len(hull.to_quad) == len(hull.from_quad) == len(hull.quad_space.points) == N
+    assert all(hull.quad_space.points[hull.to_quad[i]] == uni[i] for i in range(N))
+    assert all(hull.from_quad[hull.to_quad[i]] == i for i in range(N))
+    assert all(hull.to_quad[hull.from_quad[j]] == j for j in range(N))
+
+
+def test_hull_refuses_a_quadric_whose_quotient_is_another_space(monkeypatch, space):
+    # the hull quadric of the permuted-gram W(3,2) has a nucleus quotient
+    # on the same 15 points with other lines
+    from polaris import embed
+    real = embed._hull_quadric
+    perm = w32_perm()
+    monkeypatch.setattr(embed, "_hull_quadric", lambda sp: real(perm))
+    with pytest.raises(GeometryError, match="nucleus quotient is not this space"):
+        hull_of_symplectic_char2(space("W3_2"))
+
+
+def test_hull_on_nonstandard_gram():
+    # the hull quadric follows the gram, not a fixed hyperbolic basis
+    W = w32_perm()
+    emb = universal_embedding(W)
     fr = find_partial_frame(W, W.universe(), 2)
     span = frame_span(W, fr)
     assert span == preimage(emb, projective_span(emb, fr.point_set()))
 
 
 def test_hull_over_gf4_takes_the_square_root():
-    # over GF(2) the square root is the identity; W(3,4) with gram entries
-    # w, w^2 and 1 puts the points over x at (sqrt(Q0(x)), x), not (Q0(x), x)
-    from polaris.field import field_make
-    from polaris.forms import alternating_form
-    from polaris.polar import build_polar_space
+    # the points over x sit at (sqrt(Q0(x)), x), not (Q0(x), x)
     from polaris.verify import SamplePlan, check_theorem1
-    F = field_make(2, 2)
-    w = 2
-    g = [[0] * 4 for _ in range(4)]
-    g[0][2] = g[2][0] = w
-    g[1][3] = g[3][1] = F.mul(w, w)
-    g[0][3] = g[3][0] = 1
-    W = build_polar_space(alternating_form(F, g), label="W3_4-twisted")
+    W = w34_twisted()
     pts, lines = oracle_points_and_lines(W.form)
     assert list(W.points) == pts
     assert {frozenset(W.points[i] for i in line) for line in W.lines} == lines
     emb = universal_embedding(W)
-    assert emb.tag == "universal" and emb.dim == 5
-    hull = hull_of_symplectic_char2(W)
-    assert sorted(hull.to_quad) == list(range(len(W.points))) == list(range(85))
+    assert emb.tag == "universal" and emb.dim == 5 and len(W.points) == 85
     fr = find_partial_frame(W, W.universe(), 2)
     assert frame_span(W, fr) == preimage(emb, projective_span(emb, fr.point_set()))
     report = check_theorem1(W, emb, SamplePlan(seed=0, samples=40))
@@ -494,8 +556,6 @@ def test_universal_embedding_builds_no_quadric(monkeypatch):
     # the char-2 symplectic universal embedding is a formula on the
     # space's own points; only the `hull` command builds the quadric
     from polaris import embed
-    from polaris.catalog import preset_text
-    from polaris.specfile import build_space_from_spec, parse_spec
     calls = []
     real = embed.build_polar_space
     monkeypatch.setattr(embed, "build_polar_space",

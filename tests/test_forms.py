@@ -23,7 +23,7 @@ from polaris.forms import (
     witt_index,
 )
 
-from oracles import oracle_trace_valued
+from oracles import oracle_trace_valued, span_vectors
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -211,7 +211,7 @@ def oracle_quadratic_radical(Q):
     """Enumerate rad(f_Q) and keep the Q-zero vectors; full sweep."""
     F = Q.field
     radf = radical_of_form(polarize(Q))
-    hits = [v for v in linalg.subspace_vectors(F, radf)
+    hits = [v for v in span_vectors(F, radf)
             if eval_quadratic(Q, v) == 0]
     return linalg.rref(F, [v for v in hits if any(v)])
 
