@@ -7,16 +7,13 @@ from .field import Field, field_make
 from .forms import (
     QuadraticForm,
     SesquilinearForm,
-    alternating_form,
     eval_form,
     eval_quadratic,
-    hermitian_form,
     polarize,
     quadratic_form,
     radical_of_form,
     radical_of_quadratic,
     sesquilinear_form,
-    symmetric_form,
     trace_valued_check,
     witt_index,
 )
@@ -61,5 +58,5 @@ from .verify import (
     explore_problem5,
     search_nonarising_rank1,
 )
-from .catalog import build_preset, preset_names, preset_text
+from .catalog import build_preset, preset_text
 from .specfile import SpaceSpec, build_space_from_spec, format_spec, parse_spec

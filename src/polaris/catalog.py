@@ -1,8 +1,20 @@
 """Built-in desk-scale spaces.
 
-Every preset embeds its spec text verbatim, so `--preset NAME` is
-exactly `--spec <file with that text>`.  Built spaces are cached; they
-are immutable, so sharing is safe.
+A preset name reads as (family, projective dimension, q): `Q6_2` is the
+parabolic quadric in PG(6, 2), and `Sp4_3` is the symplectic W(3, 3).
+Each family's form is the standard one of Hirschfeld and Thas, *General
+Galois Geometries* (1991), on coordinates x0 ... xn:
+
+- W, symplectic: the gram of 2x2 blocks [[0, 1], [-1, 0]];
+- Q, parabolic: x0^2 + x1 x2 + x3 x4 + ...;
+- Qp, hyperbolic: x0 x1 + x2 x3 + ...;
+- Qm, elliptic: x0^2 + x0 x1 + v x1^2 + x2 x3 + ..., with v the least
+  element code for which t^2 + t + v has no root;
+- H, hermitian: the identity gram.
+
+Each preset's spec text is generated once, at import, and `--preset
+NAME` is exactly `--spec` on `preset_text(NAME)`.  Built spaces are
+cached; they are immutable, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -10,130 +22,23 @@ from __future__ import annotations
 import os
 
 from .errors import UsageError
+from .field import field_make
 from .polar import DEFAULT_POINT_CAP
-from .specfile import build_space_from_spec, parse_spec
+from .specfile import SpaceSpec, build_space_from_spec, format_spec, parse_spec
 
 PRESETS = {
-    # symplectic generalized quadrangle over GF(2): 15 points, 15 lines
-    "W3_2": """\
-field p=2 k=1
-form kind=alternating dim=4
-row 0 1 0 0
-row 1 0 0 0
-row 0 0 0 1
-row 0 0 1 0
-""",
-    # symplectic generalized quadrangle over GF(3): 40 points, 40 lines
-    "Sp4_3": """\
-field p=3 k=1
-form kind=alternating dim=4
-row 0 1 0 0
-row 2 0 0 0
-row 0 0 0 1
-row 0 0 2 0
-""",
-    # parabolic quadric x0^2 + x1 x2 + x3 x4 over GF(2): 15 points, 15 lines
-    "Q4_2": """\
-field p=2 k=1
-form kind=quadratic dim=5
-row 1 0 0 0 0
-row 0 0 1 0 0
-row 0 0 0 0 0
-row 0 0 0 0 1
-row 0 0 0 0 0
-""",
-    # parabolic quadric over GF(3): 40 points, 40 lines
-    "Q4_3": """\
-field p=3 k=1
-form kind=quadratic dim=5
-row 1 0 0 0 0
-row 0 0 1 0 0
-row 0 0 0 0 0
-row 0 0 0 0 1
-row 0 0 0 0 0
-""",
-    # elliptic quadric x0^2+x0x1+x1^2 + x2x3 + x4x5 over GF(2): 27 points
-    "Qm5_2": """\
-field p=2 k=1
-form kind=quadratic dim=6
-row 1 1 0 0 0 0
-row 0 1 0 0 0 0
-row 0 0 0 1 0 0
-row 0 0 0 0 0 0
-row 0 0 0 0 0 1
-row 0 0 0 0 0 0
-""",
-    # hyperbolic quadric x0x1 + x2x3 + x4x5 over GF(2): 35 points
-    "Qp5_2": """\
-field p=2 k=1
-form kind=quadratic dim=6
-row 0 1 0 0 0 0
-row 0 0 0 0 0 0
-row 0 0 0 1 0 0
-row 0 0 0 0 0 0
-row 0 0 0 0 0 1
-row 0 0 0 0 0 0
-""",
-    # hermitian generalized quadrangle over GF(4): 45 points, 27 lines
-    "H3_4": """\
-field p=2 k=2
-form kind=hermitian dim=4
-row 1 0 0 0
-row 0 1 0 0
-row 0 0 1 0
-row 0 0 0 1
-""",
-    # hermitian polar space over GF(4) in dimension 5: 165 points
-    "H4_4": """\
-field p=2 k=2
-form kind=hermitian dim=5
-row 1 0 0 0 0
-row 0 1 0 0 0
-row 0 0 1 0 0
-row 0 0 0 1 0
-row 0 0 0 0 1
-""",
-    # rank-3 parabolic quadric over GF(2): 63 points
-    "Q6_2": """\
-field p=2 k=1
-form kind=quadratic dim=7
-row 1 0 0 0 0 0 0
-row 0 0 1 0 0 0 0
-row 0 0 0 0 0 0 0
-row 0 0 0 0 1 0 0
-row 0 0 0 0 0 0 0
-row 0 0 0 0 0 0 1
-row 0 0 0 0 0 0 0
-""",
-    # rank-3 symplectic space over GF(2): 63 points
-    "W5_2": """\
-field p=2 k=1
-form kind=alternating dim=6
-row 0 1 0 0 0 0
-row 1 0 0 0 0 0
-row 0 0 0 1 0 0
-row 0 0 1 0 0 0
-row 0 0 0 0 0 1
-row 0 0 0 0 1 0
-""",
-    # grid: hyperbolic quadric x0x1 + x2x3 over GF(2), 9 points on 6 lines
-    "Qp3_2": """\
-field p=2 k=1
-form kind=quadratic dim=4
-row 0 1 0 0
-row 0 0 0 0
-row 0 0 0 1
-row 0 0 0 0
-""",
-    # grid of order 5 (lines of size 5): hyperbolic quadric over GF(4)
-    "Qp3_4": """\
-field p=2 k=2
-form kind=quadratic dim=4
-row 0 1 0 0
-row 0 0 0 0
-row 0 0 0 1
-row 0 0 0 0
-""",
+    "W3_2": ("W", 3, 2),  # symplectic quadrangle: 15 points, 15 lines
+    "Sp4_3": ("W", 3, 3),  # symplectic quadrangle: 40 points, 40 lines
+    "Q4_2": ("Q", 4, 2),  # parabolic quadric: 15 points, 15 lines
+    "Q4_3": ("Q", 4, 3),  # parabolic quadric: 40 points, 40 lines
+    "Qm5_2": ("Qm", 5, 2),  # elliptic quadric: 27 points
+    "Qp5_2": ("Qp", 5, 2),  # hyperbolic quadric: 35 points
+    "H3_4": ("H", 3, 4),  # hermitian quadrangle: 45 points, 27 lines
+    "H4_4": ("H", 4, 4),  # hermitian polar space: 165 points
+    "Q6_2": ("Q", 6, 2),  # rank-3 parabolic quadric: 63 points
+    "W5_2": ("W", 5, 2),  # rank-3 symplectic space: 63 points
+    "Qp3_2": ("Qp", 3, 2),  # grid: 9 points on 6 lines
+    "Qp3_4": ("Qp", 3, 4),  # grid of order 5: 25 points on 10 lines
 }
 
 ALIASES = {
@@ -143,8 +48,37 @@ ALIASES = {
 _SPACE_CACHE: dict = {}
 
 
-def preset_names():
-    return tuple(PRESETS)
+def _family_spec(family: str, n: int, q: int) -> SpaceSpec:
+    """The standard form of `family` on PG(n, q), as a spec."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 1
+    while p**k < q:
+        k += 1
+    F = field_make(p, k)
+    dim = n + 1
+    gram = [[0] * dim for _ in range(dim)]
+    if family == "W":
+        for i in range(0, dim, 2):
+            gram[i][i + 1], gram[i + 1][i] = 1, F.neg(1)
+    elif family == "H":
+        for i in range(dim):
+            gram[i][i] = 1
+    else:
+        # an anisotropic head on x0 (and x1), then hyperbolic pairs
+        head = {"Qp": 0, "Q": 1, "Qm": 2}[family]
+        if family == "Q":
+            gram[0][0] = 1
+        elif family == "Qm":
+            nu = next(v for v in F.elements()
+                      if all(F.add(F.mul(t, t), F.add(t, v)) for t in F.elements()))
+            gram[0][0], gram[0][1], gram[1][1] = 1, 1, nu
+        for i in range(head, dim, 2):
+            gram[i][i + 1] = 1
+    kind = {"W": "alternating", "H": "hermitian"}.get(family, "quadratic")
+    return SpaceSpec(p, k, kind, dim, tuple(map(tuple, gram)))
+
+
+_TEXTS = {name: format_spec(_family_spec(*args)) for name, args in PRESETS.items()}
 
 
 def resolve_preset(name: str) -> str:
@@ -156,7 +90,7 @@ def resolve_preset(name: str) -> str:
 
 
 def preset_text(name: str) -> str:
-    return PRESETS[resolve_preset(name)]
+    return _TEXTS[resolve_preset(name)]
 
 
 def point_cap() -> int:
@@ -165,9 +99,12 @@ def point_cap() -> int:
     if raw is None:
         return DEFAULT_POINT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise UsageError(f"POLARIS_POINT_CAP must be an integer, got {raw!r}")
+        cap = 0  # refused below, like any cap under 1
+    if cap < 1:
+        raise UsageError(f"POLARIS_POINT_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def build_preset(name: str, cap: int | None = None):
@@ -175,6 +112,6 @@ def build_preset(name: str, cap: int | None = None):
     key = resolve_preset(name)
     cap = point_cap() if cap is None else cap
     if (key, cap) not in _SPACE_CACHE:
-        spec = parse_spec(PRESETS[key])
+        spec = parse_spec(preset_text(key))
         _SPACE_CACHE[key, cap] = build_space_from_spec(spec, cap=cap, label=key)
     return _SPACE_CACHE[key, cap]

@@ -103,18 +103,6 @@ def sesquilinear_form(F: Field, gram, kind: str) -> SesquilinearForm:
     return SesquilinearForm(F, d, m, gram, kind)
 
 
-def alternating_form(F: Field, gram) -> SesquilinearForm:
-    return sesquilinear_form(F, gram, "alternating")
-
-
-def symmetric_form(F: Field, gram) -> SesquilinearForm:
-    return sesquilinear_form(F, gram, "symmetric")
-
-
-def hermitian_form(F: Field, gram) -> SesquilinearForm:
-    return sesquilinear_form(F, gram, "hermitian")
-
-
 def eval_form(f: SesquilinearForm, x, y) -> int:
     F = f.field
     if len(x) != f.dim or len(y) != f.dim:

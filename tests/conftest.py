@@ -1,6 +1,6 @@
 import pytest
 
-from polaris.catalog import build_preset, preset_names
+from polaris.catalog import build_preset
 
 from oracles import oracle_points_and_lines
 
@@ -11,11 +11,6 @@ def space():
     def get(name):
         return build_preset(name)
     return get
-
-
-@pytest.fixture(scope="session")
-def all_preset_names():
-    return preset_names()
 
 
 @pytest.fixture(scope="session")

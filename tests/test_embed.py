@@ -18,7 +18,7 @@ from polaris.embed import (
 )
 from polaris.errors import EmbeddingError, GeometryError
 from polaris.field import field_make
-from polaris.forms import alternating_form, eval_quadratic, radical_of_form
+from polaris.forms import eval_quadratic, radical_of_form, sesquilinear_form
 from polaris.polar import (
     PointSet,
     closure,
@@ -55,8 +55,8 @@ row 0 0 0 0 0
 
 
 def w32_perm():
-    return polar.build_polar_space(alternating_form(field_make(2, 1), PERM_GRAM),
-                                   label="W3_2-perm")
+    form = sesquilinear_form(field_make(2, 1), PERM_GRAM, "alternating")
+    return polar.build_polar_space(form, label="W3_2-perm")
 
 
 def w34_twisted():
@@ -68,7 +68,7 @@ def w34_twisted():
     g[0][2] = g[2][0] = w
     g[1][3] = g[3][1] = F.mul(w, w)
     g[0][3] = g[3][0] = 1
-    return polar.build_polar_space(alternating_form(F, g), label="W3_4-twisted")
+    return polar.build_polar_space(sesquilinear_form(F, g, "alternating"), label="W3_4-twisted")
 
 
 BUILT = {"W3_2-perm": w32_perm, "W3_4-twisted": w34_twisted,

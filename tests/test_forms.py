@@ -7,10 +7,8 @@ from polaris.errors import FormError
 from polaris.field import field_make
 from polaris import linalg
 from polaris.forms import (
-    alternating_form,
     eval_form,
     eval_quadratic,
-    hermitian_form,
     isotropic_vector_test,
     kind_pair,
     polarize,
@@ -18,7 +16,6 @@ from polaris.forms import (
     radical_of_form,
     radical_of_quadratic,
     sesquilinear_form,
-    symmetric_form,
     trace_valued_check,
     witt_index,
 )
@@ -35,7 +32,7 @@ def all_vectors(F, d):
 
 
 def w32_form():
-    return alternating_form(F2, standard_alternating_gram(F2, 2))
+    return sesquilinear_form(F2, standard_alternating_gram(F2, 2), "alternating")
 
 
 def q42_form():
@@ -67,7 +64,7 @@ def standard_alternating_gram(F, n):
 def test_admissible_pair_examples():
     assert kind_pair(F3, "alternating") == (0, 2)
     assert kind_pair(F4, "hermitian") == (1, 1)  # t -> t^2 = t^sqrt(4)
-    f = alternating_form(F3, standard_alternating_gram(F3, 1))
+    f = sesquilinear_form(F3, standard_alternating_gram(F3, 1), "alternating")
     assert (f.sigma, f.epsilon) == (0, 2)
     # (id, omega) over GF(4) is not admissible (omega != omega^-1); no kind gives it
     assert {kind_pair(F4, kind)[1] for kind in ("alternating", "symmetric", "hermitian")} == {1}
@@ -85,7 +82,7 @@ def test_admissible_pair_zero_epsilon():
 def test_admissible_pair_involution_required():
     F64 = field_make(2, 6)
     assert kind_pair(F64, "hermitian") == (3, 1)  # t -> t^8 = t^sqrt(64)
-    assert hermitian_form(F64, h34_gram(2)).sigma == 3
+    assert sesquilinear_form(F64, h34_gram(2), "hermitian").sigma == 3
     assert all(F64.frob(F64.frob(t, 3), 3) == t for t in F64.elements())  # sigma^2 = id
     with pytest.raises(FormError, match="admits no hermitian involution"):
         kind_pair(field_make(2, 3), "hermitian")
@@ -103,7 +100,7 @@ def test_eval_alternating_examples():
 
 
 def test_eval_hermitian_example():
-    f = hermitian_form(F4, h34_gram(3))
+    f = sesquilinear_form(F4, h34_gram(3), "hermitian")
     x = (1, 2, 0)  # (1, omega, 0)
     # 1*1 + omega^2 * omega = 1 + 1 = 0
     assert eval_form(f, x, x) == 0
@@ -127,9 +124,9 @@ def test_reflexivity_exhaustive_small():
     # f(y, x) = sigma(f(x, y)) * epsilon on every pair, dim <= 4, q <= 4
     cases = [
         w32_form(),
-        alternating_form(F3, standard_alternating_gram(F3, 2)),
-        hermitian_form(F4, h34_gram(3)),
-        symmetric_form(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+        sesquilinear_form(F3, standard_alternating_gram(F3, 2), "alternating"),
+        sesquilinear_form(F4, h34_gram(3), "hermitian"),
+        sesquilinear_form(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "symmetric"),
     ]
     for f in cases:
         F, m, eps = f.field, f.sigma, f.epsilon
@@ -140,7 +137,7 @@ def test_reflexivity_exhaustive_small():
 
 def test_reflexivity_randomized_larger():
     F9 = field_make(3, 2)
-    f = hermitian_form(F9, h34_gram(4))
+    f = sesquilinear_form(F9, h34_gram(4), "hermitian")
     rng = random.Random(7)
     for _ in range(300):
         x = tuple(rng.randrange(9) for _ in range(4))
@@ -149,7 +146,7 @@ def test_reflexivity_randomized_larger():
 
 
 def test_sesquilinearity():
-    f = hermitian_form(F4, h34_gram(3))
+    f = sesquilinear_form(F4, h34_gram(3), "hermitian")
     rng = random.Random(3)
     for _ in range(200):
         x = tuple(rng.randrange(4) for _ in range(3))
@@ -196,14 +193,14 @@ def test_radical_of_form_examples():
     assert radical_of_form(w32_form()) == ()
     fq = polarize(q42_form())
     assert radical_of_form(fq) == ((1, 0, 0, 0, 0),)
-    zero = symmetric_form(F2, [[0, 0], [0, 0]])
+    zero = sesquilinear_form(F2, [[0, 0], [0, 0]], "symmetric")
     assert len(radical_of_form(zero)) == 2
 
 
 def test_radical_of_form_hermitian_degenerate():
     # last basis vector orthogonal to everything
     g = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
-    f = hermitian_form(F4, g)
+    f = sesquilinear_form(F4, g, "hermitian")
     assert radical_of_form(f) == ((0, 0, 1),)
 
 
@@ -271,7 +268,7 @@ def test_hermitian_pseudoquadratic_matches_sesquilinear_points():
     d = 2  # omega: omega + omega^2 = 1
     assert F.add(d, F.frob(d, 1)) == 1
     k_se = {F.sub(t, F.frob(t, 1)) for t in F.elements()}
-    f = hermitian_form(F, h34_gram(3))
+    f = sesquilinear_form(F, h34_gram(3), "hermitian")
 
     def pseudo_value(v):
         acc = 0
@@ -286,10 +283,10 @@ def test_hermitian_pseudoquadratic_matches_sesquilinear_points():
 def test_proportional_forms_share_isotropic_sets():
     F9 = field_make(3, 2)
     g = [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
-    f = hermitian_form(F9, g)
+    f = sesquilinear_form(F9, g, "hermitian")
     # scale by a norm-one unit: kappa * sigma(kappa)^-1 * 1 must stay 1,
     # so kappa must be fixed by sigma, i.e. lie in GF(3)
-    g2 = hermitian_form(F9, [[F9.mul(2, x) for x in row] for row in g])
+    g2 = sesquilinear_form(F9, [[F9.mul(2, x) for x in row] for row in g], "hermitian")
     iso_f = {v for v in all_vectors(F9, 3) if eval_form(f, v, v) == 0}
     iso_g = {v for v in all_vectors(F9, 3) if eval_form(g2, v, v) == 0}
     assert iso_f == iso_g
@@ -301,13 +298,13 @@ def test_proportional_forms_share_isotropic_sets():
 
 def test_trace_valued_examples():
     assert trace_valued_check(w32_form())
-    bad = symmetric_form(F2, [[1, 0], [0, 1]])
+    bad = sesquilinear_form(F2, [[1, 0], [0, 1]], "symmetric")
     # isotropic vectors are 0 and e0+e1 only
     assert {v for v in all_vectors(F2, 2) if eval_form(bad, v, v) == 0} == \
         {(0, 0), (1, 1)}
     assert not trace_valued_check(bad)
-    assert trace_valued_check(hermitian_form(F4, h34_gram(2)))
-    assert trace_valued_check(symmetric_form(F3, [[1, 0], [0, 1]]))
+    assert trace_valued_check(sesquilinear_form(F4, h34_gram(2), "hermitian"))
+    assert trace_valued_check(sesquilinear_form(F3, [[1, 0], [0, 1]], "symmetric"))
 
 
 def test_trace_valued_check_sweeps_no_vectors(monkeypatch):
@@ -317,8 +314,8 @@ def test_trace_valued_check_sweeps_no_vectors(monkeypatch):
 
     F16 = field_make(2, 4)
     monkeypatch.setattr(linalg, "projective_reps", no_sweep)
-    assert not trace_valued_check(symmetric_form(F16, h34_gram(6)))
-    assert trace_valued_check(symmetric_form(F16, [[0, 1], [1, 0]]))
+    assert not trace_valued_check(sesquilinear_form(F16, h34_gram(6), "symmetric"))
+    assert trace_valued_check(sesquilinear_form(F16, [[0, 1], [1, 0]], "symmetric"))
 
 
 def _random_reflexive_form(rng, F, kind, d):
@@ -402,7 +399,7 @@ def test_witt_index_examples():
 
 def test_witt_index_degenerate_rejected():
     with pytest.raises(FormError):
-        witt_index(symmetric_form(F2, [[0, 0], [0, 0]]))
+        witt_index(sesquilinear_form(F2, [[0, 0], [0, 0]], "symmetric"))
     with pytest.raises(FormError):
         witt_index(quadratic_form(F2, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
 
@@ -415,11 +412,12 @@ def test_witt_index_matches_exhaustive_search():
         q42_form(),
         elliptic_q52(),
         hyper4,
-        alternating_form(F3, standard_alternating_gram(F3, 2)),
-        hermitian_form(F4, h34_gram(3)),
-        hermitian_form(F4, h34_gram(4)),
-        alternating_form(F2, standard_alternating_gram(F2, 3)),
-        symmetric_form(F3, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        sesquilinear_form(F3, standard_alternating_gram(F3, 2), "alternating"),
+        sesquilinear_form(F4, h34_gram(3), "hermitian"),
+        sesquilinear_form(F4, h34_gram(4), "hermitian"),
+        sesquilinear_form(F2, standard_alternating_gram(F2, 3), "alternating"),
+        sesquilinear_form(F3, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                          "symmetric"),
     ]
     for form in cases:
         assert witt_index(form) == oracle_witt(form)
@@ -442,11 +440,11 @@ def test_quadratic_rejects_subdiagonal():
 
 def test_sesquilinear_rejects_nonreflexive():
     with pytest.raises(FormError):
-        symmetric_form(F3, [[0, 1], [2, 0]])
+        sesquilinear_form(F3, [[0, 1], [2, 0]], "symmetric")
     with pytest.raises(FormError):
-        alternating_form(F3, [[1, 1], [2, 0]])
+        sesquilinear_form(F3, [[1, 1], [2, 0]], "alternating")
 
 
 def test_hermitian_requires_even_degree():
     with pytest.raises(FormError):
-        hermitian_form(F3, [[1]])
+        sesquilinear_form(F3, [[1]], "hermitian")

@@ -14,7 +14,6 @@ from polaris.forms import (
     radical_of_form,
     radical_of_quadratic,
     sesquilinear_form,
-    symmetric_form,
     trace_valued_check,
     witt_index,
 )
@@ -171,8 +170,8 @@ def test_build_rejects_degenerate_and_thin():
 
 def test_build_rejects_non_trace_valued():
     with pytest.raises(GeometryError):
-        build_polar_space(symmetric_form(F2, [[1 if i == j else 0 for j in range(4)]
-                                              for i in range(4)]))
+        build_polar_space(sesquilinear_form(F2, [[1 if i == j else 0 for j in range(4)]
+                                                 for i in range(4)], "symmetric"))
     # a 1-dim hermitian form is trace-valued but anisotropic
     with pytest.raises(GeometryError, match="rank 0 < 2"):
         build_polar_space(sesquilinear_form(field_make(2, 2), [[1]], "hermitian"))

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,6 +19,7 @@ from polaris.catalog import (
     preset_text,
     resolve_preset,
 )
+from polaris.cli import main
 from polaris.errors import GeometryError, SpecError, UsageError
 from polaris.field import CONWAY
 from polaris.specfile import (
@@ -46,6 +50,32 @@ def test_all_presets_round_trip_and_build(name):
     sp2 = build_space_from_spec(spec, cap=point_cap(), label=name)
     assert sp.points == sp2.points
     assert sp.lines == sp2.lines
+
+
+# the first 16 hex digits of each preset text's sha256, measured on the
+# hand-typed texts the generated ones replace
+PRESET_TEXT_SHA256 = {
+    "W3_2": "fe5c4e61377803b4",
+    "Sp4_3": "daca4dfc81ef05dc",
+    "Q4_2": "ba29f8c0ea40e44a",
+    "Q4_3": "9d9e4a83656910f8",
+    "Qm5_2": "9c8a80e364c5f823",
+    "Qp5_2": "9c145dc8ff96bf14",
+    "H3_4": "ab0d649d5fc8f636",
+    "H4_4": "b1265060146b8c1a",
+    "Q6_2": "d5969a1bedfa1a1b",
+    "W5_2": "74d21eaff7d12d90",
+    "Qp3_2": "b857f6713d13746b",
+    "Qp3_4": "961af8e19f908b45",
+}
+
+
+def test_generated_preset_texts_are_pinned():
+    # the round trip above holds by construction; this pins the conventions
+    # of each family's standard form (W's -1, Qm's nu, ...)
+    got = {name: hashlib.sha256(preset_text(name).encode()).hexdigest()[:16]
+           for name in PRESETS}
+    assert got == PRESET_TEXT_SHA256
 
 
 FIELDS = sorted(set(CONWAY) | {(p, 1) for p in (2, 3, 5, 7, 11, 13)})
@@ -164,16 +194,32 @@ def test_aliases():
     assert ALIASES["W3_3"] == "Sp4_3"
     with pytest.raises(UsageError, match="unknown preset"):
         resolve_preset("nope")
+    # names are looked up, not parsed: a well-formed family name is refused
+    with pytest.raises(UsageError) as exc:
+        resolve_preset("W7_2")
+    assert str(exc.value) == (
+        "unknown preset 'W7_2'; known presets: H3_4, H4_4, Q4_2, Q4_3, Q6_2, Qm5_2, "
+        "Qp3_2, Qp3_4, Qp5_2, Sp4_3, W3_2, W5_2, W3_3")
 
 
 def test_point_cap_env(monkeypatch):
     monkeypatch.setenv("POLARIS_POINT_CAP", "123")
     assert point_cap() == 123
-    monkeypatch.setenv("POLARIS_POINT_CAP", "junk")
-    with pytest.raises(UsageError):
-        point_cap()
+    for raw in ("junk", "-5", "0"):
+        monkeypatch.setenv("POLARIS_POINT_CAP", raw)
+        with pytest.raises(UsageError, match=re.escape(
+                f"POLARIS_POINT_CAP must be a positive integer, got '{raw}'")):
+            point_cap()
     monkeypatch.delenv("POLARIS_POINT_CAP")
     assert point_cap() == 1000
+
+
+def test_cli_refuses_a_non_positive_point_cap(monkeypatch):
+    monkeypatch.setenv("POLARIS_POINT_CAP", "-5")
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["build", "--preset", "W3_2"], out=out, err=err) == 2
+    assert "POLARIS_POINT_CAP must be a positive integer, got '-5'" in err.getvalue()
+    assert out.getvalue() == ""
 
 
 def test_build_preset_honours_a_changed_point_cap(monkeypatch):

@@ -14,13 +14,7 @@ import polaris
 PACKAGE = Path(polaris.__file__).resolve().parent
 
 ALLOWED = {
-    "catalog.preset_names": "the list of presets, which the test fixtures walk",
-    "catalog.preset_text": "a preset's spec text, which the benchmark parses",
     "embed.projective_span": "a benchmark tracer span",
-    "forms.alternating_form": "form-kind constructor",
-    "forms.hermitian_form": "form-kind constructor",
-    "forms.symmetric_form": "form-kind constructor",
-    "specfile.format_spec": "the spec round-trip, the inverse of parse_spec",
 }
 
 
