@@ -97,7 +97,7 @@ def _plan(args) -> SamplePlan:
 
 def _space_fields(space):
     return [
-        ("space", space.label or "custom"),
+        ("space", space.label),
         ("kind", space.kind),
         ("field", space.q),
         ("ambient-dim", space.dim),
@@ -215,7 +215,7 @@ def run(args, out) -> int:
         X = _parse_points(args.points, space)
         c = closure(space, X)
         w.emit("closure", [
-            ("space", space.label or "custom"),
+            ("space", space.label),
             ("input", X.indices()),
             ("points", c.indices()),
             ("size", len(c)),
@@ -230,7 +230,7 @@ def run(args, out) -> int:
         X = _parse_points(args.points, space)
         pp = perp(space, X)
         w.emit("perp", [
-            ("space", space.label or "custom"),
+            ("space", space.label),
             ("input", X.indices()),
             ("points", pp.indices()),
             ("size", len(pp)),
@@ -252,7 +252,7 @@ def run(args, out) -> int:
             fr = find_partial_frame(space, S, args.k)
         span = frame_span(space, fr)
         w.emit("frame", [
-            ("space", space.label or "custom"),
+            ("space", space.label),
             ("action", args.action),
             ("rank", fr.rank),
             ("a", fr.a),
@@ -294,7 +294,7 @@ def run(args, out) -> int:
         space = _load_space(args)
         res = quotient_embedding(space)
         w.emit("quotient", [
-            ("space", space.label or "custom"),
+            ("space", space.label),
             ("kernel-dim", len(res.kernel)),
             ("quotient-ambient-dim", res.embedding.dim),
             ("quotient-points", len(res.quotient_space.points)),
@@ -308,7 +308,7 @@ def run(args, out) -> int:
         space = _load_space(args)
         res = hull_of_symplectic_char2(space)
         w.emit("hull", [
-            ("space", space.label or "custom"),
+            ("space", space.label),
             ("quadric-points", len(res.quad_space.points)),
             ("quadric-ambient-dim", res.quad_space.dim),
             ("universal-dim", universal_embedding(space).dim),
@@ -322,7 +322,7 @@ def run(args, out) -> int:
         Y = minimal_generating_subset(space, X)
         target = closure(space, X)
         w.emit("mingen", [
-            ("space", space.label or "custom"),
+            ("space", space.label),
             ("input", X.indices()),
             ("minimal", Y.indices()),
             ("size", len(Y)),

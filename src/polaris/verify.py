@@ -3,7 +3,7 @@ checks.
 
 Each check is a candidate stream and a judge, run by one driver
 (`_drive`) that does all the report bookkeeping.  Every candidate counts
-as sampled; one whose dedup key the run has met before is skipped as a
+as sampled; one whose point set the run has met before is skipped as a
 duplicate.  The judge returns a skip reason when the candidate fails a
 hypothesis, None when it passes, or a witness dict when it fails.  The
 open-problem commands are experimental: their reports file the dicts as
@@ -35,7 +35,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import linalg
 from .embed import (
@@ -57,7 +56,6 @@ from .polar import (
 
 EXHAUSTIVE_POINT_LIMIT = 15   # auto-exhaustive at or below this many points
 FORCED_EXHAUSTIVE_POINT_LIMIT = 20   # forced exhaustive allowed at or below this
-ENUMERATION_COST_LIMIT = 2**20   # node budget of the non-collinear set scan
 
 
 @dataclass(frozen=True)
@@ -121,11 +119,11 @@ def _label(space: PolarSpace) -> str:
 
 
 def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidates,
-           judge, key=attrgetter("bits"), experimental: bool = False) -> CheckReport:
+           judge, experimental: bool = False) -> CheckReport:
     """Judge every candidate and file the verdicts in one timed report.
 
-    Each candidate counts as sampled; one whose `key` was met before is
-    skipped as a duplicate without being judged.  `judge(candidate)`
+    Each candidate counts as sampled; one whose point set was met before
+    is skipped as a duplicate without being judged.  `judge(candidate)`
     returns a skip reason, None for a pass, or a witness dict for a
     failure; an experimental report files the dict as an exhibit and
     counts the candidate as passed."""
@@ -135,9 +133,9 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
     start = time.perf_counter()
     for cand in candidates:
         report.sampled += 1
-        k = key(cand)
-        verdict = "duplicate" if k in seen else judge(cand)
-        seen.add(k)
+        bits = cand.bits
+        verdict = "duplicate" if bits in seen else judge(cand)
+        seen.add(bits)
         if isinstance(verdict, str):
             report.skip(verdict)
             continue
@@ -309,60 +307,57 @@ def check_prop5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     return _drive("prop5", space, plan, mode, _subspaces(space, plan, mode), judge)
 
 
-def _noncollinear_sets(space: PolarSpace, max_size: int, budget: int):
-    """DFS over pairwise non-collinear index sets of size 2..max_size;
-    returns the sets and whether the node budget cut the search short."""
+def _anchored_sets(space: PolarSpace, p0: int, q0: int, max_size: int):
+    """Each pairwise non-collinear set of 2..max_size points through the
+    non-collinear pair (p0, q0), once: a DFS that adds points in
+    ascending order.  No set when max_size < 2."""
     N = len(space.points)
-    out = []
-    count = 0
 
-    def rec(chain, allowed, lo):
-        nonlocal count
-        if count > budget:
-            return
-        if len(chain) >= 2:
-            out.append(tuple(chain))
-        if len(chain) == max_size:
-            return
-        for p in range(lo, N):
-            if (allowed >> p) & 1:
-                count += 1
-                rec(chain + [p], allowed & ~space.adj[p], p + 1)
+    def rec(bits, allowed, lo):
+        yield PointSet(space, bits)
+        if bits.bit_count() < max_size:
+            for p in range(lo, N):
+                if (allowed >> p) & 1:
+                    yield from rec(bits | 1 << p, allowed & ~space.adj[p], p + 1)
 
-    rec([], space.all_bits, 0)
-    return out, count > budget
+    if max_size >= 2:
+        yield from rec(1 << p0 | 1 << q0, space.all_bits & ~space.adj[p0] & ~space.adj[q0], 0)
 
 
 def search_nonarising_rank1(space: PolarSpace, plan: SamplePlan,
                             max_set_size: int = 4) -> CheckReport:
     """Hunt for low-rank subspaces that fail to arise from the universal
-    embedding: exhaustively over small pairwise non-collinear sets, plus
-    sampled closures of non-degenerate rank at most 1, all deduplicated
-    on one set of point sets.  Experimental; exhibits, not failures."""
-    emb = universal_embedding(space)
-    noncollinear, truncated = _noncollinear_sets(space, max_set_size,
-                                                 ENUMERATION_COST_LIMIT)
-    sets = ((PointSet.of(space, ids), "non-collinear set") for ids in noncollinear)
-    closures = ((S, "sampled closure")
-                for S in _subspaces(space, plan, plan.resolved_mode(space)))
+    embedding: every pairwise non-collinear set of 2..max_set_size points
+    through one anchor pair, plus sampled closures of non-degenerate rank
+    at most 1, deduplicated together.  Experimental; exhibits, not failures.
 
-    def judge(item):
-        S, origin = item
+    The anchor is p0 = 0 and q0, the lowest point not collinear with it.
+    The isometry group is transitive on ordered non-collinear pairs
+    (Witt's theorem; D. E. Taylor, The Geometry of the Classical Groups,
+    1992), and every automorphism lifts to the universal embedding, so
+    every isometry class of such sets has anchored members, which arise
+    exactly when the class does.  Each such set has non-degenerate rank 1."""
+    emb = universal_embedding(space)
+    far = space.all_bits & ~space.adj[0]
+    p0, q0 = 0, (far & -far).bit_length() - 1
+    candidates = itertools.chain(
+        _anchored_sets(space, p0, q0, max_set_size),
+        _subspaces(space, plan, plan.resolved_mode(space)))
+
+    def judge(S):
         if S.bits == space.all_bits:
             return "improper"
-        if origin == "sampled closure" and S.rank_nd > 1:
+        if S.rank_nd > 1:
             return "rank_nd_gt_1"
-        exhibit = _non_arising(emb, S, f"non-arising low-rank subspace ({origin})")
+        exhibit = _non_arising(emb, S, "non-arising low-rank subspace")
         if exhibit is not None:
             exhibit.update(rank=S.rank, rank_nd=S.rank_nd)
         return exhibit
 
-    report = _drive("rank1-nonarising", space, plan, "mixed",
-                    itertools.chain(sets, closures), judge,
-                    key=lambda item: item[0].bits, experimental=True)
+    report = _drive("rank1-nonarising", space, plan, "mixed", candidates, judge,
+                    experimental=True)
+    report.info["anchor"] = [p0, q0]
     report.info["exhibit_count"] = len(report.exhibits)
-    if truncated:
-        report.info["noncollinear_truncated"] = True
     return report
 
 

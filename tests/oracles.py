@@ -148,6 +148,15 @@ def oracle_orthogonality(form, points):
     return [{j for j, v in enumerate(points) if orthogonal(u, v)} for u in points]
 
 
+def oracle_noncollinear_sets(orth, k):
+    """Every k-set of pairwise non-orthogonal points, as ascending index
+    tuples, by testing every pair of every k-subset; two distinct points
+    are collinear exactly when they are orthogonal.  `orth` takes the
+    shape `oracle_orthogonality` returns."""
+    return [c for c in combinations(range(len(orth)), k)
+            if all(j not in orth[i] for i, j in combinations(c, 2))]
+
+
 def oracle_one_or_all(form, points, lines):
     """First (point, line) pair breaking the one-or-all axiom, or None: a
     point off a line is orthogonal to exactly one of its points or to all

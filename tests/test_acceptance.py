@@ -268,11 +268,14 @@ CLI_BATTERY = [
     (["check", "prop5", "--preset", "H3_4", "--samples", "120", "--seed", "2"],
      "55c049f9f6636a03350b0178b8cecaae45f4be66fe485ab76acc8fbb2e972665"),
     (["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "30"],
-     "9567b80ddb75e33f1e913d510004ca1d079f309a3939f0b96ebaae5995ed18db"),
+     "573d9e58f401e54c2bd99faa47822efd96d9dc787cd8aa94ef9fa6b3f9c5bd3e"),
     (["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "0"],
-     "4ab9495e509d7292b15e134109460b0c2d7dfcd46d37d58de076d2bdd6d630dc"),
+     "9aecb58d6fe056e6f63334ff19ecaf11119ce560f92d8689c198558e17bfe1b5"),
     (["search", "rank1-nonarising", "--preset", "Sp4_3", "--samples", "30", "--seed", "1"],
-     "589fec2aa5b2e5e4ca86cbd2c69c0ef6fe839e3d0ac18513191b3aa57da1cfad"),
+     "78ee8da2c378dd8c46dbca5a949e84577906d59bb5c9074cd6840c9f6fec5216"),
+    # anchored at one pair; a scan of every non-collinear 4-set takes minutes here
+    (["search", "rank1-nonarising", "--preset", "H4_4", "--samples", "25"],
+     "be584fadfeba28602caec50eaf108e306d90dad38ba3459f695d18f8455dad7e"),
     (["explore", "problem5", "--preset", "W3_2", "--samples", "0"],
      "fd4666d0e7f174427ba7c12bbd6786b7ab2732870984b74442cb2e5628ec7f38"),
     (["explore", "problem5", "--preset", "Q4_2", "--samples", "0"],

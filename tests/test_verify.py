@@ -28,7 +28,12 @@ from polaris.verify import (
     search_nonarising_rank1,
 )
 
-from oracles import oracle_grow_to_maximal, oracle_orthogonality, oracle_saturation
+from oracles import (
+    oracle_grow_to_maximal,
+    oracle_noncollinear_sets,
+    oracle_orthogonality,
+    oracle_saturation,
+)
 
 
 def report_tuple(r):
@@ -355,18 +360,52 @@ def test_search_rank1_q42_exhibits(space):
     assert verdict.preimage.indices() == e["preimage"]
 
 
-def test_search_marks_a_truncated_noncollinear_scan(space, monkeypatch):
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qm5_2", "Qp5_2", "Sp4_3"])
+def test_anchored_scan_double_counts_the_full_scan(space, name):
+    # The group is transitive on ordered non-collinear pairs, so each pair
+    # lies in equally many pairwise non-collinear k-sets.  Counting (set,
+    # ordered pair in it) both ways gives full * k(k-1) == anchored * pairs,
+    # for all sets and, arising being invariant, for non-arising ones.
+    # W3_2 is judged on its hull embedding.
+    sp = space(name)
+    emb = universal_embedding(sp)
+    orth = oracle_orthogonality(sp.form, sp.points)
+    pairs = 2 * len(oracle_noncollinear_sets(orth, 2))
+    plan = SamplePlan(seed=0, samples=0, mode="random")   # no sampled closures
+    walked = 0
+    for k in (2, 3, 4):
+        r = search_nonarising_rank1(sp, plan, k)
+        assert r.skipped == {} and r.consistent()
+        anchored, walked = r.sampled - walked, r.sampled
+        anchored_bad = sum(len(e["points"]) == k for e in r.exhibits)
+        full = oracle_noncollinear_sets(orth, k)
+        full_bad = sum(not arises_from(emb, PointSet.of(sp, c)).arises for c in full)
+        assert len(full) * k * (k - 1) == anchored * pairs, k
+        assert full_bad * k * (k - 1) == anchored_bad * pairs, k
+
+
+def test_search_reports_its_anchor(space):
     W = space("Sp4_3")
-    plan = SamplePlan(seed=1, samples=5, mode="random")
-    full = search_nonarising_rank1(W, plan)
-    assert "noncollinear_truncated" not in full.info
-    monkeypatch.setattr(verify, "ENUMERATION_COST_LIMIT", 50)
-    cut = search_nonarising_rank1(W, plan)
-    assert cut.info["noncollinear_truncated"] is True
-    assert cut.sampled < full.sampled and cut.consistent()
+    r = search_nonarising_rank1(W, SamplePlan(seed=0, samples=0, mode="random"), 2)
+    p0, q0 = r.info["anchor"]
+    # q0 is the lowest point not collinear with p0 = 0
+    assert p0 == 0 and not (W.adj[0] >> q0) & 1
+    assert all((W.adj[0] >> p) & 1 for p in range(q0))
+    assert r.sampled == 1 and r.exhibits[0]["points"] == (p0, q0)
     buf = io.StringIO()
-    RecordWriter(buf).emit_report(cut)
-    assert "info-noncollinear-truncated: true" in buf.getvalue()
+    RecordWriter(buf).emit_report(r)
+    assert f"info-anchor: {p0},{q0}\n" in buf.getvalue()
+
+
+def test_search_below_set_size_two_judges_no_set(space):
+    # no non-collinear set has fewer than two points; only the sampled
+    # closures are judged
+    Q = space("Q4_2")
+    for size in (1, 0, -3):
+        assert search_nonarising_rank1(
+            Q, SamplePlan(seed=0, samples=0, mode="random"), size).sampled == 0
+    plan = SamplePlan(seed=0, samples=20, mode="random")
+    assert search_nonarising_rank1(Q, plan, 1).sampled == 20
 
 
 def test_search_never_exhibits_singular(space):
