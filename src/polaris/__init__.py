@@ -30,7 +30,6 @@ from .polar import (
     generating_points,
     is_hyperplane,
     is_maximal_subspace,
-    is_singular,
     is_subspace,
     perp,
     radical_of_subspace,

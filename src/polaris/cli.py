@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 a theorem check reported failures, 2 usage or
 parse errors (including violated command preconditions).  All output in
 `--format records` mode is deterministic given identical flags and
-seed; `--format text` adds timing lines.  A reader that closes standard
-output early ends the run quietly, with the exit code the command would
-have had.
+seed; `--format text` adds a `duration-ms` line to check, search and
+explore reports.  A reader that closes standard output early ends the
+run quietly, with the exit code the command would have had.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ def _add_common(p, samples=False):
     p.add_argument("--spec", help="path of a space-spec file")
     p.add_argument("--preset", help="name of a built-in space")
     p.add_argument("--format", choices=("records", "text"), default="records")
-    p.add_argument("--seed", type=int, default=0,
-                   help="sampling seed: any integer; distinct values give "
-                        "distinct sample streams")
     if samples:
+        p.add_argument("--seed", type=int, default=0,
+                       help="sampling seed: any integer; distinct values give "
+                            "distinct sample streams")
         p.add_argument("--samples", type=int, default=None,
                        help="sample count; 0 forces exhaustive mode")
 
@@ -219,7 +219,7 @@ def run(args, out) -> int:
             ("input", X.indices()),
             ("points", c.indices()),
             ("size", len(c)),
-            ("is-singular", c.is_singular),
+            ("is-singular", c.rank_nd == 0),
             ("rank", c.rank),
             ("rank-nd", c.rank_nd),
         ])

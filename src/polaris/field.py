@@ -243,14 +243,16 @@ class Field:
 _CACHE: dict = {}
 
 
-def field_make(p: int, k: int, cap: int = DEFAULT_ORDER_CAP) -> Field:
-    """Construct (or fetch the cached) GF(p^k); rejects non-prime p and q > cap."""
+def field_make(p: int, k: int) -> Field:
+    """Construct (or fetch the cached) GF(p^k); rejects non-prime p and
+    q > DEFAULT_ORDER_CAP."""
     if not isinstance(p, int) or not is_prime(p):
         raise FieldError(f"p = {p!r} is not prime")
     if not isinstance(k, int) or k < 1:
         raise FieldError(f"k = {k!r} is not a positive integer")
-    if p**k > cap:
-        raise FieldError(f"field order {p}^{k} = {p**k} exceeds the cap {cap}")
+    if p**k > DEFAULT_ORDER_CAP:
+        raise FieldError(
+            f"field order {p}^{k} = {p**k} exceeds the cap {DEFAULT_ORDER_CAP}")
     key = (p, k)
     if key not in _CACHE:
         _CACHE[key] = Field(p, k)

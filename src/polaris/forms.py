@@ -25,9 +25,6 @@ from . import linalg
 from .errors import FormError
 from .field import Field
 
-VECTOR_ENUM_CAP = 2**21  # refuse blind vector sweeps beyond this many candidates
-
-
 KINDS = ("alternating", "symmetric", "hermitian")
 
 
@@ -77,6 +74,14 @@ def _dot_col(F, su, gram, j, d):
         gij = gram[i][j]
         if gij and su[i]:
             acc = F.add(acc, F.mul(su[i], gij))
+    return acc
+
+
+def _dot(F, row, v) -> int:
+    acc = 0
+    for a, b in zip(row, v):
+        if a and b:
+            acc = F.add(acc, F.mul(a, b))
     return acc
 
 
@@ -221,50 +226,34 @@ def trace_valued_check(f: SesquilinearForm) -> bool:
     return all(f.gram[i][i] in traces for i in range(f.dim))
 
 
-def _orthogonality_rows(form, vectors):
-    """Linear conditions 'y is orthogonal to each of vectors'."""
-    if isinstance(form, QuadraticForm):
-        bil = polarize(form)
-        return [bil.functional(u) for u in vectors]
-    return [form.functional(u) for u in vectors]
-
-
-def _iter_constrained(F, form, basis_rows, dim):
-    """Candidate vectors in the solution space of the orthogonality rows."""
-    kernel = linalg.right_kernel(F, basis_rows, dim)
-    e = len(kernel)
-    if (F.q**e - 1) // (F.q - 1) > VECTOR_ENUM_CAP:
-        raise FormError("ambient space too large for isotropic enumeration")
-    for coeffs in linalg.projective_reps(F, e):
-        yield linalg.combine(F, coeffs, kernel)
-
-
 def witt_index(form) -> int:
     """Common dimension of maximal totally isotropic/singular subspaces.
 
-    Greedy chain extension with lowest-candidate tie-breaking; all
-    maximal totally isotropic subspaces share one dimension, so the
-    greedy endpoint is the index.
+    One ascending pass over the projective points keeps each singular
+    vector that is orthogonal to every kept vector (under the
+    polarization of a quadratic form) and outside their span.  The kept
+    set only grows, so a vector rejected once stays rejected, and the
+    final span is a maximal totally singular subspace; all of those share
+    one dimension (Witt's theorem; D. E. Taylor, The Geometry of the
+    Classical Groups, 1992).  A non-degenerate form allows at most
+    floor(d/2), so the pass stops there.
     """
     if isinstance(form, QuadraticForm):
         if radical_of_quadratic(form):
             raise FormError("degenerate quadratic form has no Witt index here")
-        F, dim = form.field, form.dim
+        bil = polarize(form)
     else:
         if radical_of_form(form):
             raise FormError("degenerate sesquilinear form has no Witt index here")
-        F, dim = form.field, form.dim
+        bil = form
+    F, dim = form.field, form.dim
     singular = isotropic_vector_test(form)
-    chain = []
-    span = ()
-    while True:
-        rows = _orthogonality_rows(form, chain)
-        found = None
-        for v in _iter_constrained(F, form, rows, dim):
-            if singular(v) and not linalg.in_span(F, span, v):
-                found = v
-                break
-        if found is None:
-            return len(chain)
-        chain.append(found)
-        span = linalg.rref(F, list(span) + [found])
+    rows, span = [], ()   # f(u, -) of each kept u, and their span
+    for v in linalg.projective_reps(F, dim):
+        if len(rows) == dim // 2:
+            break
+        if singular(v) and not any(_dot(F, row, v) for row in rows) \
+                and not linalg.in_span(F, span, v):
+            rows.append(bil.functional(v))
+            span = linalg.rref(F, span + (v,))
+    return len(rows)

@@ -195,17 +195,15 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
 
 class PointSet:
     """A set of point indices of one space, as a bitset, with write-once
-    caches for the subspace/singularity flags, generators, radical and
-    ranks."""
+    caches for the subspace flag, generators, radical and ranks."""
 
-    __slots__ = ("space", "bits", "_subspace", "_singular", "_generators",
-                 "_radical", "_rank", "_rank_nd")
+    __slots__ = ("space", "bits", "_subspace", "_generators", "_radical",
+                 "_rank", "_rank_nd")
 
     def __init__(self, space: PolarSpace, bits: int):
         self.space = space
         self.bits = bits
         self._subspace = None
-        self._singular = None
         self._generators = None
         self._radical = None
         self._rank = None
@@ -256,12 +254,6 @@ class PointSet:
         if self._subspace is None:
             self._subspace = is_subspace(self.space, self)
         return self._subspace
-
-    @property
-    def is_singular(self) -> bool:
-        if self._singular is None:
-            self._singular = is_singular(self.space, self)
-        return self._singular
 
     @property
     def generators(self) -> "PointSet":
@@ -373,11 +365,6 @@ def is_subspace(space: PolarSpace, X) -> bool:
             if rows[p] & twice:
                 return False
     return True
-
-
-def is_singular(space: PolarSpace, X) -> bool:
-    bits = _bits(space, X)
-    return bits & ~perp(space, bits).bits == 0
 
 
 def _require_subspace(space, X) -> PointSet:
@@ -542,28 +529,30 @@ def check_partial_frame(space: PolarSpace, A, B) -> PartialFrame:
 
 
 def _frame_search(space: PolarSpace, within: int, k: int, a_ids=(), b_ids=()):
-    """Lexicographically first rank-k chain of pairs inside `within` that
-    extends the partial frame (a_ids, b_ids), as (A, B) lists, or None.
+    """Lexicographically first rank-k chain of pairs inside the
+    non-degenerate subspace `within` that extends the partial frame
+    (a_ids, b_ids), as (A, B) lists.
 
     Each step takes the lowest a in the common perp, then the lowest b
     there not collinear with a.  The common perp never meets <A> or <B>
-    (see `check_partial_frame`), so no span needs tracking.  Over the
-    whole space the perp of a rank-k frame span is non-degenerate of
-    rank n - k, so every a has a partner b and the search never
-    backtracks."""
-
-    def rec(a_ids, b_ids, common_perp):
-        if len(a_ids) == k:
-            return a_ids, b_ids
-        for a in _iter_bits(within & common_perp):
-            for b in _iter_bits(within & common_perp & ~space.adj[a]):
-                got = rec(a_ids + [a], b_ids + [b],
-                          common_perp & space.adj[a] & space.adj[b])
-                if got is not None:
-                    return got
-        return None
-
-    return rec(list(a_ids), list(b_ids), perp(space, a_ids + b_ids).bits)
+    (see `check_partial_frame`), so no span needs tracking.  It never
+    backtracks: in a non-degenerate polar space of rank r the perp of a
+    non-collinear pair is non-degenerate of rank r - 1 (Buekenhout-Shult
+    1974), so while fewer than rank(within) pairs are taken the common
+    perp is non-degenerate and non-empty, and its lowest point has a
+    non-collinear partner there."""
+    a_ids, b_ids = list(a_ids), list(b_ids)
+    common = within & perp(space, a_ids + b_ids).bits
+    while len(a_ids) < k:
+        a = (common & -common).bit_length() - 1
+        far = common & ~space.adj[a]   # also 0 when common is empty
+        if not far:
+            raise GeometryError(f"no rank-{k} partial frame here")  # unreachable
+        b = (far & -far).bit_length() - 1
+        a_ids.append(a)
+        b_ids.append(b)
+        common &= space.adj[a] & space.adj[b]
+    return a_ids, b_ids
 
 
 def extend_frame(space: PolarSpace, fr: PartialFrame) -> PartialFrame:
@@ -574,10 +563,8 @@ def extend_frame(space: PolarSpace, fr: PartialFrame) -> PartialFrame:
         raise GeometryError("frame belongs to a different space")
     if fr.rank == space.n:
         return fr
-    got = _frame_search(space, space.all_bits, space.n, fr.a, fr.b)
-    if got is None:
-        raise GeometryError("frame completion failed")  # unreachable
-    return check_partial_frame(space, *got)
+    return check_partial_frame(
+        space, *_frame_search(space, space.all_bits, space.n, fr.a, fr.b))
 
 
 def find_partial_frame(space: PolarSpace, S, k: int) -> PartialFrame:
@@ -588,12 +575,9 @@ def find_partial_frame(space: PolarSpace, S, k: int) -> PartialFrame:
         raise FrameError(f"rank {k} < 2")
     if radical_of_subspace(space, S).bits:
         raise GeometryError("subspace is degenerate: it has a nonempty radical")
-    if rank_of(space, S) < k:
-        raise GeometryError(f"subspace rank {rank_of(space, S)} < requested {k}")
-    got = _frame_search(space, S.bits, k)
-    if got is None:
-        raise GeometryError("no partial frame of the requested rank exists in S")
-    return check_partial_frame(space, *got)
+    if S.rank < k:
+        raise GeometryError(f"subspace rank {S.rank} < requested {k}")
+    return check_partial_frame(space, *_frame_search(space, S.bits, k))
 
 
 def frame_span(space: PolarSpace, fr: PartialFrame) -> PointSet:

@@ -126,9 +126,11 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
     is skipped as a duplicate without being judged.  `judge(candidate)`
     returns a skip reason, None for a pass, or a witness dict for a
     failure; an experimental report files the dict as an exhibit and
-    counts the candidate as passed."""
-    report = CheckReport(check, _label(space), mode, plan.seed, plan.samples,
-                         experimental=experimental)
+    counts the candidate as passed.  An exhaustive walk draws nothing, so
+    its report carries no seed and no sample count."""
+    sampled = mode != "exhaustive"
+    report = CheckReport(check, _label(space), mode, plan.seed if sampled else None,
+                         plan.samples if sampled else None, experimental=experimental)
     seen = set()
     start = time.perf_counter()
     for cand in candidates:
@@ -262,8 +264,7 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """In rank n > 2, every hyperplane must be maximal of rank n-1 or n.
     Every hyperplane is the zero set of exactly one projective functional
     of the universal embedding (Ronan 1987), so the walk over the dual
-    space judges each once.  The plan's seed and sample count play no
-    part, so the report prints neither."""
+    space judges each once, whatever the plan."""
     if space.n <= 2:
         raise UsageError("corollary3 needs ambient rank > 2")
     emb = universal_embedding(space)
@@ -281,7 +282,6 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
 
     report = _drive("corollary3", space, plan, "exhaustive", hyperplanes, judge)
     report.info["rank_histogram"] = dict(sorted(rank_hist.items()))
-    report.seed = report.samples_requested = None
     return report
 
 

@@ -10,7 +10,7 @@ point subset, and closures from sweeping lines until nothing changes.
 from itertools import combinations, product
 
 from polaris import linalg
-from polaris.forms import eval_form, eval_quadratic, isotropic_vector_test
+from polaris.forms import eval_form, eval_quadratic, isotropic_vector_test, polarize
 
 
 def span_vectors(F, basis):
@@ -236,17 +236,20 @@ def oracle_is_frame(F, points, orth, A, B):
     return True
 
 
-def oracle_frame_completion(F, points, orth, n, a_ids, b_ids):
+def oracle_frame_completion(F, points, orth, n, a_ids, b_ids, within=None):
     """The lexicographically first rank-n partial frame whose first pairs
-    are (a_ids, b_ids), as (A, B) tuples with a_i opposite b_i, or None.
-    Pairs (a, b) are tried in lexicographic order of point index, and a
-    pair is kept while the extended sets pass `oracle_is_frame`; dead
-    ends backtrack."""
+    are (a_ids, b_ids) and whose other points lie in `within` (default:
+    every point), as (A, B) tuples with a_i opposite b_i, or None.  Pairs
+    (a, b) are tried in lexicographic order of point index, and a pair is
+    kept while the extended sets pass `oracle_is_frame`; dead ends
+    backtrack."""
+    within = sorted(range(len(points)) if within is None else within)
+
     def rec(A, B):
         if len(A) == n:
             return A, B
-        for a in range(len(points)):
-            for b in range(len(points)):
+        for a in within:
+            for b in within:
                 if oracle_is_frame(F, points, orth, A + (a,), B + (b,)):
                     got = rec(A + (a,), B + (b,))
                     if got is not None:
@@ -254,3 +257,28 @@ def oracle_frame_completion(F, points, orth, n, a_ids, b_ids):
         return None
 
     return rec(tuple(a_ids), tuple(b_ids))
+
+
+def oracle_witt(form):
+    """Largest vector rank of a totally isotropic/singular subspace, by a
+    search over every ascending chain of singular points that stay
+    pairwise orthogonal (under the polarization of a quadratic form) and
+    independent.  Points come from a sweep of every vector."""
+    F, d = form.field, form.dim
+    singular = isotropic_vector_test(form)
+    bil = polarize(form) if hasattr(form, "upper") else form
+    reps = sorted({linalg.normalize_point(F, v) for v in product(range(F.q), repeat=d)
+                   if any(v) and singular(v)})
+    best = 0
+
+    def extend(chain, start):
+        nonlocal best
+        best = max(best, len(chain))
+        for idx in range(start, len(reps)):
+            v = reps[idx]
+            if all(eval_form(bil, u, v) == 0 for u in chain) \
+                    and len(linalg.rref(F, chain + [v])) > len(chain):
+                extend(chain + [v], idx + 1)
+
+    extend([], 0)
+    return best

@@ -245,7 +245,7 @@ CLI_BATTERY = [
     (["frame", "check", "--preset", "W3_2", "--a", "0,3", "--b", "1,7"],
      "9826aceb0326f94f4f2237077df47293ef6f74af37de9367f6399635a3257cd7"),
     (["check", "theorem1", "--preset", "Q4_2", "--samples", "0"],
-     "7c9d84681602674d444df305a0823f086133aedf50db0732a979132e6b05a0f2"),
+     "27c99f7d6bdc94ae33d5f00216dddbc0f8be05fc4b6ec93a263f16ad9f277d8e"),
     (["check", "theorem1", "--preset", "Sp4_3", "--samples", "80", "--seed", "5"],
      "d0d22963bdc59ae73825d83663a3a3b7fe9fb1dd83064f9959ca2fe48f6e56a5"),
     (["check", "theorem1", "--preset", "H4_4", "--samples", "40"],
@@ -256,7 +256,7 @@ CLI_BATTERY = [
     (["check", "theorem1", "--preset", "W5_2", "--samples", "60"],
      "1f916f4a42569a13445e917b0d7a0294445c2f9518d0e61a8b5de890e666d41a"),
     (["check", "corollary2", "--preset", "Q4_2", "--samples", "0"],
-     "e790a4d1862acc68fbb95f7f45c19e1065ab8a5dbaf858eaa8b2331273954d57"),
+     "10803fe8e53224351e6df6783857ab13b247639a21b387ec8041a34655708d93"),
     (["check", "corollary2", "--preset", "Q6_2", "--samples", "12"],
      "a55cdcbcccf8fddef02dbc0384b1c659780fdc145141c202e6b8e5d945763fa1"),
     (["check", "corollary2", "--preset", "H4_4", "--samples", "8"],
@@ -277,9 +277,9 @@ CLI_BATTERY = [
     (["search", "rank1-nonarising", "--preset", "H4_4", "--samples", "25"],
      "be584fadfeba28602caec50eaf108e306d90dad38ba3459f695d18f8455dad7e"),
     (["explore", "problem5", "--preset", "W3_2", "--samples", "0"],
-     "fd4666d0e7f174427ba7c12bbd6786b7ab2732870984b74442cb2e5628ec7f38"),
+     "cb8c6a0b60137396e78179bab98d2fa7b3e3a5610b0fa7d181457aabda1fc95a"),
     (["explore", "problem5", "--preset", "Q4_2", "--samples", "0"],
-     "f8122186b191d829cc7d3130be7314633b82ea822b16dd8e66c6094bcda1d02c"),
+     "c701a72dcd6c5a794881217d488db2ca9451d8b34d1b01ee300f735928f37f4c"),
     (["explore", "problem5", "--preset", "Sp4_3", "--samples", "100"],
      "384bcabac7fc2c7c11159d0e2644e53b163645fe6f33781e136bc0623850f34c"),
     (["quotient", "--preset", "Q6_2"],

@@ -312,6 +312,29 @@ def test_corollary3_report_ignores_seed_and_samples():
     assert "seed: -\n" in out and "samples-requested: -\n" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--preset", "Q4_2"],
+    ["closure", "--preset", "W3_2", "--points", "0,2"],
+    ["frame", "find", "--preset", "Q4_2", "--k", "2"],
+    ["mingen", "--preset", "Q4_2", "--points", "all"],
+], ids=lambda a: a[0])
+def test_seed_is_refused_where_nothing_is_sampled(argv, capsys):
+    code, out, _ = run_cli(argv + ["--seed", "3"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "theorem1", "--preset", "W3_2"],
+    ["check", "corollary2", "--preset", "Q4_2", "--samples", "0", "--seed", "5"],
+    ["explore", "problem5", "--preset", "W3_2", "--samples", "0"],
+], ids=lambda a: a[1])
+def test_exhaustive_reports_carry_no_seed(argv):
+    code, out, _ = run_cli(argv)
+    assert code == 0 and "mode: exhaustive\n" in out
+    assert "seed: -\n" in out and "samples-requested: -\n" in out
+
+
 def test_search_and_explore_exit0():
     code, out, _ = run_cli(["search", "rank1-nonarising", "--preset", "Q4_2",
                             "--samples", "20"])

@@ -1,7 +1,7 @@
 import pytest
 
 from polaris.errors import FieldError
-from polaris.field import Field, field_make
+from polaris.field import DEFAULT_ORDER_CAP, Field, field_make
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +172,11 @@ def test_field_make_rejections():
         field_make(2, 5)  # no embedded Conway polynomial for 32
 
 
-def test_cap_is_configurable():
-    F = field_make(2, 4, cap=16)
-    assert F.q == 16
-    with pytest.raises(FieldError):
-        field_make(2, 4, cap=15)
+def test_field_make_refuses_orders_above_the_cap():
+    assert DEFAULT_ORDER_CAP == 81
+    assert field_make(3, 4).q == 81
+    with pytest.raises(FieldError, match=r"^field order 83\^1 = 83 exceeds the cap 81$"):
+        field_make(83, 1)
 
 
 def test_fields_are_cached_and_deterministic():

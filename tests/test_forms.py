@@ -9,7 +9,6 @@ from polaris import linalg
 from polaris.forms import (
     eval_form,
     eval_quadratic,
-    isotropic_vector_test,
     kind_pair,
     polarize,
     quadratic_form,
@@ -20,7 +19,7 @@ from polaris.forms import (
     witt_index,
 )
 
-from oracles import oracle_trace_valued, span_vectors
+from oracles import oracle_trace_valued, oracle_witt, span_vectors
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -357,32 +356,6 @@ def test_trace_valued_check_matches_brute_force(pk):
 # Witt index, cross-checked by full backtracking enumeration
 # ---------------------------------------------------------------------------
 
-def oracle_witt(form):
-    """Largest totally isotropic/singular subspace by exhaustive DFS."""
-    F = form.field
-    dim = form.dim
-    singular = isotropic_vector_test(form)
-    if hasattr(form, "upper"):
-        bil = polarize(form)
-    else:
-        bil = form
-    reps = [v for v in linalg.projective_reps(F, dim) if singular(v)]
-    best = 0
-
-    def extend(chain, span, start):
-        nonlocal best
-        best = max(best, len(chain))
-        for idx in range(start, len(reps)):
-            v = reps[idx]
-            if linalg.in_span(F, span, v):
-                continue
-            if all(eval_form(bil, u, v) == 0 for u in chain):
-                extend(chain + [v], linalg.rref(F, list(span) + [v]), idx + 1)
-
-    extend([], (), 0)
-    return best
-
-
 def elliptic_q52():
     U = [[0] * 6 for _ in range(6)]
     U[0][0] = U[0][1] = U[1][1] = 1
@@ -418,9 +391,13 @@ def test_witt_index_matches_exhaustive_search():
         sesquilinear_form(F2, standard_alternating_gram(F2, 3), "alternating"),
         sesquilinear_form(F3, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                           "symmetric"),
+        quadratic_form(F2, [[1, 1], [0, 1]]),   # anisotropic
+        quadratic_form(F2, [[1, 1, 0, 0], [0, 1, 0, 0],
+                            [0, 0, 0, 1], [0, 0, 0, 0]]),   # elliptic, Q-(3,2)
     ]
-    for form in cases:
-        assert witt_index(form) == oracle_witt(form)
+    want = [oracle_witt(form) for form in cases]
+    assert [witt_index(form) for form in cases] == want
+    assert set(want) == {0, 1, 2, 3}
 
 
 def test_witt_index_anisotropic():

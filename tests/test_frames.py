@@ -11,6 +11,7 @@ from polaris.polar import (
     _iter_bits,
     check_partial_frame,
     closure,
+    enumerate_subspaces,
     extend_frame,
     find_partial_frame,
     frame_span,
@@ -228,6 +229,29 @@ def test_extend_frame_matches_completion_oracle(name, space, preset_oracle):
         assert (full.a, full.b) == oracle_frame_completion(
             sp.field, points, orth, sp.n, fr.a, fr.b), (fr.a, fr.b)
         done += 1
+
+
+@pytest.mark.parametrize("name,count", [("W3_2", 11), ("Q4_2", 11), ("Qm5_2", 157),
+                                        ("Qp5_2", 310)])
+def test_find_partial_frame_matches_oracle_on_every_nondegenerate_subspace(
+        name, count, space, preset_oracle):
+    # the greedy loop never backtracks: on every non-degenerate subspace S
+    # of rank >= k it returns the backtracking oracle's first frame in S;
+    # `count` is the number of such (S, k)
+    sp = space(name)
+    points = preset_oracle(name)[0]
+    orth = oracle_orthogonality(sp.form, points)
+    cases = 0
+    for bits in enumerate_subspaces(sp):
+        S = PointSet(sp, bits)
+        if S.radical.bits:
+            continue
+        for k in range(2, S.rank + 1):
+            fr = find_partial_frame(sp, S, k)
+            assert (fr.a, fr.b) == oracle_frame_completion(
+                sp.field, points, orth, k, (), (), within=S.indices()), (S, k)
+            cases += 1
+    assert cases == count
 
 
 def test_find_partial_frame_golden(space):

@@ -24,7 +24,6 @@ from polaris.polar import (
     enumerate_subspaces,
     is_hyperplane,
     is_maximal_subspace,
-    is_singular,
     is_subspace,
     perp,
     radical_of_subspace,
@@ -48,6 +47,7 @@ from oracles import (  # noqa: E402
     oracle_points_and_lines,
     oracle_rank,
     oracle_subspaces,
+    oracle_witt,
 )
 
 
@@ -118,8 +118,8 @@ RANDOM_FORM_SHAPES = [
 
 @st.composite
 def random_forms(draw, F, kind, d):
-    """A random form of the given shape; degenerate ones, ones whose
-    isotropic vectors do not span, and rank < 2 are filtered out."""
+    """A random form of the given shape; degenerate ones and ones whose
+    isotropic vectors do not span are filtered out."""
     code = st.integers(0, F.q - 1)
     g = [[draw(code) if j >= i else 0 for j in range(d)] for i in range(d)]
     if kind == "quadratic":
@@ -136,18 +136,20 @@ def random_forms(draw, F, kind, d):
                            "hermitian": F.frob(g[j][i], 1)}[kind]
         form = sesquilinear_form(F, g, kind)
         assume(not radical_of_form(form) and trace_valued_check(form))
-    assume(witt_index(form) >= 2)
     return form
 
 
-@pytest.mark.parametrize("pk,kind,d", RANDOM_FORM_SHAPES,
-                         ids=[f"GF{p**k}-{kind}-{d}" for (p, k), kind, d in RANDOM_FORM_SHAPES])
+SHAPE_IDS = [f"GF{p**k}-{kind}-{d}" for (p, k), kind, d in RANDOM_FORM_SHAPES]
+
+
+@pytest.mark.parametrize("pk,kind,d", RANDOM_FORM_SHAPES, ids=SHAPE_IDS)
 @settings(derandomize=True, database=None, max_examples=5, deadline=None)
 @given(data=st.data())
 def test_random_forms_match_brute_force(pk, kind, d, data):
     # collinearity rows from zero sets and lines as {p, q}^perp^perp agree
     # with direct evaluation on random non-degenerate forms of rank >= 2
     form = data.draw(random_forms(field_make(*pk), kind, d))
+    assume(witt_index(form) >= 2)
     sp = build_polar_space(form)
     pts, lines = oracle_points_and_lines(form)
     assert list(sp.points) == pts
@@ -155,6 +157,17 @@ def test_random_forms_match_brute_force(pk, kind, d, data):
     assert [set(polar._iter_bits(row)) for row in sp.adj] == orth
     assert {frozenset(sp.points[i] for i in line) for line in sp.lines} == lines
     assert rank_of(sp, sp.universe()) == sp.n
+
+
+@pytest.mark.parametrize("pk,kind,d", RANDOM_FORM_SHAPES, ids=SHAPE_IDS)
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_witt_index_matches_oracle_on_random_forms(pk, kind, d, data):
+    # no rank filter: the one ascending pass meets forms of every rank,
+    # and dimensions below the shape's reach ranks 0 and 1 as well
+    dim = data.draw(st.integers(1, d))
+    form = data.draw(random_forms(field_make(*pk), kind, dim))
+    assert witt_index(form) == oracle_witt(form)
 
 
 def test_build_rejects_degenerate_and_thin():
@@ -305,12 +318,12 @@ def test_closure_from_closed_base_matches_oracle(name, space, preset_oracle):
 def test_is_subspace_examples(space):
     W = space("W3_2")
     line = list(W.lines[0])
-    assert is_subspace(W, line) and is_singular(W, line)
+    assert is_subspace(W, line) and rank_nd(W, line) == 0
     assert not is_subspace(W, line[:-1])
     Q = space("Q4_2")
     from polaris.polar import find_partial_frame
     grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
-    assert is_subspace(Q, grid) and not is_singular(Q, grid)
+    assert is_subspace(Q, grid) and rank_nd(Q, grid) != 0
 
 
 def test_rank_examples(space):
@@ -319,7 +332,6 @@ def test_rank_examples(space):
     assert radical_of_subspace(W, line).bits == line.bits
     assert rank_of(W, line) == 2
     assert rank_nd(W, line) == 0
-    assert is_singular(W, line)
 
     H = perp(W, 1 << 0)
     assert radical_of_subspace(W, H).indices() == (0,)
@@ -340,7 +352,7 @@ def test_rank_cross_checked_exhaustively(space):
     subs = enumerate_subspaces(W)
     singular_dims = {}
     for bits in subs:
-        if bits and is_singular(W, bits):
+        if bits and rank_nd(W, bits) == 0:
             vecs = [W.points[i] for i in PointSet(W, bits)]
             singular_dims[bits] = len(linalg.rref(W.field, vecs))
     rng = random.Random(23)
@@ -372,7 +384,7 @@ def test_rank_nd_is_zero_exactly_on_singular_subspaces(name, space):
     for bits in oracle_subspaces(sp.form):
         ids = set(PointSet(sp, bits))
         singular = all(ids <= orth[i] for i in ids)
-        assert (rank_nd(sp, bits) == 0) == singular == PointSet(sp, bits).is_singular
+        assert (rank_nd(sp, bits) == 0) == singular
 
 
 @pytest.mark.parametrize("name", ["Q6_2", "H3_4", "H4_4"])
@@ -407,10 +419,9 @@ def test_rank_requires_subspace(space):
 def test_pointset_caches_agree_with_recomputation(space):
     W = space("Q4_2")
     S = closure(W, [0, 1, 2])
-    _ = S.is_subspace, S.is_singular, S.rank, S.rank_nd, S.radical
+    _ = S.is_subspace, S.rank, S.rank_nd, S.radical
     fresh = PointSet(W, S.bits)
     assert S.is_subspace == is_subspace(W, fresh)
-    assert S.is_singular == is_singular(W, fresh)
     assert S.rank == rank_of(W, fresh)
     assert S.rank_nd == rank_nd(W, fresh)
     assert S.radical.bits == radical_of_subspace(W, fresh).bits
