@@ -11,6 +11,7 @@ run quietly, with the exit code the command would have had.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import catalog
@@ -339,7 +340,8 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -455,16 +455,23 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
     return cls
 
 
-def is_maximal_subspace(space: PolarSpace, S) -> bool:
-    """True iff adding any outside point generates the whole space: one
-    closure from the lowest undecided point decides its `_line_class`."""
-    s_bits = _require_proper_subspace(space, S).bits
-    todo = space.all_bits & ~s_bits
+def extensions(space: PolarSpace, M):
+    """Yield closure(M u p) for the lowest undecided point p of each
+    `_line_class` of the subspace M (assumed, not checked), ascending in p.
+    Every T above M contains one: closure(M u p) lies in T for p in T - M."""
+    m_bits = _bits(space, M)
+    todo = space.all_bits & ~m_bits
     while todo:
         p = (todo & -todo).bit_length() - 1
-        if closure(space, 1 << p, s_bits).bits != space.all_bits:
+        yield closure(space, 1 << p, m_bits)
+        todo &= ~_line_class(space, m_bits, p)
+
+
+def is_maximal_subspace(space: PolarSpace, S) -> bool:
+    """True iff every one-point extension of S is the whole space."""
+    for T in extensions(space, _require_proper_subspace(space, S)):
+        if T.bits != space.all_bits:
             return False
-        todo &= ~_line_class(space, s_bits, p)
     return True
 
 
@@ -594,21 +601,18 @@ def frame_span(space: PolarSpace, fr: PartialFrame) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive subspace enumeration (small spaces)
+# the subspace lattice, walked by one-point extensions
 # ---------------------------------------------------------------------------
 
 def enumerate_subspaces(space: PolarSpace) -> list:
-    """All subspaces as bitsets in ascending order, by NextClosure (B. Ganter,
-    "Two basic algorithms in concept analysis", ICFCA 2010): the subspace
-    after A is B = closure({b} | points of A above b) for the lowest point
-    b outside A such that B adds no point above b."""
-    A, out = 0, [0]
-    while A != space.all_bits:
-        for b in _iter_bits(space.all_bits & ~A):
-            above = -2 << b   # the points above b
-            B = closure(space, A & above | 1 << b).bits
-            if B & above == A & above:
-                break
-        A = B
-        out.append(A)
-    return out
+    """Every subspace, ascending by bits: the empty subspace and the
+    extensions of each member found, the upper-neighbour walk of C. Lindig
+    ("Fast concept analysis", 2000).  The members are `closure` results,
+    so they come marked as subspaces."""
+    found, todo = {}, [closure(space, 0)]
+    while todo:
+        S = todo.pop()
+        if S.bits not in found:
+            found[S.bits] = S
+            todo += extensions(space, S)
+    return sorted(found.values(), key=lambda S: S.bits)

@@ -18,8 +18,8 @@ included) give distinct streams.  Candidate subspaces are closures of
 random seed sets with sizes uniform in [2, 2n+2].  Each carries its seed
 set as `PointSet.generators`, so `arises_from` judges it without closing
 it again; an exhaustive candidate's generators are picked by closure.
-Exhaustive mode walks the full subspace lattice by NextClosure and is
-the default at 15 points or fewer; corollary3 walks the dual space.
+Exhaustive mode walks the full subspace lattice by one-point extensions
+and is the default at 15 points or fewer; corollary3 walks the dual space.
 
 A check that needs an embedding judges against
 `embed.universal_embedding(space)`: theorem1 takes it as an argument
@@ -157,8 +157,7 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
 def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
     """Every subspace in exhaustive mode, else closures of random seed sets."""
     if mode == "exhaustive":
-        for bits in enumerate_subspaces(space):
-            yield PointSet(space, bits)
+        yield from enumerate_subspaces(space)
         return
     N = len(space.points)
     hi = max(2, min(2 * space.n + 2, N))

@@ -263,7 +263,9 @@ def oracle_witt(form):
     """Largest vector rank of a totally isotropic/singular subspace, by a
     search over every ascending chain of singular points that stay
     pairwise orthogonal (under the polarization of a quadratic form) and
-    independent.  Points come from a sweep of every vector."""
+    independent.  Points come from a sweep of every vector.  The search
+    stops once a chain reaches d // 2, which no totally isotropic/singular
+    subspace of a non-degenerate form exceeds."""
     F, d = form.field, form.dim
     singular = isotropic_vector_test(form)
     bil = polarize(form) if hasattr(form, "upper") else form
@@ -275,6 +277,8 @@ def oracle_witt(form):
         nonlocal best
         best = max(best, len(chain))
         for idx in range(start, len(reps)):
+            if best == d // 2:
+                return
             v = reps[idx]
             if all(eval_form(bil, u, v) == 0 for u in chain) \
                     and len(linalg.rref(F, chain + [v])) > len(chain):

@@ -76,8 +76,7 @@ def test_criterion_1_exhaustive_q42():
     assert report.applicable == 10
     grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
     assert arises_from(emb, grid).arises
-    for bits in enumerate_subspaces(Q):
-        S = PointSet(Q, bits)
+    for S in enumerate_subspaces(Q):
         if len(S) == 5 and rank_of(Q, S) == 1:
             assert S.rank_nd < 2  # elliptic ovoid: skipped, not asserted
             break
@@ -151,8 +150,7 @@ def test_criterion_4_quotient_discrimination():
 
     # transport, exhaustively: arising from the quotient implies arising
     # from the universal embedding
-    for bits in enumerate_subspaces(Q):
-        S = PointSet(Q, bits)
+    for S in enumerate_subspaces(Q):
         if arises_from(quo, S).arises:
             assert arises_from(uni, S).arises, f"transport broken at {S.indices()}"
 

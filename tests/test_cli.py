@@ -318,10 +318,19 @@ def test_corollary3_report_ignores_seed_and_samples():
     ["frame", "find", "--preset", "Q4_2", "--k", "2"],
     ["mingen", "--preset", "Q4_2", "--points", "all"],
 ], ids=lambda a: a[0])
-def test_seed_is_refused_where_nothing_is_sampled(argv, capsys):
-    code, out, _ = run_cli(argv + ["--seed", "3"])
+def test_seed_is_refused_where_nothing_is_sampled(argv):
+    code, out, err = run_cli(argv + ["--seed", "3"])
     assert code == 2 and out == ""
-    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert "unrecognized arguments: --seed 3" in err
+
+
+def test_parser_errors_go_to_the_given_streams(capsys):
+    code, out, err = run_cli(["check", "theorem1", "--preset", "W3_2", "--samples", "x"])
+    assert code == 2 and out == ""
+    assert "argument --samples: invalid int value: 'x'" in err
+    code, out, err = run_cli(["build", "--help"])
+    assert code == 0 and err == "" and "--preset" in out
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("argv", [

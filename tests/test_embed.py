@@ -191,7 +191,7 @@ def test_projective_span_equals_rref_of_every_vector(name, space):
     rng = random.Random(8)
     N = len(sp.points)
     if N <= 15:
-        sets = enumerate_subspaces(sp)
+        sets = [S.bits for S in enumerate_subspaces(sp)]
     else:
         sets = [sp.all_bits]
         sets += [closure(sp, rng.sample(range(N), rng.randint(1, 2 * sp.n + 1))).bits
@@ -460,8 +460,7 @@ def test_quotient_transport(space):
     res = quotient_embedding(Q)
     quo = res.embedding
     both = neither = quotient_only = 0
-    for bits in enumerate_subspaces(Q):
-        S = PointSet(Q, bits)
+    for S in enumerate_subspaces(Q):
         a_uni = arises_from(uni, S).arises
         a_quo = arises_from(quo, S).arises
         if a_quo and not a_uni:

@@ -242,8 +242,7 @@ def test_find_partial_frame_matches_oracle_on_every_nondegenerate_subspace(
     points = preset_oracle(name)[0]
     orth = oracle_orthogonality(sp.form, points)
     cases = 0
-    for bits in enumerate_subspaces(sp):
-        S = PointSet(sp, bits)
+    for S in enumerate_subspaces(sp):
         if S.radical.bits:
             continue
         for k in range(2, S.rank + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from polaris.polar import (
     build_polar_space,
     closure,
     enumerate_subspaces,
+    find_partial_frame,
     is_hyperplane,
     is_maximal_subspace,
     is_subspace,
@@ -215,7 +217,6 @@ def test_perp_examples(space):
 
 
 def test_perp_of_frame_is_empty(space):
-    from polaris.polar import find_partial_frame
     W = space("W3_2")
     fr = find_partial_frame(W, W.universe(), 2)
     assert perp(W, fr.point_set()).bits == 0
@@ -250,7 +251,6 @@ def test_closure_examples(space):
 
 
 def test_closure_of_complete_frame_is_grid(space):
-    from polaris.polar import find_partial_frame
     Q = space("Q4_2")
     fr = find_partial_frame(Q, Q.universe(), 2)
     g = closure(Q, fr.point_set())
@@ -321,7 +321,6 @@ def test_is_subspace_examples(space):
     assert is_subspace(W, line) and rank_nd(W, line) == 0
     assert not is_subspace(W, line[:-1])
     Q = space("Q4_2")
-    from polaris.polar import find_partial_frame
     grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
     assert is_subspace(Q, grid) and rank_nd(Q, grid) != 0
 
@@ -339,7 +338,6 @@ def test_rank_examples(space):
     assert rank_nd(W, H) == 1
 
     Q = space("Q4_2")
-    from polaris.polar import find_partial_frame
     grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
     assert radical_of_subspace(Q, grid).bits == 0
     assert rank_of(Q, grid) == 2 and rank_nd(Q, grid) == 2
@@ -349,7 +347,7 @@ def test_rank_cross_checked_exhaustively(space):
     # on a 15-point space, compare greedy rank with the largest singular
     # subspace found by scanning every subset
     W = space("W3_2")
-    subs = enumerate_subspaces(W)
+    subs = [S.bits for S in enumerate_subspaces(W)]
     singular_dims = {}
     for bits in subs:
         if bits and rank_nd(W, bits) == 0:
@@ -371,9 +369,9 @@ def test_rank_cross_checked_exhaustively(space):
 def test_rank_matches_oracle_on_every_subspace(name, space):
     sp = space(name)
     orth = oracle_orthogonality(sp.form, sp.points)
-    for bits in enumerate_subspaces(sp):
-        want = oracle_rank(sp.field, sp.points, orth, PointSet(sp, bits))
-        assert (rank_of(sp, bits), rank_nd(sp, bits)) == want
+    for S in enumerate_subspaces(sp):
+        want = oracle_rank(sp.field, sp.points, orth, S)
+        assert (rank_of(sp, S.bits), rank_nd(sp, S.bits)) == want
 
 
 @pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
@@ -484,7 +482,6 @@ def test_hyperplane_examples(space):
     assert rank_of(W, H) == 2 and rank_nd(W, H) == 1
 
     Q = space("Q4_2")
-    from polaris.polar import find_partial_frame
     grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
     assert is_hyperplane(Q, grid)
     line = PointSet.of(Q, Q.lines[0])
@@ -496,7 +493,6 @@ def test_maximality_examples(space):
     assert is_maximal_subspace(W, perp(W, 1 << 0))
     assert not is_maximal_subspace(W, PointSet.of(W, W.lines[0]))
     Q = space("Q4_2")
-    from polaris.polar import find_partial_frame
     grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
     assert is_maximal_subspace(Q, grid)
 
@@ -511,11 +507,13 @@ def test_every_singular_hyperplane_is_maximal(space):
 
 @pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2", "Qm5_2", "Qp5_2", "Qp3_4"])
 def test_is_maximal_subspace_matches_coatom_oracle(name, space):
-    # the brute-force list where 2^N subsets can be scanned; NextClosure's
-    # list, pinned to the brute-force one below, on the 25- to 35-point spaces
+    # the brute-force list where 2^N subsets can be scanned; on the 25- to
+    # 35-point spaces the walk's list, which shares `_line_class` with the
+    # maximality test, so its sha256 is pinned independently below
     sp = space(name)
     brute = name in ("W3_2", "Q4_2", "Qp3_2")
-    subs = oracle_subspaces(sp.form) if brute else enumerate_subspaces(sp)
+    subs = oracle_subspaces(sp.form) if brute \
+        else [S.bits for S in enumerate_subspaces(sp)]
     coatoms = oracle_coatoms(subs, sp.all_bits)
     for bits in subs:
         if bits != sp.all_bits:
@@ -530,17 +528,32 @@ def test_is_maximal_subspace_matches_coatom_oracle(name, space):
 @pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
 def test_enumerate_subspaces_is_the_brute_force_list(name, space):
     sp = space(name)
-    assert enumerate_subspaces(sp) == oracle_subspaces(sp.form)
-
-
-@pytest.mark.parametrize("name,count", [("Qp3_4", 1582), ("Qm5_2", 3668)])
-def test_enumerate_subspaces_beyond_brute_force(name, count, space):
-    # 25 and 27 points: too many subsets to scan, so check the list's shape
-    sp = space(name)
     subs = enumerate_subspaces(sp)
+    assert [S.bits for S in subs] == oracle_subspaces(sp.form)
+    assert all(isinstance(S, PointSet) and S.space is sp and S.is_subspace for S in subs)
+
+
+# sha256 of the comma-joined ascending bit lists, as NextClosure (B. Ganter,
+# ICFCA 2010) listed them before the walk replaced it: the reference for the
+# spaces too large for `oracle_subspaces`
+NEXTCLOSURE_DIGESTS = {
+    "Qp3_4": "2b7c9a0c221855f0",
+    "Qm5_2": "61b023c72308c913",
+    "Qp5_2": "25003e6d2d98e327",
+}
+
+
+@pytest.mark.parametrize("name,count", [("Qp3_4", 1582), ("Qm5_2", 3668), ("Qp5_2", 2636)])
+def test_enumerate_subspaces_beyond_brute_force(name, count, space):
+    # 25 to 35 points: too many subsets to scan, so check the list's shape
+    # and pin it
+    sp = space(name)
+    subs = [S.bits for S in enumerate_subspaces(sp)]
     assert len(subs) == count
     assert all(a < b for a, b in zip(subs, subs[1:]))
     assert all(is_subspace(sp, bits) for bits in subs)
+    text = ",".join(map(str, subs))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == NEXTCLOSURE_DIGESTS[name]
     members = set(subs)
     N = len(sp.points)
     rng = random.Random(41)
@@ -561,7 +574,7 @@ def test_closure_is_a_closure_operator(name, data):
     assert cX.bits & ~closure(sp, Y).bits == 0            # monotone
     assert closure(sp, cX).bits == cX.bits                # idempotent
     if len(sp.points) == 15:
-        assert cX.bits in enumerate_subspaces(sp)
+        assert cX in enumerate_subspaces(sp)
 
 
 def test_hyperplane_rejects_improper(space):

@@ -65,6 +65,20 @@ def test_theorem1_refuses_quotient_embedding(space):
         check_theorem1(W, natural_embedding(W), SamplePlan())
 
 
+def test_theorem1_positive_control_on_the_natural_embedding(space):
+    # theorem1's judge against a known-bad embedding: W(3,2)'s natural
+    # embedding in PG(3,2) is a proper quotient of its universal one, and
+    # every one of its ten applicable subspaces, which are exactly the
+    # 9-point subspaces, fails to arise from it
+    W = space("W3_2")
+    lattice = enumerate_subspaces(W)
+    applicable = [S for S in lattice if verify.classify_subspace(W, S) is None]
+    assert len(applicable) == 10
+    assert applicable == [S for S in lattice if len(S) == 9]
+    for emb, failing in ((natural_embedding(W), applicable), (universal_embedding(W), [])):
+        assert [S for S in applicable if not arises_from(emb, S).arises] == failing
+
+
 def test_theorem1_refuses_grid(space):
     G = space("Qp3_2")
     with pytest.raises(UsageError, match="unknown embedding of Qp3_2"):
@@ -263,8 +277,8 @@ def test_dual_space_covers_every_hyperplane(space):
     # every line, each once
     sp = space("Qp5_2")
     zeros = _dual_zero_sets(sp)
-    lattice = [bits for bits in enumerate_subspaces(sp) if bits != sp.all_bits
-               and all(lb & bits for lb in sp.line_bits)]
+    lattice = [S.bits for S in enumerate_subspaces(sp) if S.bits != sp.all_bits
+               and all(lb & S.bits for lb in sp.line_bits)]
     assert len(zeros) == len(set(zeros)) == 63
     assert set(zeros) == set(lattice)
     # too many subspaces to list on the 63-point spaces: check that every
