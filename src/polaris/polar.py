@@ -505,6 +505,9 @@ def check_partial_frame(space: PolarSpace, A, B) -> PartialFrame:
     f(a_j, b_j) != 0, so every c_j is 0.  Hence A is independent and
     perp(B) misses <A>, and likewise with A and B swapped."""
     A, B = tuple(A), tuple(B)
+    for i in A + B:
+        if not 0 <= i < len(space.points):
+            raise GeometryError(f"point index {i} out of range")
     k = len(A)
     if k != len(B):
         raise FrameError(f"|A| = {k} != |B| = {len(B)}")

@@ -373,13 +373,14 @@ def _saturate(space: PolarSpace, p: int) -> int:
 
 def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """Classify maximal rank-1 subspaces of a generalized quadrangle as
-    hyperplanes (ovoids) or counterexamples.  Exhaustive mode takes the
-    rank-1 subspaces; sampled mode saturates a random point to a maximal
-    pairwise non-collinear set.  Experimental; no verdict."""
+    hyperplanes (ovoids) or counterexamples.  The judge skips every
+    candidate but the proper rank-1 subspaces.  Exhaustive mode walks
+    every subspace; sampled mode saturates a random point to a maximal
+    pairwise non-collinear set, which always is one.  Experimental; no
+    verdict."""
     if space.n != 2:
         raise UsageError("problem5 concerns rank-2 spaces only")
     mode = plan.resolved_mode(space)
-    exhaustive = mode == "exhaustive"
 
     def saturations():
         rng = plan.rng_for()
@@ -388,11 +389,10 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
             yield PointSet(space, _saturate(space, p))
 
     def judge(S):
-        if exhaustive:
-            if S.bits == space.all_bits:
-                return "improper"
-            if S.rank != 1:
-                return "rank_ne_1"
+        if S.bits == space.all_bits:
+            return "improper"
+        if S.rank != 1:
+            return "rank_ne_1"
         if not is_maximal_subspace(space, S):
             return "not_maximal"
         if is_hyperplane(space, S):
@@ -400,7 +400,7 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
         return {"kind": "maximal rank-1 subspace that is not a hyperplane",
                 "points": S.indices()}
 
-    candidates = _subspaces(space, plan, mode) if exhaustive else saturations()
+    candidates = _subspaces(space, plan, mode) if mode == "exhaustive" else saturations()
     report = _drive("problem5", space, plan, mode, candidates, judge, experimental=True)
     report.info["ovoid_hyperplanes"] = report.applicable - len(report.exhibits)
     report.info["non_hyperplane_maximals"] = len(report.exhibits)

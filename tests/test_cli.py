@@ -72,6 +72,18 @@ def test_frame_commands():
     assert code == 0 and "rank: 3" in out
 
 
+@pytest.mark.parametrize("a,b,why", [
+    ("0,0", "1,7", "distinct points"),      # used to shrink to |A| = 1
+    ("0,3,3", "1,7", "|A| = 3 != |B| = 2"),  # used to pass as A = 0,3
+    ("-15,3", "1,7", "point index -15 out of range"),
+], ids=["repeat", "repeat-accepted", "range"])
+def test_frame_indices_reach_the_check_as_typed(a, b, why):
+    for action in ("check", "extend"):
+        code, out, err = run_cli(["frame", action, "--preset", "W3_2",
+                                  f"--a={a}", f"--b={b}"])
+        assert code == 2 and out == "" and why in err
+
+
 def test_check_theorem1_exhaustive_exit0():
     code, out, _ = run_cli(["check", "theorem1", "--preset", "Q4_2",
                             "--samples", "0"])
@@ -302,26 +314,19 @@ def test_mingen_command():
     assert "size: 5" in out and "regenerates: true" in out
 
 
-def test_corollary3_report_ignores_seed_and_samples():
-    code, out, _ = run_cli(["check", "corollary3", "--preset", "Q6_2",
-                            "--samples", "20", "--seed", "1"])
-    code0, out0, _ = run_cli(["check", "corollary3", "--preset", "Q6_2",
-                              "--samples", "0"])
-    assert code == code0 == 0
-    assert out == out0
-    assert "seed: -\n" in out and "samples-requested: -\n" in out
-
-
 @pytest.mark.parametrize("argv", [
-    ["build", "--preset", "Q4_2"],
-    ["closure", "--preset", "W3_2", "--points", "0,2"],
-    ["frame", "find", "--preset", "Q4_2", "--k", "2"],
-    ["mingen", "--preset", "Q4_2", "--points", "all"],
-], ids=lambda a: a[0])
+    ["build", "--preset", "Q4_2", "--seed", "3"],
+    ["closure", "--preset", "W3_2", "--points", "0,2", "--seed", "3"],
+    ["frame", "find", "--preset", "Q4_2", "--k", "2", "--seed", "3"],
+    ["mingen", "--preset", "Q4_2", "--points", "all", "--seed", "3"],
+    # corollary3 walks the whole dual space, so it samples nothing either
+    ["check", "corollary3", "--preset", "Q6_2", "--seed", "3"],
+    ["check", "corollary3", "--preset", "Q6_2", "--samples", "20"],
+], ids=["build", "closure", "frame", "mingen", "corollary3-seed", "corollary3-samples"])
 def test_seed_is_refused_where_nothing_is_sampled(argv):
-    code, out, err = run_cli(argv + ["--seed", "3"])
+    code, out, err = run_cli(argv)
     assert code == 2 and out == ""
-    assert "unrecognized arguments: --seed 3" in err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_parser_errors_go_to_the_given_streams(capsys):
@@ -389,7 +394,7 @@ COMMANDS = [
     ["check", "theorem1", "--preset", "Q4_2", "--samples", "0"],
     ["check", "theorem1", "--preset", "Q4_3", "--samples", "40", "--seed", "11"],
     ["check", "corollary2", "--preset", "W3_2", "--samples", "0"],
-    ["check", "corollary3", "--preset", "Q6_2", "--samples", "10"],
+    ["check", "corollary3", "--preset", "Q6_2"],
     ["check", "prop5", "--preset", "H3_4", "--samples", "50"],
     ["search", "rank1-nonarising", "--preset", "Q4_2", "--samples", "10"],
     ["explore", "problem5", "--preset", "W3_2", "--samples", "0"],

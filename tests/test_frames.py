@@ -62,6 +62,15 @@ def test_check_frame_rejects_noncollinear_a(space):
         check_partial_frame(W, (p, q), (r, 14))
 
 
+@pytest.mark.parametrize("a,b,bad", [((-15, 3), (1, 7), -15), ((0, 3), (1, 22), 22)],
+                         ids=["negative", "past-the-end"])
+def test_check_frame_rejects_out_of_range_indices(a, b, bad, space):
+    # -15 used to wrap to point 0 through adj[-15], and 22 to read as
+    # "not collinear" with every point
+    with pytest.raises(GeometryError, match=rf"point index {bad} out of range"):
+        check_partial_frame(space("W3_2"), a, b)
+
+
 def test_check_frame_matches_b_order(space):
     W, a, b = w32_standard_frame(space)
     fr = check_partial_frame(W, a, (b[1], b[0]))

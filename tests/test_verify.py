@@ -451,6 +451,9 @@ def test_explore_problem5_sampled(space):
     S = space("Sp4_3")
     r = explore_problem5(S, SamplePlan(seed=0, samples=30, mode="random"))
     assert r.experimental and r.consistent()
+    # a saturation is a proper rank-1 subspace, so the judge never skips
+    # one for being improper or of another rank
+    assert "improper" not in r.skipped and "rank_ne_1" not in r.skipped
     for e in r.exhibits:
         assert not is_hyperplane(S, PointSet.of(S, e["points"]))
 
