@@ -91,9 +91,9 @@ def _load_space(args):
         return catalog.build_preset(args.preset)
     if args.spec:
         try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
+            with open(args.spec, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read spec file: {exc}")
         spec = parse_spec(text)
         return build_space_from_spec(spec, cap=catalog.point_cap(), label=args.spec)

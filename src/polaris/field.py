@@ -50,27 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    # factor p - 1 by trial division; p <= 81 so this is instant
-    m = p - 1
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for r in range(2, p):
-        if all(pow(r, (p - 1) // f, p) != 1 for f in factors):
-            return r
-    raise FieldError(f"no primitive root mod {p}")  # unreachable for prime p
-
-
 class Field:
     """GF(p^k) with canonical integer element codes."""
 
@@ -84,30 +63,32 @@ class Field:
         self.q = q
         self.char = p
         if k == 1:
-            r = _smallest_primitive_root(p)
-            self.conway = ((p - r) % p, 1)
-            alpha = r
+            # x - r for r = 1, 2, ...: the first r whose powers cover the
+            # p - 1 nonzero elements is the smallest primitive root mod p
+            tries = [((p - r, 1), r) for r in range(1, p)]
+        elif (p, k) in CONWAY:
+            # the class of x, code p, is primitive by the Conway property
+            tries = [(CONWAY[(p, k)], p)]
         else:
-            if (p, k) not in CONWAY:
-                raise FieldError(f"no Conway polynomial embedded for GF({p}^{k})")
-            self.conway = CONWAY[(p, k)]
-            alpha = p  # the class of x, primitive by the Conway property
+            raise FieldError(f"no Conway polynomial embedded for GF({p}^{k})")
 
-        # exp/log tables over alpha; exp is doubled so products of two
-        # logs never need a modular reduction.
-        exp = [0] * (2 * (q - 1))
-        log = [-1] * q
-        val = 1
-        for i in range(q - 1):
-            if log[val] != -1:
-                raise FieldError(f"non-primitive generator for GF({p}^{k})")
-            exp[i] = val
-            exp[i + q - 1] = val
-            log[val] = i
-            val = self._mul_raw(val, alpha)
-        if val != 1:
-            raise FieldError(f"bad multiplicative order in GF({p}^{k})")
-        self.exp = tuple(exp)
+        for conway, alpha in tries:
+            self.conway = conway
+            # the powers of alpha until one repeats; alpha is primitive when
+            # they return to 1 after q - 1 distinct elements
+            exp = []
+            log = [-1] * q
+            val = 1
+            while log[val] == -1:
+                log[val] = len(exp)
+                exp.append(val)
+                val = self._mul_raw(val, alpha)
+            if val == 1 and len(exp) == q - 1:
+                break
+        else:
+            raise FieldError(f"non-primitive generator for GF({p}^{k})")
+        # exp is doubled so products of two logs never need a modular reduction
+        self.exp = tuple(exp + exp)
         self.log = tuple(log)
 
         add = [0] * (q * q)
@@ -246,13 +227,20 @@ _CACHE: dict = {}
 def field_make(p: int, k: int) -> Field:
     """Construct (or fetch the cached) GF(p^k); rejects non-prime p and
     q > DEFAULT_ORDER_CAP."""
-    if not isinstance(p, int) or not is_prime(p):
-        raise FieldError(f"p = {p!r} is not prime")
     if not isinstance(k, int) or k < 1:
         raise FieldError(f"k = {k!r} is not a positive integer")
-    if p**k > DEFAULT_ORDER_CAP:
+    # the order grows one factor p >= 2 at a time until it passes the cap,
+    # so a huge k stops within the cap's bit length and a huge p after one
+    # step, before p's trial division
+    order, e = 1, 0
+    while isinstance(p, int) and p > 1 and e < k and order <= DEFAULT_ORDER_CAP:
+        order, e = order * p, e + 1
+    if order > DEFAULT_ORDER_CAP:
+        rel = "=" if e == k else ">="
         raise FieldError(
-            f"field order {p}^{k} = {p**k} exceeds the cap {DEFAULT_ORDER_CAP}")
+            f"field order {p}^{k} {rel} {order} exceeds the cap {DEFAULT_ORDER_CAP}")
+    if not isinstance(p, int) or not is_prime(p):
+        raise FieldError(f"p = {p!r} is not prime")
     key = (p, k)
     if key not in _CACHE:
         _CACHE[key] = Field(p, k)

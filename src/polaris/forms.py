@@ -181,7 +181,8 @@ def polarize(Q: QuadraticForm) -> SesquilinearForm:
 def radical_of_form(f: SesquilinearForm):
     """RREF basis of {v : f(v, x) = 0 for all x}; empty iff non-degenerate."""
     F = f.field
-    w_basis = linalg.left_kernel(F, f.gram)
+    # the w with w G = 0: the kernel of the transposed gram matrix
+    w_basis = linalg.right_kernel(F, tuple(zip(*f.gram)), f.dim)
     minv = (F.k - f.sigma) % F.k
     vecs = [tuple(F.frob(a, minv) for a in w) for w in w_basis]
     return linalg.rref(F, vecs)

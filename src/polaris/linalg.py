@@ -16,21 +16,13 @@ from __future__ import annotations
 from .field import Field
 
 
-def vec_add(F: Field, u, v):
-    return tuple(F.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(F: Field, u, t: int):
-    return tuple(F.mul(a, t) for a in u)
-
-
 def combine(F: Field, coeffs, rows):
     """Sum of c * row over paired coefficients and rows; rows must be nonempty."""
-    v = (0,) * len(rows[0])
+    v = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:
-            v = vec_add(F, v, vec_scale(F, row, c))
-    return v
+            v = [F.add(a, F.mul(b, c)) for a, b in zip(v, row)]
+    return tuple(v)
 
 
 def is_zero_vec(v) -> bool:
@@ -64,7 +56,7 @@ def rref(F: Field, rows):
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r] if not is_zero_vec(row))
+    return tuple(tuple(row) for row in work[:r])
 
 
 def pivots(rows):
@@ -81,10 +73,7 @@ def pivots(rows):
 def reduce_mod(F: Field, rref_rows, v):
     """Eliminate the pivot coordinates of v against an RREF basis."""
     w = list(v)
-    for row in rref_rows:
-        for j, a in enumerate(row):
-            if a:
-                break
+    for row, j in zip(rref_rows, pivots(rref_rows)):
         c = w[j]
         if c:
             w = [F.sub(x, F.mul(y, c)) for x, y in zip(w, row)]
@@ -93,10 +82,6 @@ def reduce_mod(F: Field, rref_rows, v):
 
 def in_span(F: Field, rref_rows, v) -> bool:
     return is_zero_vec(reduce_mod(F, rref_rows, v))
-
-
-def transpose(rows):
-    return tuple(zip(*rows)) if rows else ()
 
 
 def right_kernel(F: Field, rows, ncols: int):
@@ -114,13 +99,6 @@ def right_kernel(F: Field, rows, ncols: int):
             x[pc] = F.neg(R[i][free])
         basis.append(tuple(x))
     return tuple(basis)
-
-
-def left_kernel(F: Field, rows):
-    """Basis of {w : w A = 0} for an m x n matrix given as m rows."""
-    if not rows:
-        return ()
-    return right_kernel(F, transpose(rows), len(rows))
 
 
 def normalize_point(F: Field, v):

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from .errors import FormError, SpecError
 from .field import field_make
-from .forms import kind_pair, quadratic_form, sesquilinear_form
+from .forms import KINDS, kind_pair, quadratic_form, sesquilinear_form
 from .polar import build_polar_space
 
-FORM_KINDS = ("alternating", "symmetric", "hermitian", "quadratic")
+FORM_KINDS = KINDS + ("quadratic",)
 
 
 @dataclass(frozen=True)

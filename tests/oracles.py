@@ -5,12 +5,22 @@ enumeration and line construction: points come from a full vector sweep,
 lines from checking every vector of every candidate 2-space, ranks
 from orthogonality evaluated on the form, subspaces from a scan of every
 point subset, and closures from sweeping lines until nothing changes.
+Form values come from the stored gram or upper-triangular matrix by
+field operations alone; of the library only `linalg.rref` (for vector
+ranks) and `linalg.normalize_point` are used.
 """
 
 from itertools import combinations, product
 
 from polaris import linalg
-from polaris.forms import eval_form, eval_quadratic, isotropic_vector_test, polarize
+
+
+def vec_add(F, u, v):
+    return tuple(F.add(a, b) for a, b in zip(u, v))
+
+
+def vec_scale(F, u, t):
+    return tuple(F.mul(a, t) for a in u)
 
 
 def span_vectors(F, basis):
@@ -27,13 +37,58 @@ def span_vectors(F, basis):
     return out
 
 
+def form_value(form, x, y):
+    """f(x, y) = sum_ij sigma(x_i) G_ij y_j of a sesquilinear form, from
+    its gram matrix G; sigma is t -> t^sqrt(q) for hermitian forms and
+    the identity otherwise.  Zero terms are skipped."""
+    F = form.field
+    e = F.p ** (F.k // 2) if form.kind == "hermitian" else 1
+    acc = 0
+    for xi, row in zip(x, form.gram):
+        if xi:
+            sx = F.pow(xi, e)
+            for g, yj in zip(row, y):
+                if g and yj:
+                    acc = F.add(acc, F.mul(F.mul(sx, g), yj))
+    return acc
+
+
+def quadratic_value(form, x):
+    """Q(x) = sum_{i <= j} x_i U_ij x_j of a quadratic form, from its
+    upper-triangular matrix U.  Zero terms are skipped."""
+    F = form.field
+    acc = 0
+    for i, xi in enumerate(x):
+        if xi:
+            row = form.upper[i]
+            for j in range(i, len(x)):
+                if row[j] and x[j]:
+                    acc = F.add(acc, F.mul(F.mul(xi, row[j]), x[j]))
+    return acc
+
+
+def is_singular(form, v):
+    """Q(v) = 0 for a quadratic form, f(v, v) = 0 for a sesquilinear one."""
+    if hasattr(form, "upper"):
+        return quadratic_value(form, v) == 0
+    return form_value(form, v, v) == 0
+
+
+def is_orthogonal(form, u, v):
+    """f(u, v) = 0; a quadratic form's f is Q(u + v) - Q(u) - Q(v)."""
+    if hasattr(form, "upper"):
+        F = form.field
+        return quadratic_value(form, vec_add(F, u, v)) == \
+            F.add(quadratic_value(form, u), quadratic_value(form, v))
+    return form_value(form, u, v) == 0
+
+
 def oracle_points_and_lines(form):
     F, d = form.field, form.dim
-    singular = isotropic_vector_test(form)
     quadratic = hasattr(form, "upper")
     pts = set()
     for v in product(range(F.q), repeat=d):
-        if any(v) and singular(v):
+        if any(v) and is_singular(form, v):
             pts.add(linalg.normalize_point(F, v))
     pts = sorted(pts)
     lines = set()
@@ -42,9 +97,9 @@ def oracle_points_and_lines(form):
             continue
         vecs = span_vectors(F, [u, v])
         if quadratic:
-            totally = all(singular(w) for w in vecs)
+            totally = all(is_singular(form, w) for w in vecs)
         else:
-            totally = all(eval_form(form, x, y) == 0 for x in vecs for y in vecs)
+            totally = all(form_value(form, x, y) == 0 for x in vecs for y in vecs)
         if totally:
             line = frozenset(linalg.normalize_point(F, w) for w in vecs if any(w))
             lines.add(line)
@@ -72,7 +127,7 @@ def oracle_trace_valued(form):
     e = F.p ** (F.k // 2) if form.kind == "hermitian" else 1
     eps = F.neg(1) if form.kind == "alternating" else 1
     traces = {F.add(t, F.mul(F.pow(t, e), eps)) for t in F.elements()}
-    return all(eval_form(form, x, x) in traces
+    return all(form_value(form, x, x) in traces
                for x in product(range(F.q), repeat=form.dim))
 
 
@@ -136,16 +191,9 @@ def oracle_saturation(orth, p):
 
 def oracle_orthogonality(form, points):
     """orth[i]: the indices j with points i and j orthogonal, by direct
-    evaluation: Q(u + v) = f(u, v) for singular u, v of a quadratic form,
-    f(u, v) itself for a sesquilinear one."""
-    F = form.field
-    if hasattr(form, "upper"):
-        def orthogonal(u, v):
-            return eval_quadratic(form, linalg.vec_add(F, u, v)) == 0
-    else:
-        def orthogonal(u, v):
-            return eval_form(form, u, v) == 0
-    return [{j for j, v in enumerate(points) if orthogonal(u, v)} for u in points]
+    evaluation of `is_orthogonal`."""
+    return [{j for j, v in enumerate(points) if is_orthogonal(form, u, v)}
+            for u in points]
 
 
 def oracle_noncollinear_sets(orth, k):
@@ -267,10 +315,8 @@ def oracle_witt(form):
     stops once a chain reaches d // 2, which no totally isotropic/singular
     subspace of a non-degenerate form exceeds."""
     F, d = form.field, form.dim
-    singular = isotropic_vector_test(form)
-    bil = polarize(form) if hasattr(form, "upper") else form
     reps = sorted({linalg.normalize_point(F, v) for v in product(range(F.q), repeat=d)
-                   if any(v) and singular(v)})
+                   if any(v) and is_singular(form, v)})
     best = 0
 
     def extend(chain, start):
@@ -280,7 +326,7 @@ def oracle_witt(form):
             if best == d // 2:
                 return
             v = reps[idx]
-            if all(eval_form(bil, u, v) == 0 for u in chain) \
+            if all(is_orthogonal(form, u, v) for u in chain) \
                     and len(linalg.rref(F, chain + [v])) > len(chain):
                 extend(chain + [v], idx + 1)
 

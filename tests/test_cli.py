@@ -225,6 +225,31 @@ def test_spec_file_input(tmp_path):
     assert code == 2
 
 
+def test_huge_field_degree_in_spec_exits_2(tmp_path):
+    # 2^(10^8) has some 30 million digits: the cap must refuse it unformed
+    f = tmp_path / "huge-field.spec"
+    f.write_text("field p=2 k=100000000\nform kind=alternating dim=2\nrow 0 1\nrow 1 0\n")
+    code, out, err = run_cli(["build", "--spec", str(f)])
+    assert code == 2 and out == ""
+    assert "line 1" in err and "exceeds the cap 81" in err
+
+
+def test_spec_file_encoding(tmp_path):
+    from polaris.catalog import preset_text
+    text = preset_text("W3_2")
+    # a byte-order mark is not part of the first directive
+    bom = tmp_path / "bom.spec"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, out, err = run_cli(["build", "--spec", str(bom)])
+    assert code == 0 and "points: 15" in out and err == ""
+    # bytes that are not UTF-8 are a usage error, not a traceback
+    bad = tmp_path / "latin1.spec"
+    bad.write_bytes(b"\xff" + text.encode("utf-8"))
+    code, out, err = run_cli(["build", "--spec", str(bad)])
+    assert code == 2 and out == ""
+    assert "cannot read spec file" in err and "0xff" in err
+
+
 def test_degenerate_spec_exits_2(tmp_path):
     f = tmp_path / "degenerate.spec"
     f.write_text("field p=2 k=1\n"

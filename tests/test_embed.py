@@ -35,6 +35,8 @@ from oracles import (
     oracle_span_points,
     oracle_subspaces,
     span_vectors,
+    vec_add,
+    vec_scale,
 )
 
 
@@ -144,7 +146,7 @@ def _preimage_by_enumeration(emb, W):
 def rescaled(emb, rng):
     """The same embedding with each vector scaled by a unit of GF(3)."""
     F = emb.space.field
-    vectors = tuple(linalg.vec_scale(F, v, rng.choice([1, 2])) for v in emb.vectors)
+    vectors = tuple(vec_scale(F, v, rng.choice([1, 2])) for v in emb.vectors)
     return Embedding(emb.space, emb.dim, vectors, emb.tag)
 
 
@@ -168,7 +170,7 @@ def test_preimage_matches_span_enumeration(name, space):
     u, v = vec(), vec()
     cases = [
         [],                                               # empty
-        [u, u, v, linalg.vec_add(F, u, v)],               # duplicate, dependent
+        [u, u, v, vec_add(F, u, v)],                      # duplicate, dependent
         [(0,) * d, v],                                    # zero row
         [unit[-1], unit[0]],                              # not in RREF
         unit[::-1],                                       # spans V

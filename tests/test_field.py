@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
+from polaris import field
 from polaris.errors import FieldError
-from polaris.field import DEFAULT_ORDER_CAP, Field, field_make
+from polaris.field import CONWAY, DEFAULT_ORDER_CAP, Field, field_make
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +180,51 @@ def test_field_make_refuses_orders_above_the_cap():
     assert field_make(3, 4).q == 81
     with pytest.raises(FieldError, match=r"^field order 83\^1 = 83 exceeds the cap 81$"):
         field_make(83, 1)
+
+
+@pytest.mark.parametrize("p,k,order", [
+    (83, 1, "83^1 = 83"),
+    (100000000000000000039, 1, "100000000000000000039^1 = 100000000000000000039"),
+    (2, 100000000, "2^100000000 >= 128"),
+], ids=["83", "huge-p", "huge-k"])
+def test_field_order_cap_comes_before_the_primality_test(p, k, order, monkeypatch):
+    # trial division to sqrt(p) never runs for an order above the cap,
+    # and p^k is never formed for a huge k
+    def refuse(n):
+        raise AssertionError(f"primality of {n} tested for an order above the cap")
+    monkeypatch.setattr(field, "is_prime", refuse)
+    with pytest.raises(FieldError, match=rf"^field order {re.escape(order)} exceeds the cap 81$"):
+        field_make(p, k)
+
+
+def brute_primitive_root(p):
+    """Smallest r in [1, p) whose multiplicative order mod p is p - 1."""
+    for r in range(1, p):
+        x, order = r, 1
+        while x != 1:
+            x, order = x * r % p, order + 1
+        if order == p - 1:
+            return r
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, DEFAULT_ORDER_CAP + 1)
+                               if all(p % d for d in range(2, p))])
+def test_degree_one_conway_is_x_minus_the_smallest_primitive_root(p):
+    r = brute_primitive_root(p)
+    F = field_make(p, 1)
+    assert F.conway == ((p - r) % p, 1)
+    assert F.exp[1] == r
+
+
+@pytest.mark.parametrize("p,k", sorted(CONWAY))
+def test_embedded_conway_polynomials_are_primitive(p, k):
+    # the class of x has multiplicative order q - 1 modulo the polynomial
+    q, mod = p**k, list(CONWAY[(p, k)])
+    x, one = [0, 1] + [0] * (k - 2), [1] + [0] * (k - 1)
+    val, order = x, 1
+    while val != one and order < q:
+        val, order = poly_mul_mod(p, mod, val, x), order + 1
+    assert order == q - 1
 
 
 def test_fields_are_cached_and_deterministic():

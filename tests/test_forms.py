@@ -19,7 +19,13 @@ from polaris.forms import (
     witt_index,
 )
 
-from oracles import oracle_trace_valued, oracle_witt, span_vectors
+from oracles import (
+    oracle_trace_valued,
+    oracle_witt,
+    span_vectors,
+    vec_add,
+    vec_scale,
+)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -152,8 +158,7 @@ def test_sesquilinearity():
         y = tuple(rng.randrange(4) for _ in range(3))
         z = tuple(rng.randrange(4) for _ in range(3))
         s, t = rng.randrange(4), rng.randrange(4)
-        lhs = eval_form(f, z, linalg.vec_add(F4, linalg.vec_scale(F4, x, s),
-                                             linalg.vec_scale(F4, y, t)))
+        lhs = eval_form(f, z, vec_add(F4, vec_scale(F4, x, s), vec_scale(F4, y, t)))
         rhs = F4.add(F4.mul(eval_form(f, z, x), s), F4.mul(eval_form(f, z, y), t))
         assert lhs == rhs
 
@@ -182,7 +187,7 @@ def test_polarization_identity_exhaustive():
         F, f = Q.field, polarize(Q)
         for x in all_vectors(F, Q.dim):
             for y in all_vectors(F, Q.dim):
-                lhs = eval_quadratic(Q, linalg.vec_add(F, x, y))
+                lhs = eval_quadratic(Q, vec_add(F, x, y))
                 rhs = F.add(F.add(eval_quadratic(Q, x), eval_quadratic(Q, y)),
                             eval_form(f, x, y))
                 assert lhs == rhs
