@@ -16,22 +16,31 @@ checks that its quotient is the given space, and inverts the point map.
 
 A subspace S "arises" from an embedding when the preimage of the
 projective span of its image is S itself; `arises_from` reports a
-witness point otherwise.  It spans the images of `S.generators` (the
-seed set of a cold closure, else points picked by closure) and
-certifies that this span is the span of the whole image: the
-generators lie in S, and S lies in their span's preimage.  Preimages,
-hyperplanes and the line check of `validate_embedding` are zero sets
-of functionals (`linalg.zero_set`).
+witness point otherwise.  <e(S)> is the intersection of the hyperplanes
+of PG(V) that hold e(S) (the double annihilator), so `arises_from`
+reads both sides off the embedding's dual table `duals`: the
+functionals that kill every point of S, and the points that all of
+those functionals kill.  It does no row reduction.  `projective_span`
+and `preimage` are the row-reduction path to the same preimage, which
+`validate_embedding` uses for its line check.  Preimages, hyperplanes
+and the line check are zero sets of functionals (`linalg.zero_set`).
 
-Embeddings are immutable after construction, with one exception: each
-holds a write-once cache, the value-slice table `slices` that preimages
-are computed from, built on first use from the vectors and the field.
+Embeddings are immutable after construction, with two exceptions, both
+write-once caches built on first use from the vectors and the field:
+the value-slice table `slices` that zero sets are computed from, and
+the dual table `duals`.  The dual table costs one zero set per
+projective functional, (q^d - 1)/(q - 1) of them, and one per point.
+On an Intel Xeon under Python 3.11 it took 4 ms on H4_4 (341
+functionals), 25 ms on an H(5, 4) spec (1,365) and 0.3 s on a Q(4, 9)
+spec (7,381), the most functionals of any non-grid space under the
+default point cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .errors import EmbeddingError, GeometryError
@@ -53,6 +62,14 @@ from .polar import (
 )
 
 
+class Duals(NamedTuple):
+    """The incidence of the points with the projective functionals,
+    indexed in `linalg.projective_reps` order."""
+
+    zero: tuple     # zero[i]: bitset of the points the i-th functional kills
+    kills: tuple    # kills[x]: bitset of the functionals that kill point x
+
+
 @dataclass(frozen=True)
 class Embedding:
     """A point -> projective-point map given by representative vectors."""
@@ -71,6 +88,20 @@ class Embedding:
         """slices[j][c]: the bitset of the points whose representative
         vector has coordinate j equal to c."""
         return linalg.value_slices(self.space.field, self.vectors)
+
+    @cached_property
+    def duals(self) -> Duals:
+        """zero[i] is the zero set of the i-th functional over the points,
+        kills[x] that of point x's vector over the functionals: the sum
+        of a_j v_j is symmetric in a and v, so `linalg.zero_set` builds
+        both."""
+        F = self.space.field
+        funcs = tuple(linalg.projective_reps(F, self.dim))
+        zero = tuple(linalg.zero_set(F, self.slices, a, self.space.all_bits)
+                     for a in funcs)
+        by_funcs, every = linalg.value_slices(F, funcs), (1 << len(funcs)) - 1
+        kills = tuple(linalg.zero_set(F, by_funcs, v, every) for v in self.vectors)
+        return Duals(zero, kills)
 
 
 def natural_embedding(space: PolarSpace) -> Embedding:
@@ -139,21 +170,19 @@ class ArisesVerdict:
 
 
 def arises_from(emb: Embedding, S) -> ArisesVerdict:
-    """Compare S with the preimage P of the span of the images of
-    `S.generators`, which takes one row reduction.  Two bitset tests
-    certify that this span is <e(S)>: the generators lie in S, so it is
-    inside <e(S)>, and S lies in P, so it holds e(S).  The verdict,
-    witness and preimage then do not depend on which generators S
-    carries, and generators that fail either test raise."""
+    """Compare S with P, the preimage of <e(S)>.  The functionals that
+    kill e(S) are the AND of `kills` over S, and P is the AND of their
+    zero sets, all points when there are none."""
     Sset = _require_subspace(emb.space, S)
-    gens = Sset.generators
-    if gens.bits & ~Sset.bits:
-        raise GeometryError("a generator lies outside the subspace")
-    pre = preimage(emb, [emb.vectors[i] for i in gens])
-    if Sset.bits & ~pre.bits:
-        raise GeometryError("the span of the generators' images misses a point of the subspace")
-    extra = pre.bits & ~Sset.bits
-    return ArisesVerdict(not extra, next(_iter_bits(extra), None), pre)
+    zero, kills = emb.duals
+    ann = (1 << len(zero)) - 1
+    for x in _iter_bits(Sset.bits):
+        ann &= kills[x]
+    pre = emb.space.all_bits
+    for i in _iter_bits(ann):
+        pre &= zero[i]
+    extra = pre & ~Sset.bits
+    return ArisesVerdict(not extra, next(_iter_bits(extra), None), PointSet(emb.space, pre))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ Every "which of these vectors does a functional kill" question goes
 through one bitset kernel: `value_slices` indexes a vector list once by
 coordinate value, and `zero_set` answers the question for all of them
 at once.  Polar spaces use it for collinearity rows, embeddings for
-preimages and hyperplanes.
+preimages and for their dual table of hyperplanes.
 """
 
 from __future__ import annotations

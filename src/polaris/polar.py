@@ -18,8 +18,8 @@ the frame search and frame check track no spans.
 
 Spaces are immutable after construction, apart from the write-once
 `_universal` slot that `embed.universal_embedding` fills; PointSet
-caches are write-once too.  A cold closure records its input on its
-result as `generators`, which other sets derive by closure on demand.
+caches are write-once too.  A closure comes out marked as a subspace,
+and `generating_points` picks a generating subset of any set on demand.
 Everything here is safe to query concurrently: two threads filling one
 cache write equal values.
 """
@@ -195,16 +195,14 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
 
 class PointSet:
     """A set of point indices of one space, as a bitset, with write-once
-    caches for the subspace flag, generators, radical and ranks."""
+    caches for the subspace flag, radical and ranks."""
 
-    __slots__ = ("space", "bits", "_subspace", "_generators", "_radical",
-                 "_rank", "_rank_nd")
+    __slots__ = ("space", "bits", "_subspace", "_radical", "_rank", "_rank_nd")
 
     def __init__(self, space: PolarSpace, bits: int):
         self.space = space
         self.bits = bits
         self._subspace = None
-        self._generators = None
         self._radical = None
         self._rank = None
         self._rank_nd = None
@@ -256,14 +254,6 @@ class PointSet:
         return self._subspace
 
     @property
-    def generators(self) -> "PointSet":
-        """A subset of this set whose closure is its closure: the input a
-        cold `closure` recorded on its result, else `generating_points`."""
-        if self._generators is None:
-            self._generators = _bits(self.space, generating_points(self.space, self))
-        return PointSet(self.space, self._generators)
-
-    @property
     def radical(self) -> "PointSet":
         if self._radical is None:
             self._radical = radical_of_subspace(self.space, self)
@@ -312,12 +302,10 @@ def closure(space: PolarSpace, X, closed=0) -> PointSet:
     then passes through a point outside `closed`, so a worklist of the
     added points visits only their lines (`space.lines_at`), saturating
     each line met twice and queueing the points it adds.  The result is
-    marked as a subspace; a cold closure (`closed` empty) also records X
-    as its generators.
+    marked as a subspace.
     """
     closed = _bits(space, closed)
-    gens = _bits(space, X)
-    bits = closed | gens
+    bits = closed | _bits(space, X)
     todo = bits & ~closed
     all_bits = space.all_bits
     lines_at = space.lines_at
@@ -331,8 +319,6 @@ def closure(space: PolarSpace, X, closed=0) -> PointSet:
                 bits |= lb
     out = PointSet(space, bits)
     out._subspace = True
-    if not closed:
-        out._generators = gens
     return out
 
 

@@ -15,9 +15,9 @@ sample sequences and reports, and a k-sample run is a prefix of a
 longer one.  The stream's key is the text `polaris-sample/<seed>`,
 which is injective in the seed, so distinct seeds (negative ones
 included) give distinct streams.  Candidate subspaces are closures of
-random seed sets with sizes uniform in [2, 2n+2].  Each carries its seed
-set as `PointSet.generators`, so `arises_from` judges it without closing
-it again; an exhaustive candidate's generators are picked by closure.
+random seed sets with sizes uniform in [2, 2n+2].  `arises_from` judges
+a candidate by its points alone, so a sampled and an exhaustive
+candidate with the same points get the same verdict.
 Exhaustive mode walks the full subspace lattice by one-point extensions
 and is the default at 15 points or fewer; corollary3 walks the dual space.
 
@@ -36,13 +36,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import linalg
-from .embed import (
-    Embedding,
-    arises_from,
-    universal_embedding,
-    zero_set,
-)
+from .embed import Embedding, arises_from, universal_embedding
 from .errors import UsageError
 from .polar import (
     PointSet,
@@ -263,13 +257,13 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """In rank n > 2, every hyperplane must be maximal of rank n-1 or n.
     Every hyperplane is the zero set of exactly one projective functional
     of the universal embedding (Ronan 1987), so the walk over the dual
-    space judges each once, whatever the plan."""
+    space, the embedding's `duals` table, judges each once, whatever the
+    plan."""
     if space.n <= 2:
         raise UsageError("corollary3 needs ambient rank > 2")
     emb = universal_embedding(space)
     rank_hist: dict = {}
-    hyperplanes = (PointSet(space, zero_set(emb, x))
-                   for x in linalg.projective_reps(space.field, emb.dim))
+    hyperplanes = (PointSet(space, z) for z in emb.duals.zero)
 
     def judge(H):
         r = H.rank

@@ -76,6 +76,9 @@ BUILT = {"W3_2-perm": w32_perm, "W3_4-twisted": w34_twisted,
          "Q4_4": lambda: build_space_from_spec(parse_spec(Q4_4_SPEC), label="Q4_4")}
 
 
+UNIVERSAL_PRESETS = [name for name in sorted(PRESETS) if not build_preset(name).is_grid]
+
+
 def grid_of(space, name="Q4_2"):
     Q = space(name)
     return Q, closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
@@ -293,9 +296,9 @@ def test_arises_invariant_under_rescaling(space):
 
 @pytest.mark.parametrize("name", ["Q6_2", "H4_4", "W5_2"])
 def test_arises_from_agrees_with_preimage_of_projective_span(name, space):
-    # arises_from annihilates the generators picked by closure directly;
-    # the verdict must match the public span and preimage, on the natural
-    # and universal embeddings (W5_2: the quotient and the hull)
+    # arises_from reads the dual table; the verdict must match the
+    # row-reduced span and preimage, on the natural and universal
+    # embeddings (W5_2: the quotient and the hull)
     sp = space(name)
     rng = random.Random(11)
     N = len(sp.points)
@@ -326,8 +329,7 @@ def _assert_arises_matches_enumeration(emb, bits, sets):
 
 @pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
 def test_arises_from_matches_enumeration_on_every_subspace(name, space, preset_oracle):
-    # each subspace twice: as a cold closure of itself, which records all
-    # its points as generators, and as a bare set, which derives them
+    # each subspace twice: as a cold closure of itself and as a bare set
     sp = space(name)
     assert preset_oracle(name)[0] == list(sp.points)
     subs = oracle_subspaces(sp.form)
@@ -337,13 +339,12 @@ def test_arises_from_matches_enumeration_on_every_subspace(name, space, preset_o
     for emb in embs:
         for bits in subs:
             cold = closure(sp, bits)
-            assert cold.bits == bits and cold.generators.bits == bits
+            assert cold.bits == bits
             _assert_arises_matches_enumeration(emb, bits, (cold, PointSet(sp, bits)))
 
 
 @pytest.mark.parametrize("name", ["Q6_2", "H4_4"])
 def test_arises_from_matches_enumeration_on_sampled_closures(name, space):
-    # closures of random seed sets carry those seeds as generators
     sp = space(name)
     emb = universal_embedding(sp)
     rng = random.Random(16)
@@ -351,38 +352,65 @@ def test_arises_from_matches_enumeration_on_sampled_closures(name, space):
     for _ in range(200):
         seed = rng.sample(range(N), rng.randint(2, 2 * sp.n + 2))
         cold = closure(sp, seed)
-        assert cold.generators == PointSet.of(sp, seed)
         _assert_arises_matches_enumeration(emb, cold.bits, (cold, PointSet(sp, cold.bits)))
 
 
-def test_arises_from_refuses_generators_that_span_too_little(space):
-    # the grid of W3_2 does not arise from the quotient embedding; one of
-    # its lines as its generators would give a preimage inside the grid
-    # and a false pass, so the certificate must raise instead
-    Q, gridQ = grid_of(space)
-    W = space("W3_2")
-    hull = hull_of_symplectic_char2(W)
-    grid_bits = PointSet.of(W, [hull.from_quad[i] for i in gridQ]).bits
-    line = next(lb for lb in W.line_bits if lb & grid_bits == lb)
-    symp = natural_embedding(W)
-    assert not arises_from(symp, closure(W, grid_bits)).arises
-    for emb in (symp, universal_embedding(W)):
-        S = PointSet(W, grid_bits)
-        S._generators = line
-        with pytest.raises(GeometryError, match="misses a point"):
-            arises_from(emb, S)
+@pytest.mark.parametrize("name", ["W3_2", "Q6_2", "H4_4", "W5_2"])
+def test_arises_from_verdict_depends_on_the_points_alone(name, space):
+    # a cold closure of a random seed set, a bare set with the same bits
+    # and a warm closure (the rest of the seeds on top of the closure of
+    # the first) get one verdict, on the natural and universal embeddings
+    sp = space(name)
+    rng = random.Random(24)
+    N = len(sp.points)
+    seen_failure = False
+    for emb in dict.fromkeys((natural_embedding(sp), universal_embedding(sp))):
+        for _ in range(40):
+            seed = rng.sample(range(N), rng.randint(2, 2 * sp.n + 2))
+            k = rng.randint(1, len(seed) - 1)
+            cold = closure(sp, seed)
+            warm = closure(sp, seed[k:], closure(sp, seed[:k]))
+            assert warm.bits == cold.bits
+            verdicts = {(v.arises, v.witness, v.preimage.bits)
+                        for v in (arises_from(emb, S)
+                                  for S in (cold, PointSet(sp, cold.bits), warm))}
+            assert len(verdicts) == 1
+            arises, _, pre = verdicts.pop()
+            assert pre == preimage(emb, projective_span(emb, cold)).bits
+            seen_failure |= not arises
+    # the sample meets non-arising subspaces, at least on the quotient
+    # embedding of W3_2 and W5_2
+    assert seen_failure or natural_embedding(sp).tag != "quotient"
 
 
-def test_arises_from_refuses_generators_outside_the_subspace(space):
-    sp = space("Q6_2")
-    emb = universal_embedding(sp)
-    rng = random.Random(5)
-    for _ in range(20):
-        S = closure(sp, rng.sample(range(len(sp.points)), 4))
-        outside = next(iter(sp.universe() - S))
-        S._generators |= 1 << outside
-        with pytest.raises(GeometryError, match="outside the subspace"):
-            arises_from(emb, S)
+def _assert_duals_match_brute_force(emb):
+    F = emb.space.field
+    zero, kills = emb.duals
+    funcs = list(linalg.projective_reps(F, emb.dim))
+    assert len(zero) == len(funcs) == (F.q ** emb.dim - 1) // (F.q - 1)
+    assert len(kills) == len(emb.vectors)
+    for i, a in enumerate(funcs):
+        want = 0
+        for x, v in enumerate(emb.vectors):
+            s = 0
+            for aj, vj in zip(a, v):
+                s = F.add(s, F.mul(aj, vj))
+            killed = s == 0
+            assert bool(kills[x] >> i & 1) == killed, (i, x)
+            want |= killed << x
+        assert zero[i] == want, i
+
+
+@pytest.mark.parametrize("name", UNIVERSAL_PRESETS)
+def test_duals_match_brute_force_on_universal_embeddings(name, space):
+    _assert_duals_match_brute_force(universal_embedding(space(name)))
+
+
+@pytest.mark.parametrize("name", ["W3_2", "W5_2"])
+def test_duals_match_brute_force_on_quotient_embeddings(name, space):
+    emb = natural_embedding(space(name))
+    assert emb.tag == "quotient"
+    _assert_duals_match_brute_force(emb)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +656,6 @@ def test_mingen_whole_q42(space):
     for i in Y:
         rest = [j for j in Y.indices() if j != i]
         assert closure(Q, rest).bits != Q.all_bits
-
-
-UNIVERSAL_PRESETS = [name for name in sorted(PRESETS) if not build_preset(name).is_grid]
 
 
 @pytest.mark.parametrize("name", UNIVERSAL_PRESETS)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polaris import linalg, polar, verify
+from polaris import linalg, verify
 from polaris.catalog import build_preset
 from polaris.embed import arises_from, natural_embedding, universal_embedding, zero_set
 from polaris.errors import UsageError
@@ -124,25 +124,21 @@ def test_theorem1_hull_embedding_accepted(space):
     assert r.failed == 0 and r.applicable > 0
 
 
-def test_theorem1_generators_travel_with_sampled_candidates(space, monkeypatch):
-    # a sampled candidate carries its seed set, so no generating set is
-    # re-derived; an exhaustive candidate derives one when it is judged
-    calls = []
-    real = polar.generating_points
+def test_theorem1_judges_without_row_reduction(space, monkeypatch):
+    # arises_from reads the dual table, so once the universal embedding is
+    # built a theorem1 run reduces no rows, sampled or exhaustive
+    spaces = [space("Q6_2"), space("W3_2")]
+    embs = [universal_embedding(sp) for sp in spaces]
 
-    def counted(sp, X):
-        calls.append(X)
-        return real(sp, X)
+    def refuse(*args):
+        raise AssertionError("row reduction in a theorem1 run")
 
-    monkeypatch.setattr(polar, "generating_points", counted)
-    Q = space("Q6_2")
-    r = check_theorem1(Q, universal_embedding(Q), SamplePlan(seed=3, samples=200,
-                                                             mode="random"))
-    assert r.failed == 0 and r.applicable > 0 and calls == []
-    W = space("W3_2")
-    r = check_theorem1(W, universal_embedding(W), SamplePlan(mode="exhaustive"))
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "right_kernel", refuse)
+    r = check_theorem1(spaces[0], embs[0], SamplePlan(seed=3, samples=200, mode="random"))
+    assert r.failed == 0 and r.applicable > 0
+    r = check_theorem1(spaces[1], embs[1], SamplePlan(mode="exhaustive"))
     assert (r.sampled, r.applicable, r.failed) == (278, 10, 0)
-    assert len(calls) == r.applicable
 
 
 # ---------------------------------------------------------------------------
