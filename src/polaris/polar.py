@@ -273,6 +273,8 @@ class PointSet:
 
 
 def _bits(space, X) -> int:
+    if type(X) is int:
+        return X
     if isinstance(X, PointSet):
         if X.space is not space:
             raise GeometryError("PointSet belongs to a different space")
@@ -424,20 +426,36 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
     """The points outside the subspace S reached from the outside point p
     along lines that meet S, p included.  If p and x lie outside S on a
     line that meets S at h, that line is <p, h> = <x, h>, so
-    closure(S u p) = closure(S u x): one closure decides the whole class."""
+    closure(S u p) = closure(S u x): one closure decides the whole class.
+
+    Each line through an outside point f meets S at most once, so each
+    point of m = f^perp n S lies on exactly one line through f, and m
+    counts the lines through f that meet S.  When it counts them all,
+    the points f reaches are f^perp outside S, the union of its lines:
+    one AND.  Otherwise only the lines through f that meet m are walked."""
+    adj = space.adj
     lines_at = space.lines_at
     cls = frontier = 1 << p
     within = space.all_bits & ~s_bits & ~cls
     while frontier:
-        f = frontier & -frontier
-        frontier ^= f
-        for lb in lines_at[f.bit_length() - 1]:
-            if lb & s_bits:
-                new = lb & within
-                if new:
-                    frontier |= new
-                    within ^= new
-                    cls |= new
+        low = frontier & -frontier
+        frontier ^= low
+        f = low.bit_length() - 1
+        m = adj[f] & s_bits
+        if not m:
+            continue
+        through = lines_at[f]
+        if m.bit_count() == len(through):
+            new = adj[f] & within
+        else:
+            new = 0
+            for lb in through:
+                if lb & m:
+                    new |= lb & within
+        if new:
+            frontier |= new
+            within ^= new
+            cls |= new
     return cls
 
 

@@ -176,6 +176,21 @@ def oracle_grow_to_maximal(line_bits, all_bits, bits):
             return bits
 
 
+def oracle_line_class(line_bits, all_bits, s_bits, p):
+    """The points outside S reached from the outside point p, p included,
+    by a breadth-first search that steps along every line meeting S."""
+    meeting = [lb for lb in line_bits if lb & s_bits]
+    cls, queue = 1 << p, [p]
+    while queue:
+        x = queue.pop(0)
+        for lb in meeting:
+            if (lb >> x) & 1:
+                new = lb & all_bits & ~s_bits & ~cls
+                cls |= new
+                queue += [y for y in range(all_bits.bit_length()) if (new >> y) & 1]
+    return cls
+
+
 def oracle_saturation(orth, p):
     """Maximal set of pairwise non-orthogonal points grown from p, each
     time by the lowest point orthogonal to no chosen point, rescanning

@@ -45,6 +45,7 @@ F2 = field_make(2, 1)
 from oracles import (  # noqa: E402
     oracle_closure,
     oracle_coatoms,
+    oracle_line_class,
     oracle_one_or_all,
     oracle_orthogonality,
     oracle_points_and_lines,
@@ -518,6 +519,64 @@ def test_is_maximal_subspace_matches_coatom_oracle(name, space):
         if bits != sp.all_bits:
             assert is_maximal_subspace(sp, PointSet(sp, bits)) == (bits in coatoms), \
                 PointSet(sp, bits).indices()
+
+
+def _check_line_classes(sp, line_bits, s_bits, cases):
+    """`_line_class` from every point outside S against the oracle's
+    search.  Once per class, `cases[k]` counts the members whose oracle
+    lines meet S in none (k = 0), some (1) or all (2) of them."""
+    N = len(sp.points)
+    classes = {}
+    for p in range(N):
+        if (s_bits >> p) & 1:
+            continue
+        if p not in classes:
+            cls = oracle_line_class(line_bits, sp.all_bits, s_bits, p)
+            for f in PointSet(sp, cls):
+                classes[f] = cls
+                through = [lb for lb in line_bits if (lb >> f) & 1]
+                meet = sum(1 for lb in through if lb & s_bits)
+                cases[0 if not meet else 2 if meet == len(through) else 1] += 1
+        assert polar._line_class(sp, s_bits, p) == classes[p], \
+            (PointSet(sp, s_bits).indices(), p)
+
+
+def _oracle_line_bits(sp, preset_oracle):
+    _, lines = preset_oracle(sp.label)
+    return [sum(1 << sp.index[v] for v in line) for line in lines]
+
+
+# class members by how many of their lines meet S, summed over every class
+# of every subspace: none, some, all
+LINE_CLASS_CASES = {"W3_2": (525, 2160, 480), "Q4_2": (525, 2160, 480),
+                    "Qp3_2": (63, 144, 108)}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CLASS_CASES))
+def test_line_class_matches_oracle_on_every_subspace(name, space, preset_oracle):
+    # the counts show that each branch of the walk is taken
+    sp = space(name)
+    line_bits = _oracle_line_bits(sp, preset_oracle)
+    cases = [0, 0, 0]
+    for bits in oracle_subspaces(sp.form):
+        _check_line_classes(sp, line_bits, bits, cases)
+    assert tuple(cases) == LINE_CLASS_CASES[name]
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "W5_2"])
+def test_line_class_of_a_hyperplane_takes_every_line(name, space, preset_oracle):
+    # every line through a point outside a hyperplane meets it, so every
+    # outside point reaches its perp in one AND
+    sp = space(name)
+    line_bits = _oracle_line_bits(sp, preset_oracle)
+    for H in universal_embedding(sp).duals.zero:
+        assert is_hyperplane(sp, H)
+        cases = [0, 0, 0]
+        _check_line_classes(sp, line_bits, H, cases)
+        assert cases[0] == cases[1] == 0 and cases[2] == len(sp.points) - H.bit_count()
+        for f in range(len(sp.points)):
+            if not (H >> f) & 1:
+                assert (sp.adj[f] & H).bit_count() == len(sp.lines_at[f])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polaris import linalg, verify
+from polaris import catalog, linalg, verify
 from polaris.catalog import build_preset
 from polaris.embed import arises_from, natural_embedding, universal_embedding, zero_set
 from polaris.errors import UsageError
@@ -18,6 +18,7 @@ from polaris.polar import (
     rank_of,
 )
 from polaris.records import RecordWriter
+from polaris.specfile import build_space_from_spec, parse_spec
 from polaris.verify import (
     SamplePlan,
     check_corollary2,
@@ -77,6 +78,28 @@ def test_theorem1_positive_control_on_the_natural_embedding(space):
     assert applicable == [S for S in lattice if len(S) == 9]
     for emb, failing in ((natural_embedding(W), applicable), (universal_embedding(W), [])):
         assert [S for S in applicable if not arises_from(emb, S).arises] == failing
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (3, 4)], ids=["W5_2", "W3_4"])
+def test_theorem1_positive_control_matches_the_nucleus_criterion(n, q):
+    # the natural embedding of W(2n-1, 2^h) is the universal one projected
+    # from the hull quadric's nucleus e0 = (1, 0, ..., 0), so S arises
+    # from it exactly when <eps_u(S)> contains e0; the sampled applicable
+    # closures must agree with that criterion, and some must fail
+    sp = build_space_from_spec(catalog._family_spec("W", n, q), cap=2000)
+    nat, uni = natural_embedding(sp), universal_embedding(sp)
+    F = sp.field
+    e0 = (1,) + (0,) * (uni.dim - 1)
+    seen, failing = set(), 0
+    for S in verify._subspaces(sp, SamplePlan(seed=1, samples=300, mode="random"), "random"):
+        if S.bits in seen or verify.classify_subspace(sp, S) is not None:
+            continue
+        seen.add(S.bits)
+        arises = arises_from(nat, S).arises
+        assert arises == linalg.in_span(F, linalg.rref(F, [uni.vectors[i] for i in S]), e0), \
+            S.indices()
+        failing += not arises
+    assert seen and failing
 
 
 def test_theorem1_refuses_grid(space):
@@ -326,7 +349,6 @@ def test_prop5_rejects_q42(space):
 
 
 def test_prop5_h39_built_from_spec_text():
-    from polaris.specfile import build_space_from_spec, parse_spec
     text = ("field p=3 k=2\n"
             "form kind=hermitian dim=4\n"
             "row 1 0 0 0\n"
