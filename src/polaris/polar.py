@@ -6,15 +6,19 @@ quadratic form: its points are the isotropic/singular projective points
 lexicographically by coordinate codes) and its lines are the totally
 isotropic/singular 2-dimensional vector subspaces, stored as full
 point-index tuples.  Collinearity lives in per-point bitsets, with
-p in perp(p) by convention, and each point keeps the bitsets of the
-lines through it and a row of their indices, so closure, perp and the
-subspace and hyperplane tests are pure integer bitset work.  Each
-collinearity row is the zero set of one functional over all points
-(`linalg.zero_set`), and each line is {p, q}^perp^perp of two of its
-points, so building a space takes no pairwise vector arithmetic.
-Ranks and frames come from the collinearity bitsets alone: a
-subspace's rank is the point count of one greedy clique inside it, and
-the frame search and frame check track no spans.
+p in perp(p) by convention, and each point p keeps the bitset of each
+line through it less p and a row of their indices, so closure, perp
+and the subspace and hyperplane tests are pure integer bitset work.
+Each collinearity row is the zero set of one functional over all
+points (`linalg.zero_set`), and each line is {p, q}^perp^perp of two
+of its points, so building a space takes no pairwise vector
+arithmetic.  Closure skips an added point whose perp is already in
+the set.  The subspace lattice is walked by in/out branching on
+points, and one closure decides each class of outside points joined
+by lines that meet the subspace.  Ranks and frames come from the
+collinearity bitsets alone: a subspace's rank is the point count of
+one greedy clique inside it, and the frame search and frame check
+track no spans.
 
 Spaces are immutable after construction, apart from the write-once
 `_universal` slot that `embed.universal_embedding` fills; PointSet
@@ -75,7 +79,7 @@ class PolarSpace:
         self.adj = adj
         self.lines = lines
         self.line_bits = line_bits
-        self.lines_at = lines_at      # per point: the bitsets of its lines
+        self.lines_at = lines_at      # per point p: each line through p, less p
         self.line_rows = line_rows    # per point: the bitset of its line indices
         self.all_bits = (1 << len(points)) - 1
         self.is_grid = is_grid
@@ -180,7 +184,7 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
     line_rows = [0] * N
     for li, (pts, lb) in enumerate(zip(lines, line_bits)):
         for a in pts:
-            lines_at_mut[a].append(lb)
+            lines_at_mut[a].append(lb & ~(1 << a))
             line_rows[a] |= 1 << li
     lines_at = tuple(tuple(ls) for ls in lines_at_mut)
 
@@ -302,23 +306,33 @@ def closure(space: PolarSpace, X, closed=0) -> PointSet:
     `closed` must already be a subspace; this is assumed, not checked.
     Every line meeting the set in two points but not contained in it
     then passes through a point outside `closed`, so a worklist of the
-    added points visits only their lines (`space.lines_at`), saturating
-    each line met twice and queueing the points it adds.  The result is
-    marked as a subspace.
+    added points visits only their lines (`space.lines_at`).  A popped
+    point p whose perp is already in the set is skipped, since its lines
+    lie in its perp; otherwise each line through p that meets the set
+    again adds its points of p^perp outside the set.  Lines through p
+    meet only at p, so one snapshot of that outside part serves them
+    all.  The result is marked as a subspace.
     """
     closed = _bits(space, closed)
     bits = closed | _bits(space, X)
     todo = bits & ~closed
     all_bits = space.all_bits
+    adj = space.adj
     lines_at = space.lines_at
     while todo and bits != all_bits:
         low = todo & -todo
         todo ^= low
-        for lb in lines_at[low.bit_length() - 1]:
-            inter = lb & bits
-            if inter != lb and inter & (inter - 1):
-                todo |= lb & ~bits
-                bits |= lb
+        p = low.bit_length() - 1
+        outside = adj[p] & ~bits
+        if not outside:
+            continue
+        new = 0
+        for rest in lines_at[p]:
+            if rest & bits:
+                new |= rest & outside
+        if new:
+            todo |= new
+            bits |= new
     out = PointSet(space, bits)
     out._subspace = True
     return out
@@ -363,9 +377,16 @@ def _require_subspace(space, X) -> PointSet:
 
 
 def radical_of_subspace(space: PolarSpace, S) -> PointSet:
-    """rad(S) = perp(S) intersect S."""
+    """rad(S) = perp(S) intersect S: the AND of the members' collinearity
+    rows, started at S and stopped once it is empty."""
     S = _require_subspace(space, S)
-    return PointSet(space, perp(space, S.bits).bits & S.bits)
+    acc = S.bits
+    adj = space.adj
+    for i in _iter_bits(S.bits):
+        acc &= adj[i]
+        if not acc:
+            break
+    return PointSet(space, acc)
 
 
 def _vector_dim(q: int, m: int) -> int:
@@ -608,18 +629,35 @@ def frame_span(space: PolarSpace, fr: PartialFrame) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# the subspace lattice, walked by one-point extensions
+# the subspace lattice, walked by in/out branching
 # ---------------------------------------------------------------------------
 
 def enumerate_subspaces(space: PolarSpace) -> list:
-    """Every subspace, ascending by bits: the empty subspace and the
-    extensions of each member found, the upper-neighbour walk of C. Lindig
-    ("Fast concept analysis", 2000).  The members are `closure` results,
-    so they come marked as subspaces."""
-    found, todo = {}, [closure(space, 0)]
+    """Every subspace, ascending by bits.
+
+    A stack holds pairs (S, E): S is a subspace and E the points ruled
+    out, disjoint from S; the pair stands for the subspaces above S that
+    miss E.  The lowest point p outside S u E splits them by whether they
+    hold p.  Those without p miss the whole `_line_class` of p, since
+    each member x has p in closure(S u x); those with p contain
+    T = closure(S u p), so they exist only when T misses E.  A pair with
+    no point left is the one subspace S.  The two branches split the
+    subspaces above S, so each is reached exactly once: the in/out
+    branching behind prefix-preserving closure extension (T. Uno,
+    M. Kiyomi, H. Arimura, "LCM ver. 2", FIMI 2004).  The members are
+    `closure` results, so they come marked as subspaces."""
+    all_bits = space.all_bits
+    found, todo = [], [(closure(space, 0), 0)]
     while todo:
-        S = todo.pop()
-        if S.bits not in found:
-            found[S.bits] = S
-            todo += extensions(space, S)
-    return sorted(found.values(), key=lambda S: S.bits)
+        S, E = todo.pop()
+        free = all_bits & ~S.bits & ~E
+        if not free:
+            found.append(S)
+            continue
+        p = (free & -free).bit_length() - 1
+        todo.append((S, E | _line_class(space, S.bits, p)))
+        T = closure(space, 1 << p, S.bits)
+        if not T.bits & E:
+            todo.append((T, E))
+    found.sort(key=lambda S: S.bits)
+    return found

@@ -18,8 +18,9 @@ included) give distinct streams.  Candidate subspaces are closures of
 random seed sets with sizes uniform in [2, 2n+2].  `arises_from` judges
 a candidate by its points alone, so a sampled and an exhaustive
 candidate with the same points get the same verdict.
-Exhaustive mode walks the full subspace lattice by one-point extensions
-and is the default at 15 points or fewer; corollary3 walks the dual space.
+Exhaustive mode walks the full subspace lattice by in/out branching on
+points and is the default at 15 points or fewer; corollary3 walks the
+dual space.
 
 A check that needs an embedding judges against
 `embed.universal_embedding(space)`: theorem1 takes it as an argument

@@ -591,19 +591,21 @@ def test_enumerate_subspaces_is_the_brute_force_list(name, space):
     assert all(isinstance(S, PointSet) and S.space is sp and S.is_subspace for S in subs)
 
 
-# sha256 of the comma-joined ascending bit lists, as NextClosure (B. Ganter,
-# ICFCA 2010) listed them before the walk replaced it: the reference for the
-# spaces too large for `oracle_subspaces`
-NEXTCLOSURE_DIGESTS = {
+# sha256 of the comma-joined ascending bit lists, each pinned from a walk
+# that an earlier lattice algorithm ran: the reference for the spaces too
+# large for `oracle_subspaces`
+PINNED_LATTICE_DIGESTS = {
     "Qp3_4": "2b7c9a0c221855f0",
     "Qm5_2": "61b023c72308c913",
     "Qp5_2": "25003e6d2d98e327",
+    "Sp4_3": "c86e2f58fd1667a4",
 }
 
 
-@pytest.mark.parametrize("name,count", [("Qp3_4", 1582), ("Qm5_2", 3668), ("Qp5_2", 2636)])
+@pytest.mark.parametrize("name,count", [("Qp3_4", 1582), ("Qm5_2", 3668), ("Qp5_2", 2636),
+                                        ("Sp4_3", 40536)])
 def test_enumerate_subspaces_beyond_brute_force(name, count, space):
-    # 25 to 35 points: too many subsets to scan, so check the list's shape
+    # 25 to 40 points: too many subsets to scan, so check the list's shape
     # and pin it
     sp = space(name)
     subs = [S.bits for S in enumerate_subspaces(sp)]
@@ -611,13 +613,51 @@ def test_enumerate_subspaces_beyond_brute_force(name, count, space):
     assert all(a < b for a, b in zip(subs, subs[1:]))
     assert all(is_subspace(sp, bits) for bits in subs)
     text = ",".join(map(str, subs))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == NEXTCLOSURE_DIGESTS[name]
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_LATTICE_DIGESTS[name]
     members = set(subs)
     N = len(sp.points)
     rng = random.Random(41)
     for _ in range(50):
         S = closure(sp, rng.sample(range(N), rng.randint(0, 2 * sp.n + 2)))
         assert S.bits in members
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
+def test_lines_at_holds_each_line_through_a_point_less_the_point(name, space):
+    # closure snapshots p^perp outside the set once per popped point p and
+    # reads each line through p from this row, so the rows must split
+    # p^perp less p into the lines through p
+    sp = space(name)
+    lines = set(sp.line_bits)
+    for p, rows in enumerate(sp.lines_at):
+        union = 0
+        for rest in rows:
+            assert not (rest >> p) & 1
+            assert not rest & union
+            assert rest | 1 << p in lines
+            union |= rest
+        assert union == sp.adj[p] & ~(1 << p)
+
+
+# (subspace, outside point) pairs of each space
+WARM_CLOSURE_CALLS = {"W3_2": 3165, "Q4_2": 3165, "Qp3_2": 315}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_CLOSURE_CALLS))
+def test_warm_closure_matches_oracle_on_every_subspace(name, space, preset_oracle):
+    # closure of one point over a closed set, as the lattice walk and the
+    # extensions call it, against saturating the oracle's lines
+    sp = space(name)
+    line_bits = _oracle_line_bits(sp, preset_oracle)
+    calls = 0
+    for S in oracle_subspaces(sp.form):
+        for p in range(len(sp.points)):
+            if not (S >> p) & 1:
+                got = closure(sp, 1 << p, S)
+                assert got.bits == oracle_closure(line_bits, S | 1 << p), \
+                    (PointSet(sp, S).indices(), p)
+                calls += 1
+    assert calls == WARM_CLOSURE_CALLS[name]
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
