@@ -21,9 +21,16 @@ of PG(V) that hold e(S) (the double annihilator), so `arises_from`
 reads both sides off the embedding's dual table `duals`: the
 functionals that kill every point of S, and the points that all of
 those functionals kill.  It does no row reduction.  `projective_span`
-and `preimage` are the row-reduction path to the same preimage, which
-`validate_embedding` uses for its line check.  Preimages, hyperplanes
-and the line check are zero sets of functionals (`linalg.zero_set`).
+and `preimage` are the row-reduction path to the same preimage; nothing
+in the package calls them, and the benchmark's tracer spans them by
+name.  Preimages and hyperplanes are zero sets of functionals
+(`linalg.zero_set`).
+
+`line_meetings` reads how every hyperplane meets every line in one pass
+over the lines of the dual table: the functionals whose zero set splits
+some line (meets it twice without holding it) and those whose zero set
+misses some line.  `validate_embedding` checks its lines with the first,
+and corollary3 sorts out its hyperplanes with both.
 
 Embeddings are immutable after construction, with two exceptions, both
 write-once caches built on first use from the vectors and the field:
@@ -117,23 +124,55 @@ def natural_embedding(space: PolarSpace) -> Embedding:
     return Embedding(space, space.dim, space.points, tag)
 
 
+def line_meetings(emb: Embedding) -> tuple:
+    """(split, missed), two bitsets over the functionals of `duals`:
+    split holds those whose zero set meets some line in two or more
+    points but not in all of them, missed those whose zero set misses
+    some line.  One pass over the lines: a half adder over the `kills`
+    rows of a line's points gives the functionals that kill one point
+    of it and those that kill two, and an AND those that kill all."""
+    kills = emb.duals.kills
+    every = (1 << len(emb.duals.zero)) - 1
+    split, met = 0, every
+    for pts in emb.space.lines:
+        once = twice = 0
+        full = every
+        for x in pts:
+            r = kills[x]
+            twice |= once & r
+            once |= r
+            full &= r
+        split |= twice & ~full
+        met &= once
+    return split, every & ~met
+
+
 def validate_embedding(emb: Embedding) -> None:
-    """Injectivity, spanning, and line-onto-projective-line.  Once the
-    map is injective, a line maps onto the projective line through the
-    images u, v of two of its points exactly when the preimage of <u, v>
-    is the line: both sides then hold q + 1 points."""
+    """Injectivity, spanning, and line-onto-projective-line, the last two
+    read off the dual table.  The image spans the ambient space exactly
+    when no functional kills every point: the AND of `kills` is 0.  Once
+    the map is injective, the q + 1 points of a line map to q + 1
+    distinct projective points, so they fill the projective line through
+    two of them exactly when their vectors span a 2-space.  That holds
+    exactly when no functional kills two of them without killing all: a
+    functional that kills two vectors of a 2-space kills all of it, and
+    a vector outside the span of two others is spared by some functional
+    that kills both.  So the check is that `line_meetings` splits no
+    line."""
     F = emb.space.field
-    vecs = emb.vectors
-    norm = [linalg.normalize_point(F, v) for v in vecs]
+    norm = [linalg.normalize_point(F, v) for v in emb.vectors]
     if any(v is None for v in norm):
         raise EmbeddingError("a point maps to the zero vector")
     if len(set(norm)) != len(norm):
         raise EmbeddingError("embedding is not injective on points")
-    if len(linalg.rref(F, list(vecs))) != emb.dim:
+    zero, kills = emb.duals
+    common = (1 << len(zero)) - 1
+    for k in kills:
+        common &= k
+    if common:
         raise EmbeddingError("image does not span the ambient space")
-    for pts, lb in zip(emb.space.lines, emb.space.line_bits):
-        if preimage(emb, [vecs[pts[0]], vecs[pts[1]]]).bits != lb:
-            raise EmbeddingError("a line does not map onto a projective line")
+    if line_meetings(emb)[0]:
+        raise EmbeddingError("a line does not map onto a projective line")
 
 
 def projective_span(emb: Embedding, X) -> tuple:

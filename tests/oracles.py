@@ -106,6 +106,23 @@ def oracle_points_and_lines(form):
     return pts, lines
 
 
+
+def oracle_line_meetings(lines, zeros):
+    """(split, missed) as bitsets over the indices of `zeros`, each a set
+    of point vectors: bit i of split is set when zeros[i] meets some line
+    in two or more points without holding it, bit i of missed when it
+    meets some line in no point.  Every line is intersected with every
+    set; `lines` takes the shape `oracle_points_and_lines` returns."""
+    split = missed = 0
+    for i, zero in enumerate(zeros):
+        for line in lines:
+            met = len(line & zero)
+            if 2 <= met < len(line):
+                split |= 1 << i
+            if not met:
+                missed |= 1 << i
+    return split, missed
+
 def oracle_span_points(F, basis):
     """Sorted normalized projective points of the row span of basis, by
     enumerating every vector of the span."""

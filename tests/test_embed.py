@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from polaris import linalg, polar
+from polaris import linalg, polar, verify
 from polaris.catalog import PRESETS, build_preset, preset_text
 from polaris.embed import (
     Embedding,
     arises_from,
     hull_of_symplectic_char2,
+    line_meetings,
     minimal_generating_subset,
     natural_embedding,
     preimage,
@@ -31,6 +32,7 @@ from polaris.polar import (
 from polaris.specfile import build_space_from_spec, parse_spec
 
 from oracles import (
+    oracle_line_meetings,
     oracle_points_and_lines,
     oracle_span_points,
     oracle_subspaces,
@@ -102,6 +104,47 @@ def test_natural_embedding_tags(space):
                                   "H3_4", "H4_4", "Q6_2", "W5_2", "Qp3_2"])
 def test_natural_embeddings_are_embeddings(name, space):
     validate_embedding(natural_embedding(space(name)))
+
+
+@pytest.mark.parametrize("name", UNIVERSAL_PRESETS)
+def test_universal_embeddings_validate(name, space):
+    validate_embedding(universal_embedding(space(name)))
+
+
+@pytest.mark.parametrize("name", ["Q4_2", "Q6_2"])
+def test_quotient_embeddings_validate(name, space):
+    validate_embedding(quotient_embedding(space(name)).embedding)
+
+
+def swap_far_pair(emb):
+    """emb with the vectors of point 0 and the lowest point not collinear
+    with it swapped: still injective and spanning, but each line through
+    either point leaves its projective line, since the universal
+    embedding maps no other point onto that line."""
+    sp = emb.space
+    far = sp.all_bits & ~sp.adj[0]
+    b = (far & -far).bit_length() - 1
+    vecs = list(emb.vectors)
+    vecs[0], vecs[b] = vecs[b], vecs[0]
+    return Embedding(sp, emb.dim, tuple(vecs), emb.tag)
+
+
+@pytest.mark.parametrize("broken,message", [
+    (lambda vecs: [(0,) * len(vecs[0])] + vecs[1:], "a point maps to the zero vector"),
+    (lambda vecs: vecs[:1] * 2 + vecs[2:], "embedding is not injective on points"),
+    (lambda vecs: [v + (0,) for v in vecs], "image does not span the ambient space"),
+], ids=["zero-vector", "repeated-vector", "extra-zero-coordinate"])
+def test_validate_embedding_refuses_a_broken_map(broken, message, space):
+    emb = universal_embedding(space("W5_2"))
+    vecs = broken(list(emb.vectors))
+    with pytest.raises(EmbeddingError, match=f"^{message}$"):
+        validate_embedding(Embedding(emb.space, len(vecs[0]), tuple(vecs), emb.tag))
+
+
+def test_validate_embedding_refuses_a_line_off_its_projective_line(space):
+    emb = universal_embedding(space("W5_2"))
+    with pytest.raises(EmbeddingError, match="^a line does not map onto a projective line$"):
+        validate_embedding(swap_far_pair(emb))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +454,44 @@ def test_duals_match_brute_force_on_quotient_embeddings(name, space):
     emb = natural_embedding(space(name))
     assert emb.tag == "quotient"
     _assert_duals_match_brute_force(emb)
+
+
+def _zero_sets_as_points(emb):
+    return [{emb.space.points[x] for x in polar._iter_bits(z)} for z in emb.duals.zero]
+
+
+@pytest.mark.parametrize("name", UNIVERSAL_PRESETS)
+def test_line_meetings_match_oracle(name, space, preset_oracle):
+    # on the universal embedding no zero set splits a line; on the map with
+    # two vectors swapped some do
+    sp = space(name)
+    _, lines = preset_oracle(name)
+    emb = universal_embedding(sp)
+    swapped = swap_far_pair(emb)
+    for e in (emb, swapped):
+        assert line_meetings(e) == oracle_line_meetings(lines, _zero_sets_as_points(e))
+    assert line_meetings(emb)[0] == 0 != line_meetings(swapped)[0]
+
+
+def test_corollary3_files_the_zero_sets_of_a_broken_embedding():
+    # a fresh W5_2 whose universal slot holds the swapped map, unvalidated:
+    # its zero sets that split or miss a line are bad hyperplanes, and
+    # those that split one are no subspace and have no rank
+    sp = build_space_from_spec(parse_spec(preset_text("W5_2")), label="W5_2")
+    sp._universal = emb = swap_far_pair(universal_embedding(sp))
+    split, missed = oracle_line_meetings(oracle_points_and_lines(sp.form)[1],
+                                         _zero_sets_as_points(emb))
+    report = verify.check_corollary3(sp, verify.SamplePlan())
+    assert report.consistent() and report.sampled == 127
+    bad = {w["points"]: w["rank"] for w in report.witnesses}
+    assert {w["kind"] for w in report.witnesses} == {"bad hyperplane"}
+    for i, z in enumerate(emb.duals.zero):
+        ids = tuple(polar._iter_bits(z))
+        if (split >> i) & 1:
+            assert bad[ids] is None
+        elif (missed >> i) & 1:
+            assert bad[ids] is not None
+    assert split and missed and report.failed == len(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,22 @@ import polaris
 PACKAGE = Path(polaris.__file__).resolve().parent
 
 ALLOWED = {
+    "embed.preimage": "a benchmark tracer span",
     "embed.projective_span": "a benchmark tracer span",
 }
 
 
 def _names(node, modules) -> set:
-    """Names that `node` refers to: bare names, `module.name` attributes
-    of package modules, and names imported from a module."""
+    """Names that `node` reads: bare names and `module.name` attributes
+    of package modules in load context, and names imported from a
+    module.  A name that is only bound, such as a dataclass field that
+    shares a function's name, is no reference to it."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
-                and sub.value.id in modules:
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) \
+                and isinstance(sub.value, ast.Name) and sub.value.id in modules:
             out.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
