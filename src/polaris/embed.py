@@ -32,15 +32,13 @@ some line (meets it twice without holding it) and those whose zero set
 misses some line.  `validate_embedding` checks its lines with the first,
 and corollary3 sorts out its hyperplanes with both.
 
-Embeddings are immutable after construction, with two exceptions, both
-write-once caches built on first use from the vectors and the field:
-the value-slice table `slices` that zero sets are computed from, and
-the dual table `duals`.  The dual table costs one zero set per
-projective functional, (q^d - 1)/(q - 1) of them, and one per point.
-On an Intel Xeon under Python 3.11 it took 4 ms on H4_4 (341
-functionals), 25 ms on an H(5, 4) spec (1,365) and 0.3 s on a Q(4, 9)
-spec (7,381), the most functionals of any non-grid space under the
-default point cap.
+Embeddings are immutable after construction, apart from the dual table
+`duals`, a write-once cache built on first use from the vectors and
+the field.  It costs one zero set per projective functional,
+(q^d - 1)/(q - 1) of them, and one per point.  On an Intel Xeon under
+Python 3.11 it took 4 ms on H4_4 (341 functionals), 25 ms on an
+H(5, 4) spec (1,365) and 0.3 s on a Q(4, 9) spec (7,381), the most
+functionals of any non-grid space under the default point cap.
 """
 
 from __future__ import annotations
@@ -91,12 +89,6 @@ class Embedding:
         return f"<{self.tag} embedding of {name} in dimension {self.dim}>"
 
     @cached_property
-    def slices(self) -> tuple:
-        """slices[j][c]: the bitset of the points whose representative
-        vector has coordinate j equal to c."""
-        return linalg.value_slices(self.space.field, self.vectors)
-
-    @cached_property
     def duals(self) -> Duals:
         """zero[i] is the zero set of the i-th functional over the points,
         kills[x] that of point x's vector over the functionals: the sum
@@ -104,7 +96,8 @@ class Embedding:
         both."""
         F = self.space.field
         funcs = tuple(linalg.projective_reps(F, self.dim))
-        zero = tuple(linalg.zero_set(F, self.slices, a, self.space.all_bits)
+        by_points = linalg.value_slices(F, self.vectors)
+        zero = tuple(linalg.zero_set(F, by_points, a, self.space.all_bits)
                      for a in funcs)
         by_funcs, every = linalg.value_slices(F, funcs), (1 << len(funcs)) - 1
         kills = tuple(linalg.zero_set(F, by_funcs, v, every) for v in self.vectors)
@@ -184,20 +177,14 @@ def projective_span(emb: Embedding, X) -> tuple:
     return linalg.rref(emb.space.field, gens)
 
 
-def zero_set(emb: Embedding, a, within: int | None = None) -> int:
-    """Bitset of the points of `within` (default all) whose vector the
-    functional a kills, for every point at once (`linalg.zero_set`)."""
-    bits = emb.space.all_bits if within is None else within
-    return linalg.zero_set(emb.space.field, emb.slices, a, bits)
-
-
 def preimage(emb: Embedding, W) -> PointSet:
     """All points whose representative vector lies in the span of W:
     the zero sets of the annihilator of W, each one narrowing the points
     the next is tested on."""
-    bits = emb.space.all_bits
-    for a in linalg.right_kernel(emb.space.field, W, emb.dim):
-        bits = zero_set(emb, a, bits)
+    F, bits = emb.space.field, emb.space.all_bits
+    slices = linalg.value_slices(F, emb.vectors)
+    for a in linalg.right_kernel(F, W, emb.dim):
+        bits = linalg.zero_set(F, slices, a, bits)
     return PointSet(emb.space, bits)
 
 

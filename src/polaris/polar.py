@@ -7,8 +7,8 @@ lexicographically by coordinate codes) and its lines are the totally
 isotropic/singular 2-dimensional vector subspaces, stored as full
 point-index tuples.  Collinearity lives in per-point bitsets, with
 p in perp(p) by convention, and each point p keeps the bitset of each
-line through it less p and a row of their indices, so closure, perp
-and the subspace and hyperplane tests are pure integer bitset work.
+line through it less p, so closure, perp and the subspace and
+hyperplane tests are pure integer bitset work.
 Each collinearity row is the zero set of one functional over all
 points (`linalg.zero_set`), and each line is {p, q}^perp^perp of two
 of its points, so building a space takes no pairwise vector
@@ -63,10 +63,10 @@ class PolarSpace:
 
     __slots__ = ("field", "form", "kind", "bilinear", "dim", "q", "n",
                  "points", "index", "adj", "lines", "line_bits", "lines_at",
-                 "line_rows", "all_bits", "is_grid", "label", "_universal")
+                 "all_bits", "is_grid", "label", "_universal")
 
     def __init__(self, field, form, kind, bilinear, dim, n, points, index,
-                 adj, lines, line_bits, lines_at, line_rows, is_grid, label):
+                 adj, lines, line_bits, lines_at, is_grid, label):
         self.field = field
         self.form = form
         self.kind = kind
@@ -80,7 +80,6 @@ class PolarSpace:
         self.lines = lines
         self.line_bits = line_bits
         self.lines_at = lines_at      # per point p: each line through p, less p
-        self.line_rows = line_rows    # per point: the bitset of its line indices
         self.all_bits = (1 << len(points)) - 1
         self.is_grid = is_grid
         self.label = label
@@ -181,16 +180,14 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
     line_bits = tuple(lb for _, lb in lines)
     lines = tuple(pts for pts, _ in lines)
     lines_at_mut = [[] for _ in range(N)]
-    line_rows = [0] * N
-    for li, (pts, lb) in enumerate(zip(lines, line_bits)):
+    for pts, lb in zip(lines, line_bits):
         for a in pts:
             lines_at_mut[a].append(lb & ~(1 << a))
-            line_rows[a] |= 1 << li
     lines_at = tuple(tuple(ls) for ls in lines_at_mut)
 
     is_grid = n == 2 and N > 0 and all(len(ls) == 2 for ls in lines_at)
     return PolarSpace(F, form, kind, bilinear, d, n, points, index,
-                      adj, lines, line_bits, lines_at, tuple(line_rows), is_grid, label)
+                      adj, lines, line_bits, lines_at, is_grid, label)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +349,9 @@ def generating_points(space: PolarSpace, X) -> list:
 
 
 def is_subspace(space: PolarSpace, X) -> bool:
-    """True iff no line meets X twice without lying in X: a half adder
-    over the line rows of X marks the lines met twice, and none of them
-    may pass through a point outside X."""
+    """True iff X is its own closure."""
     bits = _bits(space, X)
-    rows = space.line_rows
-    once = twice = 0
-    for p in _iter_bits(bits):
-        r = rows[p]
-        twice |= once & r
-        once |= r
-    if twice:
-        for p in _iter_bits(space.all_bits & ~bits):
-            if rows[p] & twice:
-                return False
-    return True
+    return closure(space, bits).bits == bits
 
 
 def _require_subspace(space, X) -> PointSet:
@@ -433,14 +418,12 @@ def _require_proper_subspace(space, X) -> PointSet:
 
 
 def is_hyperplane(space: PolarSpace, S) -> bool:
-    """True iff the proper subspace S meets every line: the line rows of
-    its points cover every line index."""
-    S = _require_proper_subspace(space, S)
-    rows = space.line_rows
-    met = 0
-    for p in _iter_bits(S.bits):
-        met |= rows[p]
-    return met == (1 << len(space.lines)) - 1
+    """True iff the proper subspace S meets every line: for each point p
+    outside S, p^perp n S counts every line through p (see `_line_class`)."""
+    s = _require_proper_subspace(space, S).bits
+    adj, lines_at = space.adj, space.lines_at
+    return all((adj[p] & s).bit_count() == len(lines_at[p])
+               for p in _iter_bits(space.all_bits & ~s))
 
 
 def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
@@ -449,11 +432,12 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
     line that meets S at h, that line is <p, h> = <x, h>, so
     closure(S u p) = closure(S u x): one closure decides the whole class.
 
-    Each line through an outside point f meets S at most once, so each
-    point of m = f^perp n S lies on exactly one line through f, and m
-    counts the lines through f that meet S.  When it counts them all,
-    the points f reaches are f^perp outside S, the union of its lines:
-    one AND.  Otherwise only the lines through f that meet m are walked."""
+    A line through a point f outside a subspace S meets S at most once,
+    so each point of m = f^perp n S lies on exactly one line through f,
+    and m counts the lines through f that meet S.  When it counts them
+    all, the points f reaches are f^perp outside S, the union of its
+    lines: one AND.  Otherwise only the lines through f that meet m are
+    walked."""
     adj = space.adj
     lines_at = space.lines_at
     cls = frontier = 1 << p
@@ -480,23 +464,17 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
     return cls
 
 
-def extensions(space: PolarSpace, M):
-    """Yield closure(M u p) for the lowest undecided point p of each
-    `_line_class` of the subspace M (assumed, not checked), ascending in p.
-    Every T above M contains one: closure(M u p) lies in T for p in T - M."""
-    m_bits = _bits(space, M)
-    todo = space.all_bits & ~m_bits
+def is_maximal_subspace(space: PolarSpace, S) -> bool:
+    """True iff closure(S u p) is the whole space for the lowest point p
+    of each `_line_class` of S.  Every subspace T above S contains one
+    of these closures: closure(S u p) lies in T for p in T - S."""
+    s = _require_proper_subspace(space, S).bits
+    todo = space.all_bits & ~s
     while todo:
         p = (todo & -todo).bit_length() - 1
-        yield closure(space, 1 << p, m_bits)
-        todo &= ~_line_class(space, m_bits, p)
-
-
-def is_maximal_subspace(space: PolarSpace, S) -> bool:
-    """True iff every one-point extension of S is the whole space."""
-    for T in extensions(space, _require_proper_subspace(space, S)):
-        if T.bits != space.all_bits:
+        if closure(space, 1 << p, s).bits != space.all_bits:
             return False
+        todo &= ~_line_class(space, s, p)
     return True
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polaris import linalg, polar
+from polaris import linalg, polar, verify
 from polaris.catalog import build_preset, preset_text
-from polaris.embed import natural_embedding, universal_embedding, zero_set
+from polaris.embed import natural_embedding, universal_embedding
 from polaris.errors import GeometryError
 from polaris.field import field_make
 from polaris.forms import (
@@ -439,16 +439,18 @@ def _scan_is_subspace(sp, bits):
                    for lb in sp.line_bits)
 
 
-def _line_row_inputs(sp, rng):
-    """Point sets for the line-row tests: the edge cases, random subsets
-    of three densities, closures, zero sets of functionals, and closures
-    and zero sets with one point taken out."""
+def _subspace_test_inputs(sp, rng):
+    """Point sets for `is_subspace` and `is_hyperplane`: the edge cases,
+    random subsets of three densities, closures, zero sets of
+    functionals, closures and zero sets with one point taken out, and
+    the maximal pairwise non-collinear set grown from each point."""
     N = len(sp.points)
     # a grid has no designated universal embedding; its natural one
     # gives its hyperplane sections
     emb = natural_embedding(sp) if sp.is_grid else universal_embedding(sp)
-    zero_sets = [zero_set(emb, x) for x in linalg.projective_reps(sp.field, emb.dim)]
+    zero_sets = list(emb.duals.zero)
     out = [0, 1, 1 << (N - 1), sp.line_bits[0], sp.line_bits[-1], sp.all_bits]
+    out += [verify._saturate(sp, p) for p in range(N)]
     for k in (2, 4, N // 2):
         out += [sum(1 << p for p in rng.sample(range(N), k)) for _ in range(20)]
     closures = [closure(sp, rng.sample(range(N), rng.randint(2, 2 * sp.n + 2))).bits
@@ -460,11 +462,14 @@ def _line_row_inputs(sp, rng):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
 def test_line_row_tests_match_a_line_scan(name, space):
-    # is_subspace and is_hyperplane read per-point line rows; the plain
-    # scan over every line is the reference
+    # is_subspace asks whether a set is its own closure and is_hyperplane
+    # counts each outside point's perp in the set; the plain scan over
+    # every line is the reference.  A near miss is a subspace that misses
+    # a line though some outside point has every line through it met, or
+    # though it is maximal, as many saturations of a point are
     sp = space(name)
-    subspaces = hyperplanes = 0
-    for bits in _line_row_inputs(sp, random.Random(23)):
+    subspaces = hyperplanes = near_misses = 0
+    for bits in _subspace_test_inputs(sp, random.Random(23)):
         want = _scan_is_subspace(sp, bits)
         assert is_subspace(sp, bits) == want, PointSet(sp, bits).indices()
         subspaces += want
@@ -472,7 +477,11 @@ def test_line_row_tests_match_a_line_scan(name, space):
             meets_all = all(lb & bits for lb in sp.line_bits)
             assert is_hyperplane(sp, bits) == meets_all, PointSet(sp, bits).indices()
             hyperplanes += meets_all
-    assert subspaces >= 40 and hyperplanes >= 10
+            near_misses += not meets_all and (any(
+                all(rest & bits for rest in sp.lines_at[p])
+                for p in polar._iter_bits(sp.all_bits & ~bits))
+                or is_maximal_subspace(sp, bits))
+    assert subspaces >= 40 and hyperplanes >= 10 and near_misses >= 1
 
 
 def test_hyperplane_examples(space):
@@ -519,6 +528,22 @@ def test_is_maximal_subspace_matches_coatom_oracle(name, space):
         if bits != sp.all_bits:
             assert is_maximal_subspace(sp, PointSet(sp, bits)) == (bits in coatoms), \
                 PointSet(sp, bits).indices()
+
+
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2", "Qm5_2", "Qp5_2", "Qp3_4"])
+def test_maximal_subspaces_with_a_radical_are_point_perps(name, space):
+    # a maximal M of rank >= 2 with rank_nd(M) <= 1 has a radical point p,
+    # since an empty radical gives rank_nd(M) = rank(M); so M lies in the
+    # proper subspace p^perp and equals it.  Every tangent hyperplane of
+    # Qp5_2 has rank_nd 2, so both sides are empty there
+    sp = space(name)
+    found = {S.bits for S in enumerate_subspaces(sp)
+             if S.bits != sp.all_bits and S.rank >= 2 and S.rank_nd <= 1
+             and is_maximal_subspace(sp, S)}
+    perps = {P.bits for P in (perp(sp, 1 << p) for p in range(len(sp.points)))
+             if P.rank_nd <= 1}
+    assert found == perps
+    assert bool(found) == (name != "Qp5_2")
 
 
 def _check_line_classes(sp, line_bits, s_bits, cases):
@@ -646,7 +671,7 @@ WARM_CLOSURE_CALLS = {"W3_2": 3165, "Q4_2": 3165, "Qp3_2": 315}
 @pytest.mark.parametrize("name", sorted(WARM_CLOSURE_CALLS))
 def test_warm_closure_matches_oracle_on_every_subspace(name, space, preset_oracle):
     # closure of one point over a closed set, as the lattice walk and the
-    # extensions call it, against saturating the oracle's lines
+    # maximality test call it, against saturating the oracle's lines
     sp = space(name)
     line_bits = _oracle_line_bits(sp, preset_oracle)
     calls = 0

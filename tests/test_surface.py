@@ -6,13 +6,18 @@ tests, the benchmark or an outside caller reach must be on the allowlist
 below with its reason.  Callers import the modules themselves
 (`from polaris import verify`), so the package root holds its docstring
 and nothing else: a list of re-exports there would restate each module's
-names and go stale with every deletion.
+names and go stale with every deletion.  Likewise every table that a
+space or an embedding keeps must be read somewhere in the package.
 """
 
 import ast
+import dataclasses
+from functools import cached_property
 from pathlib import Path
 
 import polaris
+from polaris.embed import Embedding
+from polaris.polar import PolarSpace
 
 PACKAGE = Path(polaris.__file__).resolve().parent
 
@@ -61,6 +66,32 @@ def unreached_names() -> list:
 
 def test_every_public_name_is_reached_or_allowed():
     assert unreached_names() == sorted(ALLOWED)
+
+
+def _attribute_reads(node, inside=None) -> set:
+    """Attribute names read in load context under `node`, less those read
+    inside a function of the same name: a cached property that reads its
+    own cache is no reader of it."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) \
+                and child.attr != inside:
+            out.add(child.attr)
+        name = child.name if isinstance(child, ast.FunctionDef) else inside
+        out |= _attribute_reads(child, name)
+    return out
+
+
+def test_every_space_slot_and_embedding_field_is_read():
+    # a per-space or per-embedding table that no algorithm reads is
+    # dead weight built for every space
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        reads |= _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
+    cached = [name for name, value in vars(Embedding).items()
+              if isinstance(value, cached_property)]
+    kept = list(PolarSpace.__slots__) + [f.name for f in dataclasses.fields(Embedding)]
+    assert [name for name in kept + cached if name not in reads] == []
 
 
 def test_package_root_holds_only_its_docstring():

@@ -6,7 +6,7 @@ import pytest
 
 from polaris import catalog, linalg, verify
 from polaris.catalog import build_preset
-from polaris.embed import arises_from, natural_embedding, universal_embedding, zero_set
+from polaris.embed import arises_from, natural_embedding, universal_embedding
 from polaris.errors import UsageError
 from polaris.polar import (
     PointSet,
@@ -287,8 +287,7 @@ def test_corollary3_ignores_seed_and_samples(space):
 
 
 def _dual_zero_sets(sp):
-    emb = universal_embedding(sp)
-    return [zero_set(emb, x) for x in linalg.projective_reps(sp.field, emb.dim)]
+    return list(universal_embedding(sp).duals.zero)
 
 
 def test_dual_space_covers_every_hyperplane(space):
