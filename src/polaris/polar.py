@@ -13,12 +13,15 @@ Each collinearity row is the zero set of one functional over all
 points (`linalg.zero_set`), and each line is {p, q}^perp^perp of two
 of its points, so building a space takes no pairwise vector
 arithmetic.  Closure skips an added point whose perp is already in
-the set.  The subspace lattice is walked by in/out branching on
-points, and one closure decides each class of outside points joined
-by lines that meet the subspace.  Ranks and frames come from the
-collinearity bitsets alone: a subspace's rank is the point count of
-one greedy clique inside it, and the frame search and frame check
-track no spans.
+the set, and can stop at the first point of a set it must avoid.  The
+subspace lattice is walked by in/out branching on points, and one
+closure decides each class of outside points joined by lines that meet
+the subspace; maximality walks the class first and needs no closure
+when S and the class cover the space.  A hyperplane is told by a
+double count of point-line incidences over its own points.  Ranks
+and frames come from the collinearity bitsets alone: a subspace's rank
+is the point count of one greedy clique inside it, and the frame
+search and frame check track no spans.
 
 Spaces are immutable after construction, apart from the write-once
 `_universal` slot that `embed.universal_embedding` fills; PointSet
@@ -297,8 +300,9 @@ def perp(space: PolarSpace, X) -> PointSet:
     return PointSet(space, acc)
 
 
-def closure(space: PolarSpace, X, closed=0) -> PointSet:
-    """Least subspace containing X and `closed`.
+def closure(space: PolarSpace, X, closed=0, avoid=0) -> PointSet | None:
+    """Least subspace containing X and `closed`, or None when it meets
+    the point set `avoid`.
 
     `closed` must already be a subspace; this is assumed, not checked.
     Every line meeting the set in two points but not contained in it
@@ -308,10 +312,14 @@ def closure(space: PolarSpace, X, closed=0) -> PointSet:
     lie in its perp; otherwise each line through p that meets the set
     again adds its points of p^perp outside the set.  Lines through p
     meet only at p, so one snapshot of that outside part serves them
-    all.  The result is marked as a subspace.
+    all.  The set only grows, so the starting set and each batch of
+    added points are tested against `avoid`, and the walk stops at the
+    first that meets it.  The result is marked as a subspace.
     """
     closed = _bits(space, closed)
     bits = closed | _bits(space, X)
+    if bits & avoid:
+        return None
     todo = bits & ~closed
     all_bits = space.all_bits
     adj = space.adj
@@ -328,6 +336,8 @@ def closure(space: PolarSpace, X, closed=0) -> PointSet:
             if rest & bits:
                 new |= rest & outside
         if new:
+            if new & avoid:
+                return None
             todo |= new
             bits |= new
     out = PointSet(space, bits)
@@ -418,12 +428,21 @@ def _require_proper_subspace(space, X) -> PointSet:
 
 
 def is_hyperplane(space: PolarSpace, S) -> bool:
-    """True iff the proper subspace S meets every line: for each point p
-    outside S, p^perp n S counts every line through p (see `_line_class`)."""
+    """True iff the proper subspace S meets every line, by a double
+    count over the points of S.  A line through a point p outside S
+    meets S at most once (see `_line_class`), so p^perp n S has at most
+    as many points as there are lines through p, with equality for
+    every p exactly when S is a hyperplane.  Counting the collinear
+    pairs across S from S's side, and adding the incidences of S's own
+    points, gives at most the space's point-line incidences,
+    len(lines) * (q + 1), and exactly that for a hyperplane."""
     s = _require_proper_subspace(space, S).bits
     adj, lines_at = space.adj, space.lines_at
-    return all((adj[p] & s).bit_count() == len(lines_at[p])
-               for p in _iter_bits(space.all_bits & ~s))
+    out = ~s
+    total = 0
+    for x in _iter_bits(s):
+        total += (adj[x] & out).bit_count() + len(lines_at[x])
+    return total == len(space.lines) * (space.q + 1)
 
 
 def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
@@ -437,12 +456,12 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
     and m counts the lines through f that meet S.  When it counts them
     all, the points f reaches are f^perp outside S, the union of its
     lines: one AND.  Otherwise only the lines through f that meet m are
-    walked."""
+    walked.  The walk ends once no outside point is left to reach."""
     adj = space.adj
     lines_at = space.lines_at
     cls = frontier = 1 << p
     within = space.all_bits & ~s_bits & ~cls
-    while frontier:
+    while frontier and within:
         low = frontier & -frontier
         frontier ^= low
         f = low.bit_length() - 1
@@ -467,14 +486,24 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
 def is_maximal_subspace(space: PolarSpace, S) -> bool:
     """True iff closure(S u p) is the whole space for the lowest point p
     of each `_line_class` of S.  Every subspace T above S contains one
-    of these closures: closure(S u p) lies in T for p in T - S."""
+    of these closures: closure(S u p) lies in T for p in T - S.
+
+    Each class member x has closure(S u x) = closure(S u p), so that
+    closure holds S and the whole class, and equals closure(S u class).
+    The class is walked first, and a closure runs only when S and the
+    class leave points outside.  For a hyperplane S, S u class(p) is
+    itself a subspace, since a line off S meets S once and its q >= 2
+    outside points share a class; so a hyperplane is maximal exactly
+    when its outside is one class, and no closure runs."""
     s = _require_proper_subspace(space, S).bits
-    todo = space.all_bits & ~s
+    all_bits = space.all_bits
+    todo = all_bits & ~s
     while todo:
         p = (todo & -todo).bit_length() - 1
-        if closure(space, 1 << p, s).bits != space.all_bits:
+        cls = _line_class(space, s, p)
+        if s | cls != all_bits and closure(space, cls, s).bits != all_bits:
             return False
-        todo &= ~_line_class(space, s, p)
+        todo &= ~cls
     return True
 
 
@@ -618,9 +647,10 @@ def enumerate_subspaces(space: PolarSpace) -> list:
     miss E.  The lowest point p outside S u E splits them by whether they
     hold p.  Those without p miss the whole `_line_class` of p, since
     each member x has p in closure(S u x); those with p contain
-    T = closure(S u p), so they exist only when T misses E.  A pair with
-    no point left is the one subspace S.  The two branches split the
-    subspaces above S, so each is reached exactly once: the in/out
+    T = closure(S u p), so they exist only when T misses E, and the
+    closure stops at the first batch of points that meets E.  A pair
+    with no point left is the one subspace S.  The two branches split
+    the subspaces above S, so each is reached exactly once: the in/out
     branching behind prefix-preserving closure extension (T. Uno,
     M. Kiyomi, H. Arimura, "LCM ver. 2", FIMI 2004).  The members are
     `closure` results, so they come marked as subspaces."""
@@ -634,8 +664,8 @@ def enumerate_subspaces(space: PolarSpace) -> list:
             continue
         p = (free & -free).bit_length() - 1
         todo.append((S, E | _line_class(space, S.bits, p)))
-        T = closure(space, 1 << p, S.bits)
-        if not T.bits & E:
+        T = closure(space, 1 << p, S.bits, E)
+        if T is not None:
             todo.append((T, E))
     found.sort(key=lambda S: S.bits)
     return found

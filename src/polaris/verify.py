@@ -393,17 +393,22 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     hyperplanes (ovoids) or counterexamples.  The judge skips every
     candidate but the proper rank-1 subspaces.  Exhaustive mode walks
     every subspace; sampled mode saturates a random point to a maximal
-    pairwise non-collinear set, which always is one.  Experimental; no
-    verdict."""
+    pairwise non-collinear set, which always is one.  A saturation
+    depends on its start point alone, so each start point is saturated
+    once per call and a repeat draw yields the same set, which the
+    report skips as a duplicate.  Experimental; no verdict."""
     if space.n != 2:
         raise UsageError("problem5 concerns rank-2 spaces only")
     mode = plan.resolved_mode(space)
 
     def saturations():
         rng = plan.rng_for()
+        saturated = {}
         for _ in range(plan.samples):
             p = rng.randrange(len(space.points))
-            yield PointSet(space, _saturate(space, p))
+            if p not in saturated:
+                saturated[p] = PointSet(space, _saturate(space, p))
+            yield saturated[p]
 
     def judge(S):
         if S.bits == space.all_bits:

@@ -685,6 +685,57 @@ def test_warm_closure_matches_oracle_on_every_subspace(name, space, preset_oracl
     assert calls == WARM_CLOSURE_CALLS[name]
 
 
+# closures that meet E and closures that miss it, over every (S, p, E)
+AVOID_OUTCOMES = {"W3_2": (39060, 24240), "Q4_2": (38990, 24310), "Qp3_2": (3226, 3074)}
+
+
+@pytest.mark.parametrize("name", sorted(AVOID_OUTCOMES))
+def test_closure_avoid_matches_oracle_on_every_subspace(name, space, preset_oracle):
+    # closure(S u p) with points to avoid, as the include branch of the
+    # lattice walk calls it: None exactly when the oracle's closure meets
+    # E, the closure itself otherwise; E = 0 is the plain closure, and a
+    # start that meets E is refused before any line is walked
+    sp = space(name)
+    N = len(sp.points)
+    line_bits = _oracle_line_bits(sp, preset_oracle)
+    rng = random.Random(31)
+    outcomes = [0, 0]
+    for S in oracle_subspaces(sp.form):
+        for p in range(N):
+            if (S >> p) & 1:
+                continue
+            want = oracle_closure(line_bits, S | 1 << p)
+            assert closure(sp, 1 << p, S, 0).bits == closure(sp, 1 << p, S).bits == want
+            assert closure(sp, 1 << p, S, 1 << p) is None
+            rest = [x for x in range(N) if not ((S | 1 << p) >> x) & 1]
+            for _ in range(20):
+                E = sum(1 << x for x in rng.sample(rest, rng.randint(0, len(rest))))
+                got = closure(sp, 1 << p, S, E)
+                if want & E:
+                    assert got is None, (PointSet(sp, S).indices(), p, E)
+                else:
+                    assert got.bits == want and got.is_subspace
+                outcomes[got is not None] += 1
+    assert tuple(outcomes) == AVOID_OUTCOMES[name]
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "W5_2"])
+def test_hyperplanes_are_maximal_without_a_closure(name, space, monkeypatch):
+    # outside a hyperplane every line meets it, so the class of the lowest
+    # outside point reaches every outside point and the class walk alone
+    # decides; the coatom oracle test above checks the closure path
+    sp = space(name)
+    hyperplanes = [PointSet(sp, H) for H in universal_embedding(sp).duals.zero]
+    assert len(hyperplanes) == 127
+    assert all(H.is_subspace and is_hyperplane(sp, H) for H in hyperplanes)
+    calls = []
+    original = polar.closure
+    monkeypatch.setattr(polar, "closure",
+                        lambda *args: calls.append(1) or original(*args))
+    assert all(is_maximal_subspace(sp, H) for H in hyperplanes)
+    assert not calls
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(name=st.sampled_from(["W3_2", "Q4_2", "H3_4", "Q6_2"]), data=st.data())
 def test_closure_is_a_closure_operator(name, data):

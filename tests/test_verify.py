@@ -13,6 +13,7 @@ from polaris.polar import (
     closure,
     enumerate_subspaces,
     is_hyperplane,
+    is_maximal_subspace,
     perp,
     rank_nd,
     rank_of,
@@ -481,6 +482,37 @@ def test_saturation_matches_rescanning_reference(name, space):
     orth = oracle_orthogonality(sp.form, sp.points)
     for p in range(len(sp.points)):
         assert verify._saturate(sp, p) == oracle_saturation(orth, p)
+
+
+@pytest.mark.parametrize("name", ["Sp4_3", "H3_4"])
+def test_sampled_problem5_saturates_each_start_point_once(name, space, monkeypatch):
+    # a saturation depends on its start point alone; the reference draws
+    # the same start points and saturates on every draw
+    sp = space(name)
+    N = len(sp.points)
+    calls = []
+    original = verify._saturate
+    monkeypatch.setattr(verify, "_saturate",
+                        lambda *args: calls.append(1) or original(*args))
+    for seed in range(10):
+        plan = SamplePlan(seed=seed, mode="random")
+        rng = plan.rng_for()
+        starts = [rng.randrange(N) for _ in range(plan.samples)]
+        distinct = list(dict.fromkeys(original(sp, p) for p in starts))
+        skipped = {"duplicate": plan.samples - len(distinct)}
+        exhibits = []
+        for bits in distinct:
+            if not is_maximal_subspace(sp, bits):
+                skipped["not_maximal"] = skipped.get("not_maximal", 0) + 1
+            elif not is_hyperplane(sp, bits):
+                exhibits.append(PointSet(sp, bits).indices())
+        calls.clear()
+        r = explore_problem5(sp, plan)
+        assert len(calls) == len(set(starts)) <= N
+        assert (r.sampled, r.skipped, r.applicable) == \
+            (plan.samples, skipped, plan.samples - sum(skipped.values()))
+        assert [e["points"] for e in r.exhibits] == exhibits
+        assert r.info["ovoid_hyperplanes"] == r.applicable - len(exhibits)
 
 
 def test_explore_problem5_rejects_rank3(space):
