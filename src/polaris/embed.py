@@ -11,8 +11,9 @@ one; grids are tagged unknown and have no universal embedding here.
 `universal_embedding(space)` is the one place that picks the embedding
 the checks and commands judge against.
 
-The hull runs `quotient_embedding` backwards: it builds that quadric,
-checks that its quotient is the given space, and inverts the point map.
+The hull builds that quadric and reads its point map off the universal
+embedding's vectors; the hull and the quotient certify their point
+bijection with one helper, `_paired_space`.
 
 A subspace S "arises" from an embedding when the preimage of the
 projective span of its image is S itself; `arises_from` reports a
@@ -212,6 +213,30 @@ def arises_from(emb: Embedding, S) -> ArisesVerdict:
 
 
 # ---------------------------------------------------------------------------
+# derived spaces in point bijection with their source
+# ---------------------------------------------------------------------------
+
+def _paired_space(space: PolarSpace, form, images, label, what) -> tuple:
+    """(other, pmap): the space of `form`, built under a cap of the
+    given point count since it is in bijection with it, and the map
+    sending point i to the index of images[i] there, certified a
+    bijection under which collinearity transfers both ways: each row
+    maps onto the image's row."""
+    other = build_polar_space(form, cap=len(space.points), label=label)
+    pmap = tuple(other.index.get(v) for v in images)
+    if None in pmap or len(set(pmap)) != len(pmap) or len(pmap) != len(other.points):
+        raise EmbeddingError(f"{what} is not a point bijection")
+    for i, row in enumerate(space.adj):
+        image = 0
+        for j in _iter_bits(row):
+            image |= 1 << pmap[j]
+        # Q(2n,q) and W(2n-1,q) rows have one size: a row that differs lost a point
+        if image != other.adj[pmap[i]]:
+            raise EmbeddingError(f"{what} loses collinearity")
+    return other, pmap
+
+
+# ---------------------------------------------------------------------------
 # quotients over the radical of the bilinearization (characteristic 2)
 # ---------------------------------------------------------------------------
 
@@ -227,9 +252,9 @@ def quotient_embedding(space: PolarSpace) -> QuotientResult:
     """Project the universal embedding of a quadric from X = rad(f_Q),
     the radical of its bilinearization, which over a finite field is the
     only kernel a quotient can have; the quotient is the alternating
-    space of f_Q on the coordinates off the pivots of X.  The quotient
-    space is in bijection with the given one, so it is built under a cap
-    of the given point count."""
+    space of f_Q on the coordinates off the pivots of X, onto which
+    `_paired_space` certifies the projected, normalized vectors a point
+    bijection that keeps collinearity."""
     if space.kind != "quadratic":
         raise EmbeddingError("quotients are taken from the universal quadratic embedding")
     X = radical_of_form(space.bilinear)
@@ -243,29 +268,14 @@ def quotient_embedding(space: PolarSpace) -> QuotientResult:
     induced = sesquilinear_form(F, [[gram[a][b] for b in keep] for a in keep],
                                 "alternating")
     label = f"{space.label}/quotient" if space.label else None
-    qspace = build_polar_space(induced, cap=len(space.points), label=label)
-
     qvecs = []
-    qmap = []
     for v in space.points:
         red = linalg.reduce_mod(F, X, v)
-        proj = tuple(red[j] for j in keep)
-        nrm = linalg.normalize_point(F, proj)
-        qvecs.append(nrm)
-        qmap.append(qspace.index[nrm])
-    if len(set(qmap)) != len(qmap) or len(qmap) != len(qspace.points):
-        raise EmbeddingError("quotient map is not a point bijection")
-    # collinearity transfers both ways: each row maps onto the image's row
-    for i, row in enumerate(space.adj):
-        image = 0
-        for j in _iter_bits(row):
-            image |= 1 << qmap[j]
-        # Q(2n,q) and W(2n-1,q) rows have one size: a row that differs lost a point
-        if image != qspace.adj[qmap[i]]:
-            raise EmbeddingError("quotient map loses collinearity")
+        qvecs.append(linalg.normalize_point(F, tuple(red[j] for j in keep)))
+    qspace, qmap = _paired_space(space, induced, qvecs, label, "quotient map")
     out = Embedding(space, len(keep), tuple(qvecs), "quotient")
     validate_embedding(out)
-    return QuotientResult(out, qspace, tuple(qmap), X)
+    return QuotientResult(out, qspace, qmap, X)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +286,6 @@ def quotient_embedding(space: PolarSpace) -> QuotientResult:
 class HullResult:
     quad_space: PolarSpace     # parabolic quadric one dimension up
     to_quad: tuple             # symplectic point index -> quadric point index
-    from_quad: tuple           # inverse permutation
 
 
 def _hull_quadric(space: PolarSpace):
@@ -302,11 +311,9 @@ def _hull_vectors(space: PolarSpace) -> tuple:
 
 
 def hull_of_symplectic_char2(space: PolarSpace) -> HullResult:
-    """Build the parabolic quadric whose nucleus quotient is this
-    symplectic space, check that `quotient_embedding` of it gives this
-    space back, and invert its point map.  The quadric is in bijection
-    with the space, so it is built under a cap of the space's point
-    count."""
+    """The parabolic quadric whose nucleus quotient is this symplectic
+    space, and the point map of the universal embedding into it,
+    certified by `_paired_space` a bijection that keeps collinearity."""
     if space.kind != "alternating":
         raise GeometryError(
             f"hull construction takes an alternating space, and this space is "
@@ -316,14 +323,9 @@ def hull_of_symplectic_char2(space: PolarSpace) -> HullResult:
             f"hull construction applies in characteristic 2; in characteristic "
             f"{space.field.char} the alternating embedding is already universal")
     label = f"{space.label}/hull" if space.label else None
-    qspace = build_polar_space(_hull_quadric(space), cap=len(space.points), label=label)
-    res = quotient_embedding(qspace)
-    if res.quotient_space.points != space.points or res.quotient_space.adj != space.adj:
-        raise GeometryError("the hull quadric's nucleus quotient is not this space")
-    to_quad = [None] * len(res.point_map)
-    for qi, si in enumerate(res.point_map):
-        to_quad[si] = qi
-    return HullResult(qspace, tuple(to_quad), res.point_map)
+    qspace, to_quad = _paired_space(space, _hull_quadric(space),
+                                    universal_embedding(space).vectors, label, "hull map")
+    return HullResult(qspace, to_quad)
 
 
 def universal_embedding(space: PolarSpace) -> Embedding:

@@ -242,12 +242,6 @@ class PointSet:
     def __or__(self, other):
         return PointSet(self.space, self.bits | other.bits)
 
-    def __and__(self, other):
-        return PointSet(self.space, self.bits & other.bits)
-
-    def __sub__(self, other):
-        return PointSet(self.space, self.bits & ~other.bits)
-
     def __repr__(self):
         return f"PointSet({list(self.indices())})"
 

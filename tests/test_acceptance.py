@@ -143,8 +143,8 @@ def test_criterion_4_quotient_discrimination():
 
     # the same discrimination seen from the symplectic space itself
     W = build_preset("W3_2")
-    hull = hull_of_symplectic_char2(W)
-    gridW = PointSet.of(W, [hull.from_quad[i] for i in grid])
+    to_quad = hull_of_symplectic_char2(W).to_quad
+    gridW = PointSet.of(W, [i for i, j in enumerate(to_quad) if j in grid])
     symp = natural_embedding(W)
     vW = arises_from(symp, gridW)
     assert not vW.arises and vW.preimage.bits == W.all_bits

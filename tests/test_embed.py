@@ -57,6 +57,11 @@ row 0 0 0 0 0
 """
 
 
+def fresh_preset(name):
+    # a space of its own, with no embedding cached on it
+    return build_space_from_spec(parse_spec(preset_text(name)), label=name)
+
+
 def w32_perm():
     form = sesquilinear_form(field_make(2, 1), PERM_GRAM, "alternating")
     return polar.build_polar_space(form, label="W3_2-perm")
@@ -304,8 +309,8 @@ def test_grid_discrimination(space):
     assert arises_from(natural_embedding(Q), gridQ).arises
 
     W = space("W3_2")
-    hull = hull_of_symplectic_char2(W)
-    gridW = PointSet.of(W, [hull.from_quad[i] for i in gridQ])
+    to_quad = hull_of_symplectic_char2(W).to_quad
+    gridW = PointSet.of(W, [i for i, j in enumerate(to_quad) if j in gridQ])
     assert is_subspace(W, gridW) and rank_nd(W, gridW) == 2
     symp = natural_embedding(W)
     verdict = arises_from(symp, gridW)
@@ -477,7 +482,7 @@ def test_corollary3_files_the_zero_sets_of_a_broken_embedding():
     # a fresh W5_2 whose universal slot holds the swapped map, unvalidated:
     # its zero sets that split or miss a line are bad hyperplanes, and
     # those that split one are no subspace and have no rank
-    sp = build_space_from_spec(parse_spec(preset_text("W5_2")), label="W5_2")
+    sp = fresh_preset("W5_2")
     sp._universal = emb = swap_far_pair(universal_embedding(sp))
     split, missed = oracle_line_meetings(oracle_points_and_lines(sp.form)[1],
                                          _zero_sets_as_points(emb))
@@ -614,27 +619,53 @@ def test_hull_rejects_other_kinds(name, kind, space):
 
 @pytest.mark.parametrize("name", ["W3_2", "W5_2", "W3_2-perm", "W3_4-twisted"])
 def test_hull_lands_where_the_universal_embedding_does(name, space):
-    # the quotient's point map, inverted, sends each point to the quadric
-    # point that the formula x -> (sqrt(Q0(x)), x) gives
+    # the hull's point map sends each point to the quadric point that the
+    # formula x -> (sqrt(Q0(x)), x) gives
     W = BUILT[name]() if name in BUILT else space(name)
     hull = hull_of_symplectic_char2(W)
     N = len(W.points)
     uni = universal_embedding(W).vectors
-    assert len(hull.to_quad) == len(hull.from_quad) == len(hull.quad_space.points) == N
+    assert len(hull.to_quad) == len(hull.quad_space.points) == N
     assert all(hull.quad_space.points[hull.to_quad[i]] == uni[i] for i in range(N))
-    assert all(hull.from_quad[hull.to_quad[i]] == i for i in range(N))
-    assert all(hull.to_quad[hull.from_quad[j]] == j for j in range(N))
 
 
-def test_hull_refuses_a_quadric_whose_quotient_is_another_space(monkeypatch, space):
+def test_hull_refuses_a_quadric_whose_quotient_is_another_space(monkeypatch):
     # the hull quadric of the permuted-gram W(3,2) has a nucleus quotient
-    # on the same 15 points with other lines
+    # on the same 15 points with other lines, so some points of W(3,2)'s
+    # universal embedding are not points of it; the embedding is built
+    # first, so that the formula runs on the true quadric
     from polaris import embed
+    W = fresh_preset("W3_2")
+    universal_embedding(W)
     real = embed._hull_quadric
     perm = w32_perm()
     monkeypatch.setattr(embed, "_hull_quadric", lambda sp: real(perm))
-    with pytest.raises(GeometryError, match="nucleus quotient is not this space"):
-        hull_of_symplectic_char2(space("W3_2"))
+    with pytest.raises(EmbeddingError, match="^hull map is not a point bijection$"):
+        hull_of_symplectic_char2(W)
+
+
+def test_hull_refuses_a_map_that_loses_collinearity(monkeypatch):
+    # two non-collinear points swapped: still a bijection onto the quadric
+    from polaris import embed
+    W = fresh_preset("W3_2")
+    swapped = swap_far_pair(universal_embedding(W))
+    monkeypatch.setattr(embed, "universal_embedding", lambda sp: swapped)
+    with pytest.raises(EmbeddingError, match="^hull map loses collinearity$"):
+        hull_of_symplectic_char2(W)
+
+
+def test_hull_builds_only_its_quadric(monkeypatch):
+    # the point map comes from the universal embedding: no quotient, and
+    # no second build of the symplectic space
+    from polaris import embed
+    W = fresh_preset("W5_2")
+    universal_embedding(W)
+    calls = []
+    real = embed.build_polar_space
+    monkeypatch.setattr(embed, "build_polar_space",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    hull = hull_of_symplectic_char2(W)
+    assert len(calls) == 1 and len(hull.quad_space.points) == 63
 
 
 def test_hull_on_nonstandard_gram():
@@ -669,9 +700,22 @@ def test_universal_embedding_builds_no_quadric(monkeypatch):
     real = embed.build_polar_space
     monkeypatch.setattr(embed, "build_polar_space",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
-    W = build_space_from_spec(parse_spec(preset_text("W5_2")), label="W5_2")
+    W = fresh_preset("W5_2")
     assert universal_embedding(W).dim == 7
     assert calls == []
+
+
+def test_corollary3_builds_the_hull_vectors_once(monkeypatch):
+    # the space keeps its universal embedding, so a caller that holds
+    # only the space does not rebuild the hull on each check
+    from polaris import embed
+    calls = []
+    real = embed._hull_vectors
+    monkeypatch.setattr(embed, "_hull_vectors", lambda sp: calls.append(sp) or real(sp))
+    W = fresh_preset("W5_2")
+    for _ in range(2):
+        assert verify.check_corollary3(W, verify.SamplePlan()).consistent()
+    assert len(calls) == 1
 
 
 def test_universal_embedding_helper(space):

@@ -7,7 +7,8 @@ below with its reason.  Callers import the modules themselves
 (`from polaris import verify`), so the package root holds its docstring
 and nothing else: a list of re-exports there would restate each module's
 names and go stale with every deletion.  Likewise every table that a
-space or an embedding keeps must be read somewhere in the package.
+space or an embedding keeps, and every field of a dataclass or
+NamedTuple, must be read somewhere in the package.
 """
 
 import ast
@@ -92,6 +93,38 @@ def test_every_space_slot_and_embedding_field_is_read():
               if isinstance(value, cached_property)]
     kept = list(PolarSpace.__slots__) + [f.name for f in dataclasses.fields(Embedding)]
     assert [name for name in kept + cached if name not in reads] == []
+
+
+def _is_record(node) -> bool:
+    """A class statement decorated `@dataclass` or based on NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(m, ast.Name) and m.id == "dataclass" for m in marks) \
+        or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
+def unread_fields() -> list:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    # attribute reads of each top-level statement of the package
+    reads = [(stmt, _attribute_reads(stmt))
+             for tree in trees.values() for stmt in tree.body]
+    out = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or not _is_record(node):
+                continue
+            outside = set().union(*(names for stmt, names in reads if stmt is not node))
+            out += [f"{stem}.{node.name}.{item.target.id}" for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.target.id not in outside]
+    return sorted(out)
+
+
+def test_every_result_field_is_read():
+    # a field of a dataclass or NamedTuple that the package never reads
+    # outside the class is a table built for no caller
+    assert unread_fields() == []
 
 
 def test_package_root_holds_only_its_docstring():
