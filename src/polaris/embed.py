@@ -30,8 +30,10 @@ name.  Preimages and hyperplanes are zero sets of functionals
 `line_meetings` reads how every hyperplane meets every line in one pass
 over the lines of the dual table: the functionals whose zero set splits
 some line (meets it twice without holding it) and those whose zero set
-misses some line.  `validate_embedding` checks its lines with the first,
-and corollary3 sorts out its hyperplanes with both.
+misses some line.  Corollary3 sorts out its hyperplanes with both.
+`validate_embedding` reads all four of its verdicts off the dual table:
+a zero vector and a repeated point from the `kills` rows, spanning from
+their AND, and lines onto projective lines from the split set.
 
 Embeddings are immutable after construction, apart from the dual table
 `duals`, a write-once cache built on first use from the vectors and
@@ -109,11 +111,9 @@ def natural_embedding(space: PolarSpace) -> Embedding:
     """The inclusion map, tagged by the universality classification."""
     if space.is_grid:
         tag = "unknown"
-    elif space.kind in ("quadratic", "hermitian"):
-        tag = "universal"
-    elif space.kind == "alternating":
-        tag = "universal" if space.field.char != 2 else "quotient"
-    else:  # symmetric, necessarily char != 2 after build validation
+    elif space.kind == "alternating" and space.field.char == 2:
+        tag = "quotient"
+    else:
         tag = "universal"
     return Embedding(space, space.dim, space.points, tag)
 
@@ -142,25 +142,25 @@ def line_meetings(emb: Embedding) -> tuple:
 
 
 def validate_embedding(emb: Embedding) -> None:
-    """Injectivity, spanning, and line-onto-projective-line, the last two
-    read off the dual table.  The image spans the ambient space exactly
-    when no functional kills every point: the AND of `kills` is 0.  Once
-    the map is injective, the q + 1 points of a line map to q + 1
-    distinct projective points, so they fill the projective line through
-    two of them exactly when their vectors span a 2-space.  That holds
-    exactly when no functional kills two of them without killing all: a
-    functional that kills two vectors of a 2-space kills all of it, and
-    a vector outside the span of two others is spared by some functional
-    that kills both.  So the check is that `line_meetings` splits no
-    line."""
-    F = emb.space.field
-    norm = [linalg.normalize_point(F, v) for v in emb.vectors]
-    if any(v is None for v in norm):
-        raise EmbeddingError("a point maps to the zero vector")
-    if len(set(norm)) != len(norm):
-        raise EmbeddingError("embedding is not injective on points")
+    """No zero vector, injectivity, spanning, and line onto projective
+    line, all four read off the dual table.  A zero vector is killed by
+    every functional, and two nonzero vectors span one projective point
+    exactly when the same functionals kill them: equal `kills` rows.
+    The image spans the ambient space exactly when no functional kills
+    every point: the AND of `kills` is 0.  Once the map is injective,
+    the q + 1 points of a line map to q + 1 distinct projective points,
+    so they fill the projective line through two of them exactly when
+    their vectors span a 2-space.  That holds exactly when no functional
+    kills two of them without killing all: a functional that kills two
+    vectors of a 2-space kills all of it, and a vector outside the span
+    of two others is spared by some functional that kills both.  So the
+    check is that `line_meetings` splits no line."""
     zero, kills = emb.duals
     common = (1 << len(zero)) - 1
+    if common in kills:
+        raise EmbeddingError("a point maps to the zero vector")
+    if len(set(kills)) != len(kills):
+        raise EmbeddingError("embedding is not injective on points")
     for k in kills:
         common &= k
     if common:

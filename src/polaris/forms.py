@@ -58,23 +58,11 @@ class SesquilinearForm:
     def functional(self, u):
         """Row c with f(u, y) = sum_j c[j] y_j (linear in y)."""
         F, m = self.field, self.sigma
-        d = self.dim
         su = [F.frob(x, m) for x in u]
-        return tuple(
-            _dot_col(F, su, self.gram, j, d) for j in range(d)
-        )
+        return tuple(_dot(F, su, col) for col in zip(*self.gram))
 
     def __repr__(self):
         return f"<{self.kind} form on GF({self.field.q})^{self.dim}>"
-
-
-def _dot_col(F, su, gram, j, d):
-    acc = 0
-    for i in range(d):
-        gij = gram[i][j]
-        if gij and su[i]:
-            acc = F.add(acc, F.mul(su[i], gij))
-    return acc
 
 
 def _dot(F, row, v) -> int:

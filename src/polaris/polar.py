@@ -239,9 +239,6 @@ class PointSet:
     def __hash__(self):
         return hash((id(self.space), self.bits))
 
-    def __or__(self, other):
-        return PointSet(self.space, self.bits | other.bits)
-
     def __repr__(self):
         return f"PointSet({list(self.indices())})"
 
@@ -531,9 +528,7 @@ def check_partial_frame(space: PolarSpace, A, B) -> PartialFrame:
     f(a_j, b_j) != 0, so every c_j is 0.  Hence A is independent and
     perp(B) misses <A>, and likewise with A and B swapped."""
     A, B = tuple(A), tuple(B)
-    for i in A + B:
-        if not 0 <= i < len(space.points):
-            raise GeometryError(f"point index {i} out of range")
+    PointSet.of(space, A + B)   # the point-index range check
     k = len(A)
     if k != len(B):
         raise FrameError(f"|A| = {k} != |B| = {len(B)}")

@@ -4,9 +4,10 @@ checks.
 Each check is a candidate stream and a judge, run by one driver
 (`_drive`) that does all the report bookkeeping.  Every candidate counts
 as sampled; one whose point set the run has met before is skipped as a
-duplicate.  The judge returns a skip reason when the candidate fails a
-hypothesis, None when it passes, or a witness dict when it fails.  The
-open-problem commands are experimental: their reports file the dicts as
+duplicate, and the whole point set, which every check's hypotheses
+exclude, as improper.  The judge returns a skip reason when the
+candidate fails a hypothesis, None when it passes, or a witness dict
+when it fails.  The open-problem commands are experimental: their reports file the dicts as
 exhibits, count those candidates as passed and never count failures.
 
 A sampled check call seeds one random stream from its plan, once, and
@@ -118,7 +119,8 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
     """Judge every candidate and file the verdicts in one timed report.
 
     Each candidate counts as sampled; one whose point set was met before
-    is skipped as a duplicate without being judged.  `judge(candidate)`
+    is skipped as a duplicate, and else the whole space as improper,
+    without being judged.  `judge(candidate)`
     returns a skip reason, None for a pass, or a witness dict for a
     failure; an experimental report files the dict as an exhibit and
     counts the candidate as passed.  An exhaustive walk draws nothing, so
@@ -131,7 +133,8 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
     for cand in candidates:
         report.sampled += 1
         bits = cand.bits
-        verdict = "duplicate" if bits in seen else judge(cand)
+        verdict = "duplicate" if bits in seen else \
+            "improper" if bits == space.all_bits else judge(cand)
         seen.add(bits)
         if isinstance(verdict, str):
             report.skip(verdict)
@@ -228,7 +231,7 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     Exhaustive mode tests each subspace for maximality; sampled mode
     grows each candidate to a maximal subspace in the candidate stream,
     so the driver's dedup sees grown subspaces.  Growing leaves the whole
-    space as it is, and the judge skips it as improper."""
+    space as it is, and the driver skips it as improper."""
     mode = plan.resolved_mode(space)
     exhaustive = mode == "exhaustive"
     candidates = _subspaces(space, plan, mode)
@@ -236,8 +239,6 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
         candidates = (_grow_to_maximal(space, S) for S in candidates)
 
     def judge(S):
-        if S.bits == space.all_bits:
-            return "improper"
         if S.rank < 2:
             return "rank_lt_2"
         if exhaustive and not is_maximal_subspace(space, S):
@@ -268,17 +269,18 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     sets).
 
     One `line_meetings` pass sorts the zero sets.  One that splits a
-    line is no subspace, one that misses a line is no hyperplane, and
-    the whole point set is improper: each of these is a bad hyperplane.
-    Every other zero set is a hyperplane, and goes to the judge marked as
-    a subspace."""
+    line is no subspace and one that misses a line is no hyperplane:
+    each of these is a bad hyperplane.  Every other zero set is a
+    hyperplane, and goes to the judge marked as a subspace.  No zero set
+    is the whole point set, since the image spans, and the driver would
+    skip one as improper."""
     if space.n <= 2:
         raise UsageError("corollary3 needs ambient rank > 2")
     emb = universal_embedding(space)
     zero = emb.duals.zero
     split, missed = line_meetings(emb)
     hyperplanes = {z for i, z in enumerate(zero)
-                   if not ((split | missed) >> i) & 1} - {space.all_bits}
+                   if not ((split | missed) >> i) & 1}
     rank_hist: dict = {}
 
     def candidates():
@@ -313,8 +315,6 @@ def check_prop5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     mode = plan.resolved_mode(space)
 
     def judge(S):
-        if S.bits == space.all_bits:
-            return "improper"
         if S.rank_nd <= 1:
             return None
         return {"kind": "proper subspace of rank_nd >= 2", "points": S.indices(),
@@ -361,8 +361,6 @@ def search_nonarising_rank1(space: PolarSpace, plan: SamplePlan,
         _subspaces(space, plan, plan.resolved_mode(space)))
 
     def judge(S):
-        if S.bits == space.all_bits:
-            return "improper"
         if S.rank_nd > 1:
             return "rank_nd_gt_1"
         exhibit = _non_arising(emb, S, "non-arising low-rank subspace")
@@ -390,10 +388,10 @@ def _saturate(space: PolarSpace, p: int) -> int:
 
 def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     """Classify maximal rank-1 subspaces of a generalized quadrangle as
-    hyperplanes (ovoids) or counterexamples.  The judge skips every
-    candidate but the proper rank-1 subspaces.  Exhaustive mode walks
-    every subspace; sampled mode saturates a random point to a maximal
-    pairwise non-collinear set, which always is one.  A saturation
+    hyperplanes (ovoids) or counterexamples.  The driver skips the whole
+    space, and the judge every other candidate but the rank-1 subspaces.
+    Exhaustive mode walks every subspace; sampled mode saturates a random
+    point to a maximal pairwise non-collinear set, which always is one.  A saturation
     depends on its start point alone, so each start point is saturated
     once per call and a repeat draw yields the same set, which the
     report skips as a duplicate.  Experimental; no verdict."""
@@ -411,8 +409,6 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
             yield saturated[p]
 
     def judge(S):
-        if S.bits == space.all_bits:
-            return "improper"
         if S.rank != 1:
             return "rank_ne_1"
         if not is_maximal_subspace(space, S):

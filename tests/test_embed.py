@@ -105,6 +105,24 @@ def test_natural_embedding_tags(space):
     assert natural_embedding(space("Qp3_4")).tag == "unknown"
 
 
+@pytest.mark.parametrize("name", UNIVERSAL_PRESETS)
+def test_natural_tags_match_a_greedy_generating_set(name, space):
+    # a rank-n frame, then the lowest point outside the running closure
+    # until the closure is the whole space: on every non-grid preset this
+    # generating set has as many points as the universal embedding has
+    # coordinates, so the inclusion is a proper quotient exactly when the
+    # space's own dimension is smaller
+    sp = space(name)
+    fr = find_partial_frame(sp, sp.universe(), sp.n)
+    size, span = 2 * sp.n, closure(sp, fr.point_set()).bits
+    while span != sp.all_bits:
+        outside = sp.all_bits & ~span
+        span = closure(sp, outside & -outside, span).bits
+        size += 1
+    assert size == universal_embedding(sp).dim
+    assert (natural_embedding(sp).tag == "quotient") == (sp.dim < size)
+
+
 @pytest.mark.parametrize("name", ["W3_2", "Sp4_3", "Q4_2", "Qm5_2", "Qp5_2",
                                   "H3_4", "H4_4", "Q6_2", "W5_2", "Qp3_2"])
 def test_natural_embeddings_are_embeddings(name, space):
@@ -113,7 +131,11 @@ def test_natural_embeddings_are_embeddings(name, space):
 
 @pytest.mark.parametrize("name", UNIVERSAL_PRESETS)
 def test_universal_embeddings_validate(name, space):
-    validate_embedding(universal_embedding(space(name)))
+    emb = universal_embedding(space(name))
+    validate_embedding(emb)
+    # the image spans, so no zero set of the dual table is the whole
+    # point set, and corollary3 never meets the whole space
+    assert emb.space.all_bits not in emb.duals.zero
 
 
 @pytest.mark.parametrize("name", ["Q4_2", "Q6_2"])

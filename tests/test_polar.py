@@ -742,7 +742,7 @@ def test_closure_is_a_closure_operator(name, data):
     sp = build_preset(name)
     points = st.sets(st.integers(0, len(sp.points) - 1), max_size=2 * sp.n + 2)
     X = PointSet.of(sp, data.draw(points))
-    Y = X | PointSet.of(sp, data.draw(points))
+    Y = PointSet(sp, X.bits | PointSet.of(sp, data.draw(points)).bits)
     cX = closure(sp, X)
     assert X.bits & ~cX.bits == 0                         # extensive
     assert cX.bits & ~closure(sp, Y).bits == 0            # monotone

@@ -175,6 +175,7 @@ def test_corollary2_exhaustive_w32(space):
     assert r.failed == 0 and r.consistent()
     # 15 singular hyperplanes plus 10 grids
     assert r.applicable == 25
+    assert r.skipped["improper"] == 1
 
 
 def test_corollary2_exhaustive_q42(space):
@@ -182,6 +183,7 @@ def test_corollary2_exhaustive_q42(space):
     r = check_corollary2(Q, SamplePlan(mode="exhaustive"))
     assert r.failed == 0
     assert r.applicable == 25
+    assert r.skipped["improper"] == 1
 
 
 def test_corollary2_sampled_q62(space):
@@ -456,6 +458,7 @@ def test_explore_problem5_w32(space):
     assert r.info["ovoid_hyperplanes"] == 6
     assert r.info["non_hyperplane_maximals"] == 0
     assert r.applicable == 6
+    assert r.skipped["improper"] == 1
 
 
 def test_explore_problem5_q42(space):
@@ -463,6 +466,7 @@ def test_explore_problem5_q42(space):
     r = explore_problem5(Q, SamplePlan(mode="exhaustive"))
     assert r.info["ovoid_hyperplanes"] == 6
     assert r.info["non_hyperplane_maximals"] == 0
+    assert r.skipped["improper"] == 1
 
 
 def test_explore_problem5_sampled(space):
@@ -559,6 +563,24 @@ def test_sampled_agrees_with_exhaustive_on_small_space(space):
     assert ex.failed == 0
     sam = check_theorem1(Q, emb, SamplePlan(seed=3, samples=120, mode="random"))
     assert sam.failed == 0 and sam.consistent()
+
+
+def test_driver_skips_the_whole_space_before_any_judge(space):
+    # the first whole space is skipped as improper and its repeat as a
+    # duplicate, neither reaching the judge; the proper subspace is
+    # judged once
+    W = space("W3_2")
+    S = closure(W, [0, 1])
+    judged = []
+
+    def judge(cand):
+        assert cand.bits != W.all_bits
+        judged.append(cand.bits)
+
+    r = verify._drive("probe", W, SamplePlan(), "random",
+                      [W.universe(), W.universe(), S], judge)
+    assert r.skipped == {"improper": 1, "duplicate": 1}
+    assert judged == [S.bits] and r.passed == 1 and r.consistent()
 
 
 def test_skip_accounting(space):
