@@ -107,10 +107,10 @@ def point_cap() -> int:
     return cap
 
 
-def build_preset(name: str, cap: int | None = None):
+def build_preset(name: str):
     """The built preset, cached per name and resolved point cap."""
     key = resolve_preset(name)
-    cap = point_cap() if cap is None else cap
+    cap = point_cap()
     if (key, cap) not in _SPACE_CACHE:
         spec = parse_spec(preset_text(key))
         _SPACE_CACHE[key, cap] = build_space_from_spec(spec, cap=cap, label=key)

@@ -37,6 +37,8 @@ from .polar import (
     find_partial_frame,
     frame_span,
     perp,
+    rank_nd,
+    rank_of,
 )
 from .records import RecordWriter
 from .specfile import build_space_from_spec, parse_spec
@@ -147,13 +149,14 @@ def _lines(args, space):
 def _closure(args, space):
     X = _parse_points(args.points, space)
     c = closure(space, X)
+    r = rank_nd(space, c)
     return "closure", [
         ("input", X.indices()),
         ("points", c.indices()),
         ("size", len(c)),
-        ("is-singular", c.rank_nd == 0),
-        ("rank", c.rank),
-        ("rank-nd", c.rank_nd),
+        ("is-singular", r == 0),
+        ("rank", rank_of(space, c)),
+        ("rank-nd", r),
     ]
 
 

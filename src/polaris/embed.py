@@ -223,7 +223,8 @@ def _paired_space(space: PolarSpace, form, images, label, what) -> tuple:
     bijection under which collinearity transfers both ways: each row
     maps onto the image's row."""
     other = build_polar_space(form, cap=len(space.points), label=label)
-    pmap = tuple(other.index.get(v) for v in images)
+    index = {v: i for i, v in enumerate(other.points)}
+    pmap = tuple(index.get(v) for v in images)
     if None in pmap or len(set(pmap)) != len(pmap) or len(pmap) != len(other.points):
         raise EmbeddingError(f"{what} is not a point bijection")
     for i, row in enumerate(space.adj):

@@ -24,11 +24,11 @@ is the point count of one greedy clique inside it, and the frame
 search and frame check track no spans.
 
 Spaces are immutable after construction, apart from the write-once
-`_universal` slot that `embed.universal_embedding` fills; PointSet
-caches are write-once too.  A closure comes out marked as a subspace,
-and `generating_points` picks a generating subset of any set on demand.
-Everything here is safe to query concurrently: two threads filling one
-cache write equal values.
+`_universal` slot that `embed.universal_embedding` fills; a PointSet's
+subspace flag is write-once too.  A closure comes out marked as a
+subspace, and `generating_points` picks a generating subset of any set
+on demand.  Everything here is safe to query concurrently: two threads
+filling one cache write equal values.
 """
 
 from __future__ import annotations
@@ -65,11 +65,11 @@ class PolarSpace:
     """Points, lines and collinearity of the polar space of a form."""
 
     __slots__ = ("field", "form", "kind", "bilinear", "dim", "q", "n",
-                 "points", "index", "adj", "lines", "line_bits", "lines_at",
+                 "points", "adj", "lines", "lines_at",
                  "all_bits", "is_grid", "label", "_universal")
 
-    def __init__(self, field, form, kind, bilinear, dim, n, points, index,
-                 adj, lines, line_bits, lines_at, is_grid, label):
+    def __init__(self, field, form, kind, bilinear, dim, n, points,
+                 adj, lines, lines_at, is_grid, label):
         self.field = field
         self.form = form
         self.kind = kind
@@ -78,10 +78,8 @@ class PolarSpace:
         self.q = field.q
         self.n = n
         self.points = points
-        self.index = index
         self.adj = adj
         self.lines = lines
-        self.line_bits = line_bits
         self.lines_at = lines_at      # per point p: each line through p, less p
         self.all_bits = (1 << len(points)) - 1
         self.is_grid = is_grid
@@ -94,9 +92,6 @@ class PolarSpace:
     def __repr__(self):
         name = self.label or f"{self.kind} space"
         return f"<{name}: {len(self.points)} points, {len(self.lines)} lines, rank {self.n}>"
-
-    def universe(self) -> "PointSet":
-        return PointSet(self, self.all_bits)
 
 
 def build_polar_space(form, cap: int | None = None, label: str | None = None) -> PolarSpace:
@@ -150,7 +145,6 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
                 )
     points = tuple(points)
     N = len(points)
-    index = {v: i for i, v in enumerate(points)}
     all_bits = (1 << N) - 1
 
     slices = linalg.value_slices(F, points)
@@ -180,17 +174,16 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
                 covered[a] |= lb
             todo &= ~covered[i]
     lines.sort()   # by point tuple, which no two lines share
-    line_bits = tuple(lb for _, lb in lines)
-    lines = tuple(pts for pts, _ in lines)
     lines_at_mut = [[] for _ in range(N)]
-    for pts, lb in zip(lines, line_bits):
+    for pts, lb in lines:
         for a in pts:
             lines_at_mut[a].append(lb & ~(1 << a))
     lines_at = tuple(tuple(ls) for ls in lines_at_mut)
+    lines = tuple(pts for pts, _ in lines)
 
     is_grid = n == 2 and N > 0 and all(len(ls) == 2 for ls in lines_at)
-    return PolarSpace(F, form, kind, bilinear, d, n, points, index,
-                      adj, lines, line_bits, lines_at, is_grid, label)
+    return PolarSpace(F, form, kind, bilinear, d, n, points,
+                      adj, lines, lines_at, is_grid, label)
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +191,15 @@ def build_polar_space(form, cap: int | None = None, label: str | None = None) ->
 # ---------------------------------------------------------------------------
 
 class PointSet:
-    """A set of point indices of one space, as a bitset, with write-once
-    caches for the subspace flag, radical and ranks."""
+    """A set of point indices of one space, as a bitset, with a
+    write-once subspace flag."""
 
-    __slots__ = ("space", "bits", "_subspace", "_radical", "_rank", "_rank_nd")
+    __slots__ = ("space", "bits", "_subspace")
 
     def __init__(self, space: PolarSpace, bits: int):
         self.space = space
         self.bits = bits
         self._subspace = None
-        self._radical = None
-        self._rank = None
-        self._rank_nd = None
 
     @classmethod
     def of(cls, space: PolarSpace, ids) -> "PointSet":
@@ -247,24 +237,6 @@ class PointSet:
         if self._subspace is None:
             self._subspace = is_subspace(self.space, self)
         return self._subspace
-
-    @property
-    def radical(self) -> "PointSet":
-        if self._radical is None:
-            self._radical = radical_of_subspace(self.space, self)
-        return self._radical
-
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = rank_of(self.space, self)
-        return self._rank
-
-    @property
-    def rank_nd(self) -> int:
-        if self._rank_nd is None:
-            self._rank_nd = rank_nd(self.space, self)
-        return self._rank_nd
 
 
 def _bits(space, X) -> int:
@@ -404,7 +376,7 @@ def rank_nd(space: PolarSpace, S) -> int:
     """rank(S) minus the rank of its radical (0 exactly when S is
     singular); the radical is a singular subspace."""
     S = _require_subspace(space, S)
-    return S.rank - _vector_dim(space.q, len(S.radical))
+    return rank_of(space, S) - _vector_dim(space.q, len(radical_of_subspace(space, S)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +578,9 @@ def find_partial_frame(space: PolarSpace, S, k: int) -> PartialFrame:
         raise FrameError(f"rank {k} < 2")
     if radical_of_subspace(space, S).bits:
         raise GeometryError("subspace is degenerate: it has a nonempty radical")
-    if S.rank < k:
-        raise GeometryError(f"subspace rank {S.rank} < requested {k}")
+    r = rank_of(space, S)
+    if r < k:
+        raise GeometryError(f"subspace rank {r} < requested {k}")
     return check_partial_frame(space, *_frame_search(space, S.bits, k))
 
 

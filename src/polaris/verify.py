@@ -48,6 +48,8 @@ from .polar import (
     enumerate_subspaces,
     is_hyperplane,
     is_maximal_subspace,
+    rank_nd,
+    rank_of,
 )
 
 EXHAUSTIVE_POINT_LIMIT = 15   # auto-exhaustive at or below this many points
@@ -171,7 +173,7 @@ def classify_subspace(space: PolarSpace, S: PointSet) -> str | None:
     one radical decides both skips."""
     if S.bits == space.all_bits:
         return "improper"
-    r = S.rank_nd
+    r = rank_nd(space, S)
     if r == 0:
         return "singular"
     if r == 1:
@@ -239,7 +241,7 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
         candidates = (_grow_to_maximal(space, S) for S in candidates)
 
     def judge(S):
-        if S.rank < 2:
+        if rank_of(space, S) < 2:
             return "rank_lt_2"
         if exhaustive and not is_maximal_subspace(space, S):
             return "not_maximal"
@@ -248,8 +250,8 @@ def check_corollary2(space: PolarSpace, plan: SamplePlan) -> CheckReport:
         return {
             "kind": "maximal non-hyperplane",
             "points": S.indices(),
-            "missed_line": next(li for li, lb in enumerate(space.line_bits)
-                                if not lb & S.bits),
+            "missed_line": next(li for li, pts in enumerate(space.lines)
+                                if not any(p in S for p in pts)),
         }
 
     return _drive("corollary2", space, plan, mode, candidates, judge)
@@ -291,7 +293,7 @@ def check_corollary3(space: PolarSpace, plan: SamplePlan) -> CheckReport:
             yield H
 
     def judge(H):
-        r = H.rank if H.is_subspace else None
+        r = rank_of(space, H) if H.is_subspace else None
         if H.bits in hyperplanes and r in (space.n - 1, space.n) \
                 and is_maximal_subspace(space, H):
             rank_hist[r] = rank_hist.get(r, 0) + 1
@@ -315,10 +317,11 @@ def check_prop5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     mode = plan.resolved_mode(space)
 
     def judge(S):
-        if S.rank_nd <= 1:
+        r = rank_nd(space, S)
+        if r <= 1:
             return None
         return {"kind": "proper subspace of rank_nd >= 2", "points": S.indices(),
-                "rank_nd": S.rank_nd}
+                "rank_nd": r}
 
     return _drive("prop5", space, plan, mode, _subspaces(space, plan, mode), judge)
 
@@ -361,11 +364,12 @@ def search_nonarising_rank1(space: PolarSpace, plan: SamplePlan,
         _subspaces(space, plan, plan.resolved_mode(space)))
 
     def judge(S):
-        if S.rank_nd > 1:
+        r = rank_nd(space, S)
+        if r > 1:
             return "rank_nd_gt_1"
         exhibit = _non_arising(emb, S, "non-arising low-rank subspace")
         if exhibit is not None:
-            exhibit.update(rank=S.rank, rank_nd=S.rank_nd)
+            exhibit.update(rank=rank_of(space, S), rank_nd=r)
         return exhibit
 
     report = _drive("rank1-nonarising", space, plan, "mixed", candidates, judge,
@@ -409,7 +413,7 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
             yield saturated[p]
 
     def judge(S):
-        if S.rank != 1:
+        if rank_of(space, S) != 1:
             return "rank_ne_1"
         if not is_maximal_subspace(space, S):
             return "not_maximal"

@@ -165,6 +165,11 @@ def oracle_subspaces(form):
     return out
 
 
+def line_bits(space):
+    """The bitset of each line of a library space, in its line order."""
+    return [sum(1 << p for p in pts) for pts in space.lines]
+
+
 def oracle_closure(line_bits, bits):
     """Saturate the given lines until nothing changes."""
     changed = True

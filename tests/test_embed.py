@@ -88,7 +88,7 @@ UNIVERSAL_PRESETS = [name for name in sorted(PRESETS) if not build_preset(name).
 
 def grid_of(space, name="Q4_2"):
     Q = space(name)
-    return Q, closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
+    return Q, closure(Q, find_partial_frame(Q, Q.all_bits, 2).point_set())
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_natural_tags_match_a_greedy_generating_set(name, space):
     # coordinates, so the inclusion is a proper quotient exactly when the
     # space's own dimension is smaller
     sp = space(name)
-    fr = find_partial_frame(sp, sp.universe(), sp.n)
+    fr = find_partial_frame(sp, sp.all_bits, sp.n)
     size, span = 2 * sp.n, closure(sp, fr.point_set()).bits
     while span != sp.all_bits:
         outside = sp.all_bits & ~span
@@ -183,7 +183,7 @@ def test_projective_span_examples(space):
     emb = natural_embedding(W)
     line = PointSet.of(W, W.lines[0])
     assert len(projective_span(emb, line)) == 2
-    fr = find_partial_frame(W, W.universe(), 2)
+    fr = find_partial_frame(W, W.all_bits, 2)
     assert len(projective_span(emb, fr.point_set())) == 4  # 2n
 
 
@@ -196,8 +196,8 @@ def test_preimage_examples(space):
     assert len(section) == 9
     assert is_subspace(Q, section) and rank_nd(Q, section) == 2
     assert preimage(emb, list(Q.points[:7])).bits == Q.all_bits or \
-        len(projective_span(emb, Q.universe())) == 5
-    assert preimage(emb, projective_span(emb, Q.universe())).bits == Q.all_bits
+        len(projective_span(emb, Q.all_bits)) == 5
+    assert preimage(emb, projective_span(emb, Q.all_bits)).bits == Q.all_bits
 
 
 def test_preimage_is_always_a_subspace(space):
@@ -299,7 +299,7 @@ def test_projective_span_reduces_a_generating_subset(space, monkeypatch):
     for X in Xs:
         reduced.clear()
         projective_span(emb, X)
-        gens = [sp.index[v] for v in reduced[0]]
+        gens = [sp.points.index(v) for v in reduced[0]]
         assert len(reduced) == 1 and all((X >> g) & 1 for g in gens)
         for k, g in enumerate(gens):
             assert g not in closure(sp, gens[:k])
@@ -318,7 +318,7 @@ def test_singular_subspaces_always_arise(space):
         emb = natural_embedding(sp)
         for line in sp.lines[:5]:
             S = PointSet.of(sp, line)
-            assert S.rank_nd == 0
+            assert rank_nd(sp, S) == 0
             assert arises_from(emb, S).arises
         assert arises_from(emb, PointSet.of(sp, [0])).arises
         assert arises_from(emb, PointSet(sp, 0)).arises
@@ -694,7 +694,7 @@ def test_hull_on_nonstandard_gram():
     # the hull quadric follows the gram, not a fixed hyperbolic basis
     W = w32_perm()
     emb = universal_embedding(W)
-    fr = find_partial_frame(W, W.universe(), 2)
+    fr = find_partial_frame(W, W.all_bits, 2)
     span = frame_span(W, fr)
     assert span == preimage(emb, projective_span(emb, fr.point_set()))
 
@@ -708,7 +708,7 @@ def test_hull_over_gf4_takes_the_square_root():
     assert {frozenset(W.points[i] for i in line) for line in W.lines} == lines
     emb = universal_embedding(W)
     assert emb.tag == "universal" and emb.dim == 5 and len(W.points) == 85
-    fr = find_partial_frame(W, W.universe(), 2)
+    fr = find_partial_frame(W, W.all_bits, 2)
     assert frame_span(W, fr) == preimage(emb, projective_span(emb, fr.point_set()))
     report = check_theorem1(W, emb, SamplePlan(seed=0, samples=40))
     assert report.failed == 0 and report.applicable > 0
@@ -758,10 +758,10 @@ def test_derived_spaces_take_the_cap_of_their_source(monkeypatch):
     # built under a cap above the default, a space's hull quadric and
     # quotient must not fall back to the default cap
     monkeypatch.setattr(polar, "DEFAULT_POINT_CAP", 10)
-    W = build_preset("W3_2", cap=15)
+    W = build_space_from_spec(parse_spec(preset_text("W3_2")), cap=15, label="W3_2")
     assert universal_embedding(W).dim == 5
     assert len(hull_of_symplectic_char2(W).quad_space.points) == 15
-    Q = build_preset("Q4_2", cap=15)
+    Q = build_space_from_spec(parse_spec(preset_text("Q4_2")), cap=15, label="Q4_2")
     res = quotient_embedding(Q)
     assert len(res.quotient_space.points) == 15
 
@@ -775,7 +775,7 @@ def test_derived_spaces_take_the_cap_of_their_source(monkeypatch):
 def test_frame_span_equals_preimage(name, space):
     sp = space(name)
     emb = universal_embedding(sp)
-    fr = find_partial_frame(sp, sp.universe(), 2)
+    fr = find_partial_frame(sp, sp.all_bits, 2)
     span_pts = frame_span(sp, fr)
     wanted = preimage(emb, projective_span(emb, fr.point_set()))
     assert span_pts == wanted
@@ -786,7 +786,7 @@ def test_complete_generating_frame_spans_2n(space):
     # spans exactly dimension 2n
     H = space("H3_4")
     emb = natural_embedding(H)
-    fr = find_partial_frame(H, H.universe(), 2)
+    fr = find_partial_frame(H, H.all_bits, 2)
     assert frame_span(H, fr).bits == H.all_bits
     assert len(projective_span(emb, fr.point_set())) == 2 * H.n == emb.dim
 
@@ -797,7 +797,7 @@ def test_complete_generating_frame_spans_2n(space):
 
 def test_mingen_whole_q42(space):
     Q = space("Q4_2")
-    Y = minimal_generating_subset(Q, Q.universe())
+    Y = minimal_generating_subset(Q, Q.all_bits)
     assert len(Y) == 5
     assert closure(Q, Y).bits == Q.all_bits
     for i in Y:
@@ -835,7 +835,7 @@ def test_mingen_rejects_thin_closure(space):
 
 def test_mingen_on_frame_returns_frame(space):
     Q = space("Q4_2")
-    fr = find_partial_frame(Q, Q.universe(), 2)
+    fr = find_partial_frame(Q, Q.all_bits, 2)
     Y = minimal_generating_subset(Q, fr.point_set())
     assert Y == fr.point_set()
 

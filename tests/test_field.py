@@ -82,7 +82,7 @@ def test_tables_match_polynomial_oracle(p, k):
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
-                                 (2, 3), (3, 2), (2, 4)])
+                                 (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
 def test_field_axioms_exhaustive(p, k):
     # full triple loops for every shipped field of order <= 16
     F = field_make(p, k)
@@ -91,6 +91,7 @@ def test_field_axioms_exhaustive(p, k):
     for a in range(q):
         assert F.add(a, 0) == a
         assert F.mul(a, 1) == a
+        assert F.mul(a, 0) == 0
         assert F.add(a, F.neg(a)) == 0
         if a:
             assert F.mul(a, F.inv(a)) == 1

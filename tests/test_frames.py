@@ -31,8 +31,8 @@ def w32_standard_frame(space):
     """A = {[e0], [e2]}, B = {[e1], [e3]} under the block alternating form."""
     W = space("W3_2")
     e = [tuple(1 if i == j else 0 for i in range(4)) for j in range(4)]
-    a = (W.index[e[0]], W.index[e[2]])
-    b = (W.index[e[1]], W.index[e[3]])
+    a = (W.points.index(e[0]), W.points.index(e[2]))
+    b = (W.points.index(e[1]), W.points.index(e[3]))
     return W, a, b
 
 
@@ -191,13 +191,13 @@ def test_sampled_frames_satisfy_all_axioms(name, space):
 
 def test_extend_frame_identity_on_complete(space):
     W = space("W3_2")
-    fr = find_partial_frame(W, W.universe(), 2)
+    fr = find_partial_frame(W, W.all_bits, 2)
     assert extend_frame(W, fr) is fr
 
 
 def test_extend_frame_q62(space):
     Q = space("Q6_2")
-    fr2 = find_partial_frame(Q, Q.universe(), 2)
+    fr2 = find_partial_frame(Q, Q.all_bits, 2)
     fr3 = extend_frame(Q, fr2)
     assert fr3.rank == 3
     assert set(fr2.a) <= set(fr3.a) and set(fr2.b) <= set(fr3.b)
@@ -252,9 +252,9 @@ def test_find_partial_frame_matches_oracle_on_every_nondegenerate_subspace(
     orth = oracle_orthogonality(sp.form, points)
     cases = 0
     for S in enumerate_subspaces(sp):
-        if S.radical.bits:
+        if radical_of_subspace(sp, S).bits:
             continue
-        for k in range(2, S.rank + 1):
+        for k in range(2, rank_of(sp, S) + 1):
             fr = find_partial_frame(sp, S, k)
             assert (fr.a, fr.b) == oracle_frame_completion(
                 sp.field, points, orth, k, (), (), within=S.indices()), (S, k)
@@ -265,8 +265,8 @@ def test_find_partial_frame_matches_oracle_on_every_nondegenerate_subspace(
 def test_find_partial_frame_golden(space):
     # deterministic: the lexicographically first chain in W(3,2)
     W = space("W3_2")
-    fr = find_partial_frame(W, W.universe(), 2)
-    again = find_partial_frame(W, W.universe(), 2)
+    fr = find_partial_frame(W, W.all_bits, 2)
+    again = find_partial_frame(W, W.all_bits, 2)
     assert (fr.a, fr.b) == (again.a, again.b)
     assert fr.a[0] == 0  # starts from the lowest point
     assert (fr.a, fr.b) == ((0, 3), (1, 7))
@@ -274,7 +274,7 @@ def test_find_partial_frame_golden(space):
 
 def test_find_frame_inside_grid(space):
     Q = space("Q4_2")
-    grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
+    grid = closure(Q, find_partial_frame(Q, Q.all_bits, 2).point_set())
     fr = find_partial_frame(Q, grid, 2)
     assert fr.point_set().bits & ~grid.bits == 0
 
@@ -288,14 +288,14 @@ def test_find_frame_rejects_degenerate(space):
 
 def test_frame_span_examples(space):
     W = space("W3_2")
-    fr = find_partial_frame(W, W.universe(), 2)
+    fr = find_partial_frame(W, W.all_bits, 2)
     g = frame_span(W, fr)
     assert len(g) == 9 and rank_of(W, g) == 2
     H = space("H3_4")
-    frH = find_partial_frame(H, H.universe(), 2)
+    frH = find_partial_frame(H, H.all_bits, 2)
     assert frame_span(H, frH).bits == H.all_bits
     Q = space("Q6_2")
-    frQ = find_partial_frame(Q, Q.universe(), 2)
+    frQ = find_partial_frame(Q, Q.all_bits, 2)
     span2 = frame_span(Q, frQ)
     assert span2.bits != Q.all_bits
     assert rank_of(Q, span2) == 2

@@ -43,6 +43,7 @@ F2 = field_make(2, 1)
 # ---------------------------------------------------------------------------
 
 from oracles import (  # noqa: E402
+    line_bits,
     oracle_closure,
     oracle_coatoms,
     oracle_line_class,
@@ -103,7 +104,7 @@ def test_preset_axioms(name, space):
 @pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
 def test_clique_rank_of_the_space_is_the_witt_index(name, space):
     sp = space(name)
-    assert rank_of(sp, sp.universe()) == sp.n
+    assert rank_of(sp, sp.all_bits) == sp.n
 
 
 # (field, kind, dimension) of the random-form test; each shape gets its
@@ -160,7 +161,7 @@ def test_random_forms_match_brute_force(pk, kind, d, data):
     orth = oracle_orthogonality(form, sp.points)
     assert [set(polar._iter_bits(row)) for row in sp.adj] == orth
     assert {frozenset(sp.points[i] for i in line) for line in sp.lines} == lines
-    assert rank_of(sp, sp.universe()) == sp.n
+    assert rank_of(sp, sp.all_bits) == sp.n
 
 
 @pytest.mark.parametrize("pk,kind,d", RANDOM_FORM_SHAPES, ids=SHAPE_IDS)
@@ -220,7 +221,7 @@ def test_perp_examples(space):
 
 def test_perp_of_frame_is_empty(space):
     W = space("W3_2")
-    fr = find_partial_frame(W, W.universe(), 2)
+    fr = find_partial_frame(W, W.all_bits, 2)
     assert perp(W, fr.point_set()).bits == 0
 
 
@@ -246,7 +247,7 @@ def test_closure_examples(space):
     j = next(iter(PointSet(W, W.adj[0] & ~1)))
     c = closure(W, [i, j])
     assert len(c) == W.q + 1
-    assert any(c.bits == lb for lb in W.line_bits)
+    assert any(c.bits == lb for lb in line_bits(W))
     # two non-collinear points are already closed
     k = next(iter(PointSet(W, W.all_bits & ~W.adj[0])))
     assert closure(W, [0, k]).bits == (1 | (1 << k))
@@ -254,7 +255,7 @@ def test_closure_examples(space):
 
 def test_closure_of_complete_frame_is_grid(space):
     Q = space("Q4_2")
-    fr = find_partial_frame(Q, Q.universe(), 2)
+    fr = find_partial_frame(Q, Q.all_bits, 2)
     g = closure(Q, fr.point_set())
     assert len(g) == 9
     assert rank_of(Q, g) == 2 and radical_of_subspace(Q, g).bits == 0
@@ -298,7 +299,7 @@ def test_closure_from_closed_base_matches_oracle(name, space, preset_oracle):
     # lines of 3, 4 and 5 points; the line set comes from the oracle
     sp = space(name)
     _, lines = preset_oracle(name)
-    oracle_lines = [sum(1 << sp.index[v] for v in line) for line in lines]
+    oracle_lines = [sum(1 << sp.points.index(v) for v in line) for line in lines]
     N = len(sp.points)
     rng = random.Random(11)
     for _ in range(60):
@@ -323,7 +324,7 @@ def test_is_subspace_examples(space):
     assert is_subspace(W, line) and rank_nd(W, line) == 0
     assert not is_subspace(W, line[:-1])
     Q = space("Q4_2")
-    grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
+    grid = closure(Q, find_partial_frame(Q, Q.all_bits, 2).point_set())
     assert is_subspace(Q, grid) and rank_nd(Q, grid) != 0
 
 
@@ -340,7 +341,7 @@ def test_rank_examples(space):
     assert rank_nd(W, H) == 1
 
     Q = space("Q4_2")
-    grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
+    grid = closure(Q, find_partial_frame(Q, Q.all_bits, 2).point_set())
     assert radical_of_subspace(Q, grid).bits == 0
     assert rank_of(Q, grid) == 2 and rank_nd(Q, grid) == 2
 
@@ -416,15 +417,11 @@ def test_rank_requires_subspace(space):
         radical_of_subspace(W, bad)
 
 
-def test_pointset_caches_agree_with_recomputation(space):
+def test_pointset_subspace_flag_agrees_with_recomputation(space):
     W = space("Q4_2")
     S = closure(W, [0, 1, 2])
-    _ = S.is_subspace, S.rank, S.rank_nd, S.radical
     fresh = PointSet(W, S.bits)
     assert S.is_subspace == is_subspace(W, fresh)
-    assert S.rank == rank_of(W, fresh)
-    assert S.rank_nd == rank_nd(W, fresh)
-    assert S.radical.bits == radical_of_subspace(W, fresh).bits
     # a generating set picked from S lies in S and generates it
     gens = PointSet.of(W, generating_points(W, S))
     assert gens.bits & ~S.bits == 0 and closure(W, gens).bits == S.bits
@@ -434,9 +431,9 @@ def test_pointset_caches_agree_with_recomputation(space):
 # hyperplanes and maximality
 # ---------------------------------------------------------------------------
 
-def _scan_is_subspace(sp, bits):
+def _scan_is_subspace(lines, bits):
     return not any((lb & bits) != lb and (lb & bits) & ((lb & bits) - 1)
-                   for lb in sp.line_bits)
+                   for lb in lines)
 
 
 def _subspace_test_inputs(sp, rng):
@@ -449,7 +446,8 @@ def _subspace_test_inputs(sp, rng):
     # gives its hyperplane sections
     emb = natural_embedding(sp) if sp.is_grid else universal_embedding(sp)
     zero_sets = list(emb.duals.zero)
-    out = [0, 1, 1 << (N - 1), sp.line_bits[0], sp.line_bits[-1], sp.all_bits]
+    lines = line_bits(sp)
+    out = [0, 1, 1 << (N - 1), lines[0], lines[-1], sp.all_bits]
     out += [verify._saturate(sp, p) for p in range(N)]
     for k in (2, 4, N // 2):
         out += [sum(1 << p for p in rng.sample(range(N), k)) for _ in range(20)]
@@ -468,13 +466,14 @@ def test_line_row_tests_match_a_line_scan(name, space):
     # a line though some outside point has every line through it met, or
     # though it is maximal, as many saturations of a point are
     sp = space(name)
+    lines = line_bits(sp)
     subspaces = hyperplanes = near_misses = 0
     for bits in _subspace_test_inputs(sp, random.Random(23)):
-        want = _scan_is_subspace(sp, bits)
+        want = _scan_is_subspace(lines, bits)
         assert is_subspace(sp, bits) == want, PointSet(sp, bits).indices()
         subspaces += want
         if want and bits != sp.all_bits:
-            meets_all = all(lb & bits for lb in sp.line_bits)
+            meets_all = all(lb & bits for lb in lines)
             assert is_hyperplane(sp, bits) == meets_all, PointSet(sp, bits).indices()
             hyperplanes += meets_all
             near_misses += not meets_all and (any(
@@ -491,7 +490,7 @@ def test_hyperplane_examples(space):
     assert rank_of(W, H) == 2 and rank_nd(W, H) == 1
 
     Q = space("Q4_2")
-    grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
+    grid = closure(Q, find_partial_frame(Q, Q.all_bits, 2).point_set())
     assert is_hyperplane(Q, grid)
     line = PointSet.of(Q, Q.lines[0])
     assert not is_hyperplane(Q, line)
@@ -502,7 +501,7 @@ def test_maximality_examples(space):
     assert is_maximal_subspace(W, perp(W, 1 << 0))
     assert not is_maximal_subspace(W, PointSet.of(W, W.lines[0]))
     Q = space("Q4_2")
-    grid = closure(Q, find_partial_frame(Q, Q.universe(), 2).point_set())
+    grid = closure(Q, find_partial_frame(Q, Q.all_bits, 2).point_set())
     assert is_maximal_subspace(Q, grid)
 
 
@@ -538,10 +537,10 @@ def test_maximal_subspaces_with_a_radical_are_point_perps(name, space):
     # Qp5_2 has rank_nd 2, so both sides are empty there
     sp = space(name)
     found = {S.bits for S in enumerate_subspaces(sp)
-             if S.bits != sp.all_bits and S.rank >= 2 and S.rank_nd <= 1
+             if S.bits != sp.all_bits and rank_of(sp, S) >= 2 and rank_nd(sp, S) <= 1
              and is_maximal_subspace(sp, S)}
     perps = {P.bits for P in (perp(sp, 1 << p) for p in range(len(sp.points)))
-             if P.rank_nd <= 1}
+             if rank_nd(sp, P) <= 1}
     assert found == perps
     assert bool(found) == (name != "Qp5_2")
 
@@ -568,7 +567,7 @@ def _check_line_classes(sp, line_bits, s_bits, cases):
 
 def _oracle_line_bits(sp, preset_oracle):
     _, lines = preset_oracle(sp.label)
-    return [sum(1 << sp.index[v] for v in line) for line in lines]
+    return [sum(1 << sp.points.index(v) for v in line) for line in lines]
 
 
 # class members by how many of their lines meet S, summed over every class
@@ -653,7 +652,7 @@ def test_lines_at_holds_each_line_through_a_point_less_the_point(name, space):
     # reads each line through p from this row, so the rows must split
     # p^perp less p into the lines through p
     sp = space(name)
-    lines = set(sp.line_bits)
+    lines = set(line_bits(sp))
     for p, rows in enumerate(sp.lines_at):
         union = 0
         for rest in rows:
@@ -754,4 +753,4 @@ def test_closure_is_a_closure_operator(name, data):
 def test_hyperplane_rejects_improper(space):
     W = space("W3_2")
     with pytest.raises(GeometryError):
-        is_hyperplane(W, W.universe())
+        is_hyperplane(W, W.all_bits)

@@ -26,7 +26,6 @@ PACKAGE = Path(polaris.__file__).resolve().parent
 ALLOWED = {
     "embed.preimage": "a benchmark tracer span",
     "embed.projective_span": "a benchmark tracer span",
-    "polar.PolarSpace.universe": "the tests' whole-space point set",
     "verify.CheckReport.consistent": "the benchmark's correctness gate and the tests",
 }
 
@@ -134,6 +133,17 @@ def test_every_result_field_is_read():
     # a field of a dataclass or NamedTuple that the package never reads
     # outside the class is a table built for no caller
     assert unread_fields() == []
+
+
+def test_package_has_no_assert_statement():
+    # `python -O` strips assert statements, so a check the package relies
+    # on must raise instead; properties of the package's own tables are
+    # the tests' to check
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_package_root_holds_only_its_docstring():

@@ -31,6 +31,7 @@ from polaris.verify import (
 )
 
 from oracles import (
+    line_bits,
     oracle_grow_to_maximal,
     oracle_noncollinear_sets,
     oracle_orthogonality,
@@ -111,8 +112,9 @@ def test_theorem1_refuses_grid(space):
 
 def test_theorem1_refuses_another_spaces_universal_embedding(space):
     # a universal embedding of an equal but distinct build is still
-    # refused; another cap keys another entry of the preset cache
-    Q, other = space("Q4_2"), build_preset("Q4_2", cap=15)
+    # refused
+    Q = space("Q4_2")
+    other = build_space_from_spec(parse_spec(catalog.preset_text("Q4_2")), label="Q4_2")
     assert other is not Q
     with pytest.raises(UsageError, match="universal embedding of Q4_2"):
         check_theorem1(Q, universal_embedding(other), SamplePlan())
@@ -186,6 +188,22 @@ def test_corollary2_exhaustive_q42(space):
     assert r.skipped["improper"] == 1
 
 
+def test_corollary2_witness_names_the_lowest_missed_line(space, monkeypatch):
+    # no maximal subspace of a correct space misses a line, so the
+    # witness is forced: the non-hyperplanes pass as maximal, and every
+    # candidate fails the hyperplane test
+    W = space("W3_2")
+    real = verify.is_hyperplane
+    monkeypatch.setattr(verify, "is_maximal_subspace", lambda sp, S: not real(sp, S))
+    monkeypatch.setattr(verify, "is_hyperplane", lambda sp, S: False)
+    r = check_corollary2(W, SamplePlan(mode="exhaustive"))
+    assert r.failed == len(r.witnesses) > 0
+    for w in r.witnesses:
+        missed = [li for li, lb in enumerate(line_bits(W))
+                  if not lb & PointSet.of(W, w["points"]).bits]
+        assert w["missed_line"] == missed[0]
+
+
 def test_corollary2_sampled_q62(space):
     Q = space("Q6_2")
     r = check_corollary2(Q, SamplePlan(seed=0, samples=25, mode="random"))
@@ -201,12 +219,13 @@ def test_grow_to_maximal_matches_restart_loop(name, space):
     # q >= 3 spaces a line through a class point carries q >= 3 points
     # outside S, so a class spread along the wrong lines shows.
     sp = space(name)
+    lines = line_bits(sp)
     N = len(sp.points)
     rng = random.Random(4)
     grown = 0
     for _ in range(60):
         S = closure(sp, rng.sample(range(N), rng.randint(2, 2 * sp.n + 2)))
-        want = oracle_grow_to_maximal(sp.line_bits, sp.all_bits, S.bits)
+        want = oracle_grow_to_maximal(lines, sp.all_bits, S.bits)
         assert verify._grow_to_maximal(sp, S).bits == want
         grown += want != S.bits
     assert grown >= 20
@@ -217,6 +236,7 @@ def _grow_work(sp, S):
     step and rejected class, when a rejection decides its whole class
     (the fixed point of spreading over the lines that meet S), and one
     per outside point scanned, when it decides only itself."""
+    lines = line_bits(sp)
     per_class = per_point = 0
     rejected = 0
     for p in range(len(sp.points)):
@@ -233,7 +253,7 @@ def _grow_work(sp, S):
         cls, changed = 1 << p, True
         while changed:
             changed = False
-            for lb in sp.line_bits:
+            for lb in lines:
                 if lb & S and lb & cls and lb & ~S & ~cls:
                     cls |= lb & ~S
                     changed = True
@@ -299,7 +319,7 @@ def test_dual_space_covers_every_hyperplane(space):
     sp = space("Qp5_2")
     zeros = _dual_zero_sets(sp)
     lattice = [S.bits for S in enumerate_subspaces(sp) if S.bits != sp.all_bits
-               and all(lb & S.bits for lb in sp.line_bits)]
+               and all(lb & S.bits for lb in line_bits(sp))]
     assert len(zeros) == len(set(zeros)) == 63
     assert set(zeros) == set(lattice)
     # too many subspaces to list on the 63-point spaces: check that every
@@ -578,7 +598,7 @@ def test_driver_skips_the_whole_space_before_any_judge(space):
         judged.append(cand.bits)
 
     r = verify._drive("probe", W, SamplePlan(), "random",
-                      [W.universe(), W.universe(), S], judge)
+                      [PointSet(W, W.all_bits), PointSet(W, W.all_bits), S], judge)
     assert r.skipped == {"improper": 1, "duplicate": 1}
     assert judged == [S.bits] and r.passed == 1 and r.consistent()
 
