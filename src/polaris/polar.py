@@ -14,14 +14,16 @@ points (`linalg.zero_set`), and each line is {p, q}^perp^perp of two
 of its points, so building a space takes no pairwise vector
 arithmetic.  Closure skips an added point whose perp is already in
 the set, and can stop at the first point of a set it must avoid.  The
-subspace lattice is walked by in/out branching on points, and one
-closure decides each class of outside points joined by lines that meet
-the subspace; maximality walks the class first and needs no closure
-when S and the class cover the space.  A hyperplane is told by a
-double count of point-line incidences over its own points.  Ranks
-and frames come from the collinearity bitsets alone: a subspace's rank
-is the point count of one greedy clique inside it, and the frame
-search and frame check track no spans.
+subspace lattice is walked by in/out branching on the highest free
+point; its class of outside points joined by lines that meet the
+subspace prunes the in-branch before any closure runs, and one closure
+decides the whole class.  Popping the out-branch first yields the
+subspaces in ascending order with no sort.  Maximality walks the class
+first and needs no closure when S and the class cover the space.  A
+hyperplane is told by a double count of point-line incidences over its
+own points.  Ranks and frames come from the collinearity bitsets alone:
+a subspace's rank is the point count of one greedy clique inside it,
+and the frame search and frame check track no spans.
 
 Spaces are immutable after construction, apart from the write-once
 `_universal` slot that `embed.universal_embedding` fills; a PointSet's
@@ -606,16 +608,21 @@ def enumerate_subspaces(space: PolarSpace) -> list:
 
     A stack holds pairs (S, E): S is a subspace and E the points ruled
     out, disjoint from S; the pair stands for the subspaces above S that
-    miss E.  The lowest point p outside S u E splits them by whether they
-    hold p.  Those without p miss the whole `_line_class` of p, since
-    each member x has p in closure(S u x); those with p contain
-    T = closure(S u p), so they exist only when T misses E, and the
-    closure stops at the first batch of points that meets E.  A pair
-    with no point left is the one subspace S.  The two branches split
-    the subspaces above S, so each is reached exactly once: the in/out
-    branching behind prefix-preserving closure extension (T. Uno,
-    M. Kiyomi, H. Arimura, "LCM ver. 2", FIMI 2004).  The members are
-    `closure` results, so they come marked as subspaces."""
+    miss E.  The highest point p outside S u E splits them by whether
+    they hold p.  Those without p miss the whole `_line_class` of p,
+    since each member x has p in closure(S u x); those with p contain
+    closure(S u p), which holds the class, so they exist only when the
+    class misses E.  The class is walked first, and only then is S
+    closed with it, stopping at the first batch of points that meets E.
+    A pair with no point left is the one subspace S.  The two branches
+    split the subspaces above S, so each is reached exactly once: the
+    in/out branching behind prefix-preserving closure extension
+    (T. Uno, M. Kiyomi, H. Arimura, "LCM ver. 2", FIMI 2004).
+
+    Every point above p is in S or E, so each subspace without p lies
+    below each one with p; the out-branch is pushed last and popped
+    first, and the subspaces come out ascending with no sort.  The
+    members are `closure` results, so they come marked as subspaces."""
     all_bits = space.all_bits
     found, todo = [], [(closure(space, 0), 0)]
     while todo:
@@ -624,10 +631,10 @@ def enumerate_subspaces(space: PolarSpace) -> list:
         if not free:
             found.append(S)
             continue
-        p = (free & -free).bit_length() - 1
-        todo.append((S, E | _line_class(space, S.bits, p)))
-        T = closure(space, 1 << p, S.bits, E)
-        if T is not None:
-            todo.append((T, E))
-    found.sort(key=lambda S: S.bits)
+        cls = _line_class(space, S.bits, free.bit_length() - 1)
+        if not cls & E:
+            T = closure(space, cls, S.bits, E)
+            if T is not None:
+                todo.append((T, E))
+        todo.append((S, E | cls))
     return found

@@ -20,8 +20,11 @@ random seed sets with sizes uniform in [2, 2n+2].  `arises_from` judges
 a candidate by its points alone, so a sampled and an exhaustive
 candidate with the same points get the same verdict.
 Exhaustive mode walks the full subspace lattice by in/out branching on
-points and is the default at 15 points or fewer; corollary3 walks the
-dual space and sorts it with one `embed.line_meetings` pass.
+the highest free point, whose line class prunes the in-branch before
+any closure; popping the out-branch first judges the subspaces in
+ascending order with no sort.  It is the default at 15 points or fewer;
+corollary3 walks the dual space and sorts it with one
+`embed.line_meetings` pass.
 
 A check that needs an embedding judges against
 `embed.universal_embedding(space)`: theorem1 takes it as an argument

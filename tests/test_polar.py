@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polaris import linalg, polar, verify
+from polaris import catalog, linalg, polar, verify
 from polaris.catalog import build_preset, preset_text
 from polaris.embed import natural_embedding, universal_embedding
 from polaris.errors import GeometryError
@@ -607,9 +607,15 @@ def test_line_class_of_a_hyperplane_takes_every_line(name, space, preset_oracle)
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2"])
+def _qp3_3():
+    # the 16-point grid Q+(3,3): no preset, and only forced exhaustive
+    # mode reaches it
+    return build_space_from_spec(catalog._family_spec("Qp", 3, 3), cap=2000)
+
+
+@pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2", "Qp3_3"])
 def test_enumerate_subspaces_is_the_brute_force_list(name, space):
-    sp = space(name)
+    sp = _qp3_3() if name == "Qp3_3" else space(name)
     subs = enumerate_subspaces(sp)
     assert [S.bits for S in subs] == oracle_subspaces(sp.form)
     assert all(isinstance(S, PointSet) and S.space is sp and S.is_subspace for S in subs)
@@ -623,11 +629,12 @@ PINNED_LATTICE_DIGESTS = {
     "Qm5_2": "61b023c72308c913",
     "Qp5_2": "25003e6d2d98e327",
     "Sp4_3": "c86e2f58fd1667a4",
+    "Q4_3": "321001d26b641731",
 }
 
 
 @pytest.mark.parametrize("name,count", [("Qp3_4", 1582), ("Qm5_2", 3668), ("Qp5_2", 2636),
-                                        ("Sp4_3", 40536)])
+                                        ("Sp4_3", 40536), ("Q4_3", 45972)])
 def test_enumerate_subspaces_beyond_brute_force(name, count, space):
     # 25 to 40 points: too many subsets to scan, so check the list's shape
     # and pin it
@@ -644,6 +651,26 @@ def test_enumerate_subspaces_beyond_brute_force(name, count, space):
     for _ in range(50):
         S = closure(sp, rng.sample(range(N), rng.randint(0, 2 * sp.n + 2)))
         assert S.bits in members
+
+
+@pytest.mark.parametrize("name,count", [("W3_2", 278), ("Q4_2", 278), ("Qp3_2", 50),
+                                        ("Qp3_4", 1582), ("Qm5_2", 3668), ("Qp5_2", 2636)])
+def test_enumerate_subspaces_runs_one_closure_per_subspace(name, count, space, monkeypatch):
+    # a closure that returns a subspace T starts the pair (T, E), whose
+    # out-branches alone lead to the one leaf T; so the walk runs one
+    # closure per subspace plus one per closure that meets E.  The class
+    # of the branch point lies in closure(S u p) and is tested against E
+    # first, and on these spaces that leaves no closure to meet E
+    sp = space(name)
+    real, calls = polar.closure, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polar, "closure", counted)
+    assert len(enumerate_subspaces(sp)) == count
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))

@@ -188,6 +188,16 @@ def test_corollary2_exhaustive_q42(space):
     assert r.skipped["improper"] == 1
 
 
+def test_forced_exhaustive_walks_every_subspace_of_the_16_point_grid():
+    # Q+(3,3) has 16 points, past the auto limit: only a forced
+    # exhaustive run judges all 234 of its subspaces
+    G = build_space_from_spec(catalog._family_spec("Qp", 3, 3), cap=2000)
+    plan = SamplePlan(mode="exhaustive")
+    for r in (check_corollary2(G, plan), explore_problem5(G, plan)):
+        assert r.mode == "exhaustive"
+        assert r.sampled == 234 and r.consistent()
+
+
 def test_corollary2_witness_names_the_lowest_missed_line(space, monkeypatch):
     # no maximal subspace of a correct space misses a line, so the
     # witness is forced: the non-hyperplanes pass as maximal, and every
