@@ -16,14 +16,16 @@ arithmetic.  Closure skips an added point whose perp is already in
 the set, and can stop at the first point of a set it must avoid.  The
 subspace lattice is walked by in/out branching on the highest free
 point; its class of outside points joined by lines that meet the
-subspace prunes the in-branch before any closure runs, and one closure
-decides the whole class.  Popping the out-branch first yields the
-subspaces in ascending order with no sort.  Maximality walks the class
-first and needs no closure when S and the class cover the space.  A
-hyperplane is told by a double count of point-line incidences over its
-own points.  Ranks and frames come from the collinearity bitsets alone:
-a subspace's rank is the point count of one greedy clique inside it,
-and the frame search and frame check track no spans.
+subspace prunes the in-branch before any closure runs, its walk
+stopping at the first point already ruled out, and one closure decides
+the whole class.  A subspace's out-branches run in one loop and its
+in-branches pop lowest first, so the subspaces come out in ascending
+order with no sort.  Maximality walks the class first and needs no
+closure when S and the class cover the space.  A hyperplane is told by
+a double count of point-line incidences over its own points.  Ranks
+and frames come from the collinearity bitsets alone: a subspace's rank
+is the point count of one greedy clique inside it, and the frame search
+and frame check track no spans.
 
 Spaces are immutable after construction, apart from the write-once
 `_universal` slot that `embed.universal_embedding` fills; a PointSet's
@@ -410,7 +412,7 @@ def is_hyperplane(space: PolarSpace, S) -> bool:
     return total == len(space.lines) * (space.q + 1)
 
 
-def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
+def _line_class(space: PolarSpace, s_bits: int, p: int, avoid=0) -> int:
     """The points outside the subspace S reached from the outside point p
     along lines that meet S, p included.  If p and x lie outside S on a
     line that meets S at h, that line is <p, h> = <x, h>, so
@@ -421,8 +423,17 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
     and m counts the lines through f that meet S.  When it counts them
     all, the points f reaches are f^perp outside S, the union of its
     lines: one AND.  Otherwise only the lines through f that meet m are
-    walked.  The walk ends once no outside point is left to reach."""
+    walked, and a point that sees no point of S is its own class.  The
+    walk ends once no outside point is left to reach.
+
+    With `avoid`, the walk stops at the first batch of reached points
+    that meets it and returns what it has reached, that batch included:
+    a part of the class that holds p.  Each member x has p in
+    closure(S u x), so such a part meets `avoid` exactly when the whole
+    class does, and can be ruled out together with p."""
     adj = space.adj
+    if not adj[p] & s_bits:
+        return 1 << p
     lines_at = space.lines_at
     cls = frontier = 1 << p
     within = space.all_bits & ~s_bits & ~cls
@@ -442,9 +453,11 @@ def _line_class(space: PolarSpace, s_bits: int, p: int) -> int:
                 if lb & m:
                     new |= lb & within
         if new:
+            cls |= new
+            if new & avoid:
+                return cls
             frontier |= new
             within ^= new
-            cls |= new
     return cls
 
 
@@ -610,31 +623,36 @@ def enumerate_subspaces(space: PolarSpace) -> list:
     out, disjoint from S; the pair stands for the subspaces above S that
     miss E.  The highest point p outside S u E splits them by whether
     they hold p.  Those without p miss the whole `_line_class` of p,
-    since each member x has p in closure(S u x); those with p contain
-    closure(S u p), which holds the class, so they exist only when the
-    class misses E.  The class is walked first, and only then is S
-    closed with it, stopping at the first batch of points that meets E.
-    A pair with no point left is the one subspace S.  The two branches
-    split the subspaces above S, so each is reached exactly once: the
-    in/out branching behind prefix-preserving closure extension
-    (T. Uno, M. Kiyomi, H. Arimura, "LCM ver. 2", FIMI 2004).
+    since each member x has p in closure(S u x), so any part of the
+    class that holds p may join E; those with p contain closure(S u p),
+    which holds the class, so they exist only when the class misses E.
+    The class is walked first, stopping at the first batch of its points
+    that meets E, and only a class that misses E is closed with S,
+    again stopping at the first batch of points that meets E.  The two
+    branches split the subspaces above S, so each is reached exactly
+    once: the in/out branching behind prefix-preserving closure
+    extension (T. Uno, M. Kiyomi, H. Arimura, "LCM ver. 2", FIMI 2004).
 
-    Every point above p is in S or E, so each subspace without p lies
-    below each one with p; the out-branch is pushed last and popped
-    first, and the subspaces come out ascending with no sort.  The
+    The out-branch keeps S and only grows E, so a popped pair runs its
+    out-branches in one loop: S is listed at once, and the loop splits
+    on the highest free point again until none is left, pushing each
+    in-branch.  Every point above p is in S or E, so each subspace
+    without p lies below each one with p; the in-branch pushed last
+    pops first, and the subspaces come out ascending with no sort.  The
     members are `closure` results, so they come marked as subspaces."""
     all_bits = space.all_bits
     found, todo = [], [(closure(space, 0), 0)]
     while todo:
         S, E = todo.pop()
-        free = all_bits & ~S.bits & ~E
-        if not free:
-            found.append(S)
-            continue
-        cls = _line_class(space, S.bits, free.bit_length() - 1)
-        if not cls & E:
-            T = closure(space, cls, S.bits, E)
-            if T is not None:
-                todo.append((T, E))
-        todo.append((S, E | cls))
+        found.append(S)
+        s = S.bits
+        free = all_bits & ~s & ~E
+        while free:
+            cls = _line_class(space, s, free.bit_length() - 1, E)
+            if not cls & E:
+                T = closure(space, cls, s, E)
+                if T is not None:
+                    todo.append((T, E))
+            E |= cls
+            free &= ~cls
     return found

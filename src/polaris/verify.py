@@ -21,9 +21,10 @@ a candidate by its points alone, so a sampled and an exhaustive
 candidate with the same points get the same verdict.
 Exhaustive mode walks the full subspace lattice by in/out branching on
 the highest free point, whose line class prunes the in-branch before
-any closure; popping the out-branch first judges the subspaces in
-ascending order with no sort.  It is the default at 15 points or fewer;
-corollary3 walks the dual space and sorts it with one
+any closure and whose class walk stops at the first point ruled out;
+each subspace's in-branches pop lowest first, so the subspaces are
+judged in ascending order with no sort.  It is the default at 15
+points or fewer; corollary3 walks the dual space and sorts it with one
 `embed.line_meetings` pass.
 
 A check that needs an embedding judges against

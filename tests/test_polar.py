@@ -1,11 +1,12 @@
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polaris import catalog, linalg, polar, verify
+from polaris import linalg, polar, verify
 from polaris.catalog import build_preset, preset_text
 from polaris.embed import natural_embedding, universal_embedding
 from polaris.errors import GeometryError
@@ -587,6 +588,40 @@ def test_line_class_matches_oracle_on_every_subspace(name, space, preset_oracle)
     assert tuple(cases) == LINE_CLASS_CASES[name]
 
 
+# over random E for every (S, p): the class misses E, or meets it and is
+# returned whole, or meets it and the walk stops short
+LINE_CLASS_AVOID_OUTCOMES = {"W3_2": (6043, 2923, 6859), "Q4_2": (6149, 2897, 6779),
+                             "Qp3_2": (766, 363, 446)}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CLASS_AVOID_OUTCOMES))
+def test_line_class_stops_at_the_first_batch_that_meets_avoid(name, space, preset_oracle):
+    # with points to avoid, as the lattice walk calls it: the whole class
+    # when it misses them, else a part of it that holds p and meets them
+    sp = space(name)
+    N = len(sp.points)
+    line_bits = _oracle_line_bits(sp, preset_oracle)
+    rng = random.Random(43)
+    outcomes = [0, 0, 0]
+    for S in oracle_subspaces(sp.form):
+        for p in range(N):
+            if (S >> p) & 1:
+                continue
+            want = oracle_line_class(line_bits, sp.all_bits, S, p)
+            rest = [x for x in range(N) if not ((S | 1 << p) >> x) & 1]
+            for _ in range(5):
+                E = sum(1 << x for x in rng.sample(rest, rng.randint(0, len(rest))))
+                got = polar._line_class(sp, S, p, E)
+                if want & E:
+                    assert (got >> p) & 1 and got & E and not got & ~want, \
+                        (PointSet(sp, S).indices(), p, E)
+                    outcomes[1 + (got != want)] += 1
+                else:
+                    assert got == want, (PointSet(sp, S).indices(), p, E)
+                    outcomes[0] += 1
+    assert tuple(outcomes) == LINE_CLASS_AVOID_OUTCOMES[name]
+
+
 @pytest.mark.parametrize("name", ["Q6_2", "W5_2"])
 def test_line_class_of_a_hyperplane_takes_every_line(name, space, preset_oracle):
     # every line through a point outside a hyperplane meets it, so every
@@ -607,15 +642,9 @@ def test_line_class_of_a_hyperplane_takes_every_line(name, space, preset_oracle)
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _qp3_3():
-    # the 16-point grid Q+(3,3): no preset, and only forced exhaustive
-    # mode reaches it
-    return build_space_from_spec(catalog._family_spec("Qp", 3, 3), cap=2000)
-
-
 @pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2", "Qp3_3"])
-def test_enumerate_subspaces_is_the_brute_force_list(name, space):
-    sp = _qp3_3() if name == "Qp3_3" else space(name)
+def test_enumerate_subspaces_is_the_brute_force_list(name, space, fresh_space):
+    sp = fresh_space(name) if name == "Qp3_3" else space(name)
     subs = enumerate_subspaces(sp)
     assert [S.bits for S in subs] == oracle_subspaces(sp.form)
     assert all(isinstance(S, PointSet) and S.space is sp and S.is_subspace for S in subs)
@@ -655,13 +684,14 @@ def test_enumerate_subspaces_beyond_brute_force(name, count, space):
 
 @pytest.mark.parametrize("name,count", [("W3_2", 278), ("Q4_2", 278), ("Qp3_2", 50),
                                         ("Qp3_4", 1582), ("Qm5_2", 3668), ("Qp5_2", 2636)])
-def test_enumerate_subspaces_runs_one_closure_per_subspace(name, count, space, monkeypatch):
-    # a closure that returns a subspace T starts the pair (T, E), whose
-    # out-branches alone lead to the one leaf T; so the walk runs one
-    # closure per subspace plus one per closure that meets E.  The class
-    # of the branch point lies in closure(S u p) and is tested against E
-    # first, and on these spaces that leaves no closure to meet E
-    sp = space(name)
+def test_enumerate_subspaces_runs_one_closure_per_subspace(name, count, fresh_space,
+                                                          monkeypatch):
+    # a closure that returns a subspace T starts the pair (T, E), which
+    # lists T; so the walk runs one closure per subspace plus one per
+    # closure that meets E.  The class of the branch point lies in
+    # closure(S u p) and is tested against E first, and on these spaces
+    # that leaves no closure to meet E.  The space is built afresh
+    sp = fresh_space(name)
     real, calls = polar.closure, []
 
     def counted(*args, **kwargs):
@@ -669,8 +699,45 @@ def test_enumerate_subspaces_runs_one_closure_per_subspace(name, count, space, m
         return real(*args, **kwargs)
 
     monkeypatch.setattr(polar, "closure", counted)
-    assert len(enumerate_subspaces(sp)) == count
+    first = [S.bits for S in enumerate_subspaces(sp)]
+    assert len(first) == count
     assert len(calls) == count
+    calls.clear()
+    again = enumerate_subspaces(sp)
+    assert [S.bits for S in again] == first
+    # each walk runs its own closures, and its sets come marked as
+    # subspaces, so testing them runs none
+    assert len(calls) == count
+    assert all(S.is_subspace for S in again) and len(calls) == count
+
+
+def test_each_walk_returns_new_point_sets_of_its_own_space(fresh_space):
+    # nothing a caller does to one walk's list or sets reaches the next
+    sp = fresh_space("W3_2")
+    first, second = enumerate_subspaces(sp), enumerate_subspaces(sp)
+    assert first is not second
+    assert all(a is not b for a, b in zip(first, second))
+    assert all(S.space is sp and S.is_subspace for S in first + second)
+    want = oracle_subspaces(sp.form)
+    assert [S.bits for S in second] == want
+    first.clear()
+    second[0].bits = sp.all_bits
+    assert [S.bits for S in enumerate_subspaces(sp)] == want
+    # another form under the same label walks its own lattice, which
+    # differs from W3_2's as bit lists
+    other = fresh_space("Q4_2", label="W3_2")
+    assert [S.bits for S in enumerate_subspaces(other)] == oracle_subspaces(other.form) != want
+
+
+def test_a_walk_leaves_no_reference_to_the_space(fresh_space):
+    # once its list is dropped, a walk leaves nothing that holds the space
+    sp = fresh_space("Q4_2")
+    before = sys.getrefcount(sp)
+    for _ in range(2):
+        subs = enumerate_subspaces(sp)
+        assert len(subs) == 278
+        del subs
+        assert sys.getrefcount(sp) == before
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))

@@ -188,14 +188,45 @@ def test_corollary2_exhaustive_q42(space):
     assert r.skipped["improper"] == 1
 
 
-def test_forced_exhaustive_walks_every_subspace_of_the_16_point_grid():
+def test_forced_exhaustive_walks_every_subspace_of_the_16_point_grid(fresh_space):
     # Q+(3,3) has 16 points, past the auto limit: only a forced
     # exhaustive run judges all 234 of its subspaces
-    G = build_space_from_spec(catalog._family_spec("Qp", 3, 3), cap=2000)
+    G = fresh_space("Qp3_3")
     plan = SamplePlan(mode="exhaustive")
     for r in (check_corollary2(G, plan), explore_problem5(G, plan)):
         assert r.mode == "exhaustive"
         assert r.sampled == 234 and r.consistent()
+
+
+def _records(report) -> str:
+    buf = io.StringIO()
+    RecordWriter(buf, "records").emit_report(report)
+    return buf.getvalue()
+
+
+COLD_WARM_CALLS = [
+    ("theorem1", "W3_2"), ("theorem1", "Q4_2"),
+    ("corollary2", "W3_2"), ("corollary2", "Q4_2"), ("corollary2", "Qp3_2"),
+    ("problem5", "W3_2"), ("problem5", "Q4_2"), ("problem5", "Qp3_2"),
+    ("corollary2", "Qp3_3"), ("problem5", "Qp3_3"),
+    ("rank1-nonarising", "Q4_2"),
+]
+
+
+@pytest.mark.parametrize("check,name", COLD_WARM_CALLS)
+def test_cold_and_warm_exhaustive_reports_match(check, name, fresh_space):
+    # the first call on a space built afresh renders the same records as
+    # later calls on it: no state a call leaves on the space changes them
+    sp = fresh_space(name)
+    plan = SamplePlan(seed=3, mode="exhaustive")
+    call = {
+        "theorem1": lambda: check_theorem1(sp, universal_embedding(sp), plan),
+        "corollary2": lambda: check_corollary2(sp, plan),
+        "problem5": lambda: explore_problem5(sp, plan),
+        "rank1-nonarising": lambda: search_nonarising_rank1(sp, plan),
+    }[check]
+    cold = _records(call())
+    assert _records(call()) == _records(call()) == cold
 
 
 def test_corollary2_witness_names_the_lowest_missed_line(space, monkeypatch):
