@@ -199,16 +199,20 @@ class ArisesVerdict:
 def arises_from(emb: Embedding, S) -> ArisesVerdict:
     """Compare S with P, the preimage of <e(S)>.  The functionals that
     kill e(S) are the AND of `kills` over S, and P is the AND of their
-    zero sets, all points when there are none."""
-    Sset = _require_subspace(emb.space, S)
+    zero sets, all points when there are none.  Each of those zero sets
+    holds S, so P only shrinks towards S, and the AND stops once P is S:
+    no later functional can change it."""
+    s = _require_subspace(emb.space, S).bits
     zero, kills = emb.duals
     ann = (1 << len(zero)) - 1
-    for x in _iter_bits(Sset.bits):
+    for x in _iter_bits(s):
         ann &= kills[x]
     pre = emb.space.all_bits
     for i in _iter_bits(ann):
         pre &= zero[i]
-    extra = pre & ~Sset.bits
+        if pre == s:
+            break
+    extra = pre & ~s
     return ArisesVerdict(not extra, next(_iter_bits(extra), None), PointSet(emb.space, pre))
 
 

@@ -338,26 +338,44 @@ def _require_subspace(space, X) -> PointSet:
     return S
 
 
-def radical_of_subspace(space: PolarSpace, S) -> PointSet:
-    """rad(S) = perp(S) intersect S: the AND of the members' collinearity
-    rows, started at S and stopped once it is empty."""
-    S = _require_subspace(space, S)
-    acc = S.bits
+def _radical(space: PolarSpace, s: int) -> int:
+    """rad(S) = perp(S) intersect S for the subspace bits s: the AND of
+    the members' collinearity rows, started at S and stopped once it is
+    empty."""
+    acc = s
     adj = space.adj
-    for i in _iter_bits(S.bits):
+    for i in _iter_bits(s):
         acc &= adj[i]
         if not acc:
             break
-    return PointSet(space, acc)
+    return acc
+
+
+def radical_of_subspace(space: PolarSpace, S) -> PointSet:
+    """rad(S), a singular subspace."""
+    return PointSet(space, _radical(space, _require_subspace(space, S).bits))
 
 
 def _vector_dim(q: int, m: int) -> int:
     """The vector dimension k of a singular subspace of m points, the k
     with m = (q^k - 1)/(q - 1)."""
-    k = 0
-    while (q**k - 1) // (q - 1) < m:
+    k, size, qk = 0, 0, 1
+    while size < m:
+        size += qk
+        qk *= q
         k += 1
     return k
+
+
+def _greedy_clique(space: PolarSpace, bits: int) -> int:
+    """A maximal clique of the collinearity graph inside `bits`, grown
+    from the lowest point."""
+    clique, allowed = 0, bits
+    while allowed:
+        low = allowed & -allowed
+        clique |= low
+        allowed &= space.adj[low.bit_length() - 1] & ~low
+    return clique
 
 
 def rank_of(space: PolarSpace, S) -> int:
@@ -367,20 +385,22 @@ def rank_of(space: PolarSpace, S) -> int:
     point.  Pairwise collinear points of a subspace span a totally
     singular subspace of it, so a maximal clique is a maximal singular
     subspace (Buekenhout-Shult 1974)."""
-    allowed = _require_subspace(space, S).bits
-    size = 0
-    while allowed:
-        low = allowed & -allowed
-        allowed &= space.adj[low.bit_length() - 1] & ~low
-        size += 1
-    return _vector_dim(space.q, size)
+    clique = _greedy_clique(space, _require_subspace(space, S).bits)
+    return _vector_dim(space.q, clique.bit_count())
 
 
 def rank_nd(space: PolarSpace, S) -> int:
     """rank(S) minus the rank of its radical (0 exactly when S is
-    singular); the radical is a singular subspace."""
-    S = _require_subspace(space, S)
-    return rank_of(space, S) - _vector_dim(space.q, len(radical_of_subspace(space, S)))
+    singular); the radical is a singular subspace.  S is validated
+    once, and one greedy clique gives its rank: a clique that is all of
+    S makes S singular, its own radical, and the result 0 with no
+    radical walk."""
+    s = _require_subspace(space, S).bits
+    clique = _greedy_clique(space, s)
+    if clique == s:
+        return 0
+    return _vector_dim(space.q, clique.bit_count()) \
+        - _vector_dim(space.q, _radical(space, s).bit_count())
 
 
 # ---------------------------------------------------------------------------

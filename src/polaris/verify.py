@@ -218,16 +218,36 @@ def _grow_to_maximal(space: PolarSpace, S: PointSet) -> PointSet:
     adding each point whose closure with S stays proper.  Closure is
     monotone, so a point rejected once stays rejected as S grows, and a
     rejected point takes its whole `_line_class` with it: each member
-    has the same closure with S, the whole space."""
-    todo = space.all_bits & ~S.bits
+    has the same closure with S, the whole space.
+
+    `out` holds the points rejected so far.  Until the first rejection
+    each point is closed at once.  After it, each point's class is
+    walked first, as the lattice walk does: a class that reaches `out`
+    is rejected with no closure, since its closure with S holds a point
+    whose closure with a smaller S was already the whole space, and the
+    part walked joins `out`.  Any other class is closed with S under
+    `avoid=out`, and a closure that meets `out` rejects the class.  The
+    decisions and their order are those of closing every point."""
+    all_bits = space.all_bits
+    todo = all_bits & ~S.bits
+    out = 0
     while todo:
         p = (todo & -todo).bit_length() - 1
-        c = closure(space, 1 << p, S.bits)
-        if c.bits != space.all_bits:
-            S = c
-            todo &= ~c.bits
+        if not out:
+            c = closure(space, 1 << p, S.bits)
+            if c.bits == all_bits:
+                out = _line_class(space, S.bits, p)
+                todo &= ~out
+                continue
         else:
-            todo &= ~_line_class(space, S.bits, p)
+            cls = _line_class(space, S.bits, p, out)
+            c = None if cls & out else closure(space, cls, S.bits, out)
+            if c is None:
+                out |= cls
+                todo &= ~cls
+                continue
+        S = c
+        todo &= ~c.bits
     return S
 
 

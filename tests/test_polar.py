@@ -416,6 +416,16 @@ def test_rank_requires_subspace(space):
         rank_of(W, bad)
     with pytest.raises(GeometryError):
         radical_of_subspace(W, bad)
+    with pytest.raises(GeometryError):
+        rank_nd(W, bad)
+
+
+def test_vector_dim_inverts_the_point_count():
+    # the presets' singular subspaces stop at dimension 3, too low to
+    # tell a wrong running power of q from the right one
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for k in range(8):
+            assert polar._vector_dim(q, (q**k - 1) // (q - 1)) == k
 
 
 def test_pointset_subspace_flag_agrees_with_recomputation(space):

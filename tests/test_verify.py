@@ -323,6 +323,55 @@ def test_grow_to_maximal_closes_once_per_class(name, space, monkeypatch):
     assert fewer == len(seeds) >= 10
 
 
+def test_grow_to_maximal_rejects_a_class_whose_closure_meets_the_ruled_out_points(monkeypatch):
+    # no preset seed has been seen to reach a closure that meets the
+    # ruled-out points from a class that misses them, so this partial
+    # linear space builds one: over the non-collinear pair S = {a, b},
+    # x and p each close to everything, yet no line through S joins
+    # their classes {x, u, v} and {p, w, z}; only the lines uvp and wzx
+    # do.  S is already maximal.
+    a, b, x, u, v, p, w, z = range(8)
+    lines = [(a, x, u), (b, x, v), (a, p, w), (b, p, z), (u, v, p), (w, z, x)]
+    lbs = [sum(1 << i for i in pts) for pts in lines]
+    lines_at = tuple(tuple(lb & ~(1 << i) for lb in lbs if lb >> i & 1) for i in range(8))
+    geometry = SimpleNamespace(all_bits=(1 << 8) - 1, lines_at=lines_at,
+                               adj=tuple(1 << i | sum(ls) for i, ls in enumerate(lines_at)))
+    S = PointSet(geometry, 1 << a | 1 << b)
+    results = []
+    original = verify.closure
+    monkeypatch.setattr(verify, "closure",
+                        lambda *args: results.append(original(*args)) or results[-1])
+    assert verify._grow_to_maximal(geometry, S).bits == S.bits \
+        == oracle_grow_to_maximal(lbs, geometry.all_bits, S.bits)
+    assert [c and c.bits for c in results] == [geometry.all_bits, None]
+
+
+@pytest.mark.parametrize("name", ["Q6_2", "W5_2", "H4_4"])
+def test_grow_to_maximal_closes_to_the_whole_space_at_most_once(name, space, monkeypatch):
+    # a closure that reaches the whole space only rejects, and after the
+    # first rejection the rejected points decide every later rejection
+    # before any closure gets that far
+    sp = space(name)
+    plan = SamplePlan(seed=7, samples=20, mode="random")
+    seeds = [S for S in verify._subspaces(sp, plan, "random") if S.bits != sp.all_bits]
+    whole = []
+    original = verify.closure
+
+    def spy(*args, **kwargs):
+        c = original(*args, **kwargs)
+        whole.append(c is not None and c.bits == sp.all_bits)
+        return c
+
+    monkeypatch.setattr(verify, "closure", spy)
+    rejected = 0
+    for S in seeds:
+        whole.clear()
+        verify._grow_to_maximal(sp, S)
+        assert sum(whole) <= 1
+        rejected += sum(whole)
+    assert len(seeds) >= 10 and rejected >= 10
+
+
 def test_corollary3_q62(space):
     Q = space("Q6_2")
     r = check_corollary3(Q, SamplePlan(seed=0, samples=30, mode="random"))
