@@ -12,7 +12,7 @@ hyperplane tests are pure integer bitset work.
 Each collinearity row is the zero set of one functional over all
 points (`linalg.zero_set`), and each line is {p, q}^perp^perp of two
 of its points, so building a space takes no pairwise vector
-arithmetic.  Closure skips an added point whose perp is already in
+arithmetic.  Closure adds nothing from a point whose perp is already in
 the set, and can stop at the first point of a set it must avoid.  The
 subspace lattice is walked by in/out branching on the highest free
 point; its class of outside points joined by lines that meet the
@@ -27,12 +27,19 @@ and frames come from the collinearity bitsets alone: a subspace's rank
 is the point count of one greedy clique inside it, and the frame search
 and frame check track no spans.
 
-Spaces are immutable after construction, apart from the write-once
-`_universal` slot that `embed.universal_embedding` fills; a PointSet's
-subspace flag is write-once too.  A closure comes out marked as a
-subspace, and `generating_points` picks a generating subset of any set
-on demand.  Everything here is safe to query concurrently: two threads
-filling one cache write equal values.
+Every point perp is a maximal subspace (Cohen-Shult), so a closure
+that holds p^perp and one point off it is the whole space, and closure
+stops there.  Each point's fact is certified on its first use, by one
+`_line_class` walk of the complement of p^perp, and kept.
+
+Spaces are immutable after construction, apart from two write-once
+slots: `_universal`, which `embed.universal_embedding` fills, and the
+bitset `_perp_maximal` of the points whose perp is certified maximal,
+which only gains bits; a PointSet's subspace flag is write-once too.  A
+closure comes out marked as a subspace, and `generating_points` picks a
+generating subset of any set on demand.  Everything here is safe to
+query concurrently: two threads filling one cache write equal values,
+and a certificate bit lost to a concurrent `|=` is only certified again.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ class PolarSpace:
 
     __slots__ = ("field", "form", "kind", "bilinear", "dim", "q", "n",
                  "points", "adj", "lines", "lines_at",
-                 "all_bits", "is_grid", "label", "_universal")
+                 "all_bits", "is_grid", "label", "_universal", "_perp_maximal")
 
     def __init__(self, field, form, kind, bilinear, dim, n, points,
                  adj, lines, lines_at, is_grid, label):
@@ -89,6 +96,7 @@ class PolarSpace:
         self.is_grid = is_grid
         self.label = label
         self._universal = None   # write-once cache of embed.universal_embedding
+        self._perp_maximal = 0   # points whose perp `_perp_is_maximal` certified
 
     def __len__(self):
         return len(self.points)
@@ -275,13 +283,19 @@ def closure(space: PolarSpace, X, closed=0, avoid=0) -> PointSet | None:
     Every line meeting the set in two points but not contained in it
     then passes through a point outside `closed`, so a worklist of the
     added points visits only their lines (`space.lines_at`).  A popped
-    point p whose perp is already in the set is skipped, since its lines
-    lie in its perp; otherwise each line through p that meets the set
-    again adds its points of p^perp outside the set.  Lines through p
-    meet only at p, so one snapshot of that outside part serves them
+    point p whose perp is already in the set adds nothing, since its
+    lines lie in its perp; otherwise each line through p that meets the
+    set again adds its points of p^perp outside the set.  Lines through
+    p meet only at p, so one snapshot of that outside part serves them
     all.  The set only grows, so the starting set and each batch of
     added points are tested against `avoid`, and the walk stops at the
-    first that meets it.  The result is marked as a subspace.
+    first that meets it.
+
+    Once the set holds p^perp, whether it did when p was popped or p's
+    batch filled it, and also a point off p^perp, the closure is the
+    whole space if p's perp is certified maximal (`_perp_is_maximal`):
+    the walk stops there and returns the whole space, or None when
+    `avoid` is nonempty.  The result is marked as a subspace.
     """
     closed = _bits(space, closed)
     bits = closed | _bits(space, X)
@@ -296,17 +310,23 @@ def closure(space: PolarSpace, X, closed=0, avoid=0) -> PointSet | None:
         todo ^= low
         p = low.bit_length() - 1
         outside = adj[p] & ~bits
-        if not outside:
-            continue
-        new = 0
-        for rest in lines_at[p]:
-            if rest & bits:
-                new |= rest & outside
-        if new:
+        if outside:
+            new = 0
+            for rest in lines_at[p]:
+                if rest & bits:
+                    new |= rest & outside
+            if not new:
+                continue
             if new & avoid:
                 return None
             todo |= new
             bits |= new
+            if new != outside:
+                continue
+        if bits & ~adj[p] and _perp_is_maximal(space, p):
+            if avoid:
+                return None
+            bits = all_bits
     out = PointSet(space, bits)
     out._subspace = True
     return out
@@ -443,7 +463,9 @@ def _line_class(space: PolarSpace, s_bits: int, p: int, avoid=0) -> int:
     and m counts the lines through f that meet S.  When it counts them
     all, the points f reaches are f^perp outside S, the union of its
     lines: one AND.  Otherwise only the lines through f that meet m are
-    walked, and a point that sees no point of S is its own class.  The
+    walked.  m is never empty: a start point that sees no point of S is
+    its own class and returns at once, and every later point was reached
+    along a line that meets S, so it sees that line's point of S.  The
     walk ends once no outside point is left to reach.
 
     With `avoid`, the walk stops at the first batch of reached points
@@ -462,8 +484,6 @@ def _line_class(space: PolarSpace, s_bits: int, p: int, avoid=0) -> int:
         frontier ^= low
         f = low.bit_length() - 1
         m = adj[f] & s_bits
-        if not m:
-            continue
         through = lines_at[f]
         if m.bit_count() == len(through):
             new = adj[f] & within
@@ -479,6 +499,37 @@ def _line_class(space: PolarSpace, s_bits: int, p: int, avoid=0) -> int:
             frontier |= new
             within ^= new
     return cls
+
+
+def _perp_is_maximal(space: PolarSpace, p: int) -> bool:
+    """Whether p's perp is certified maximal: closure(p^perp u y) is the
+    whole space for every point y off p^perp.  The certificate runs on
+    the first call for p and is remembered in the write-once bitset
+    `space._perp_maximal`.  Only a `PolarSpace` is certified; any other
+    geometry gets False.
+
+    Every p^perp is a maximal subspace, a geometric hyperplane with a
+    connected complement (A. M. Cohen, E. E. Shult, "Affine polar
+    spaces", Geom. Dedicata 1990).  The certificate checks this for p:
+    every line meets p^perp, since a line is a totally singular 2-space
+    and p^perp the zero set of one functional, so p^perp is a hyperplane,
+    and the `_line_class` of the lowest point x off it lies in
+    closure(p^perp u x).  When that class covers the complement, every y
+    off p^perp is in it and has closure(p^perp u y) = closure(p^perp u x),
+    which holds p^perp and the whole class: the whole space.  A point
+    whose class fell short would never be certified, and closure would
+    take no shortcut there.  A `|=` lost to a concurrent one drops a bit,
+    never adds one, so that point is only certified again later."""
+    if not isinstance(space, PolarSpace):
+        return False
+    if space._perp_maximal >> p & 1:
+        return True
+    h = space.adj[p]
+    off = space.all_bits & ~h
+    if h | _line_class(space, h, (off & -off).bit_length() - 1) != space.all_bits:
+        return False
+    space._perp_maximal |= 1 << p
+    return True
 
 
 def is_maximal_subspace(space: PolarSpace, S) -> bool:

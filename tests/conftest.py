@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 from polaris import catalog
@@ -39,3 +41,28 @@ def preset_oracle():
             cache[name] = oracle_points_and_lines(build_preset(name).form)
         return cache[name]
     return get
+
+
+# spaces past the presets, as (family, n, q) of `catalog._family_spec`:
+# larger q and up to 280 points reach branches that no preset does
+BATTERY = {"H3_9": ("H", 3, 9), "W3_4": ("W", 3, 4), "Q4_4": ("Q", 4, 4),
+           "Qm5_3": ("Qm", 5, 3), "W3_5": ("W", 3, 5), "Q4_5": ("Q", 4, 5)}
+
+
+@cache
+def _battery_space(name):
+    return build_space_from_spec(catalog._family_spec(*BATTERY[name]), cap=2000, label=name)
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """Builds a space of the family battery by name, once per session."""
+    return _battery_space
+
+
+@pytest.fixture(scope="session", params=sorted(catalog.PRESETS) + sorted(BATTERY))
+def every_space(request):
+    """Each preset, then each space of the family battery, in turn."""
+    if request.param in BATTERY:
+        return _battery_space(request.param)
+    return build_preset(request.param)

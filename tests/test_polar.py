@@ -316,6 +316,122 @@ def test_closure_from_closed_base_matches_oracle(name, space, preset_oracle):
 
 
 # ---------------------------------------------------------------------------
+# closure's point-perp shortcut
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
+def test_a_point_perp_and_one_point_off_it_close_to_the_whole_space(name, space,
+                                                                     preset_oracle):
+    # the fact behind the shortcut, on the oracle's own lines: each point
+    # perp is a subspace, and with its lowest outside point it closes to
+    # the whole space
+    sp = space(name)
+    lines = _oracle_line_bits(sp, preset_oracle)
+    for p, h in enumerate(sp.adj):
+        off = sp.all_bits & ~h
+        assert oracle_closure(lines, h) == h
+        assert oracle_closure(lines, h | (off & -off)) == sp.all_bits, p
+
+
+def test_closure_of_a_point_perp_is_the_perp(every_space):
+    # p^perp holds no point off p^perp, so the shortcut must not fire on it
+    sp = every_space
+    for p, h in enumerate(sp.adj):
+        assert closure(sp, h).bits == h, p
+
+
+def test_closure_matches_oracle_on_sampler_sized_seed_sets(every_space):
+    # cold closures of seed sets of the sampler's sizes, and a point closed
+    # over a closed base while avoiding up to two other points; the whole
+    # space comes out of either, or None when there is a point to avoid
+    sp = every_space
+    lines = line_bits(sp)
+    N = len(sp.points)
+    hi = max(2, min(2 * sp.n + 2, N))
+    rng = random.Random(13)
+    whole = {"cold": 0, "avoided": 0}
+    for _ in range(100):
+        X = PointSet.of(sp, rng.sample(range(N), rng.randint(2, hi))).bits
+        want = oracle_closure(lines, X)
+        assert closure(sp, X).bits == want, PointSet(sp, X).indices()
+        whole["cold"] += want == sp.all_bits
+        S = oracle_closure(lines, PointSet.of(sp, rng.sample(range(N), rng.randint(1, hi - 1))).bits)
+        if S == sp.all_bits:
+            continue
+        p, *rest = rng.sample([x for x in range(N) if not (S >> x) & 1], 3)
+        E = sum(1 << x for x in rest[:rng.randint(0, 2)])
+        want = oracle_closure(lines, S | 1 << p)
+        got = closure(sp, 1 << p, S, E)
+        if want & E:
+            assert got is None, (PointSet(sp, S).indices(), p, E)
+        else:
+            assert got.bits == want and got.is_subspace, (PointSet(sp, S).indices(), p, E)
+        whole["avoided"] += want == sp.all_bits and E != 0
+    assert whole["cold"] and whole["avoided"], whole
+
+
+@pytest.mark.parametrize("name", ["W3_2", "H3_4", "Qp3_4", "W5_2"])
+def test_closure_stops_at_the_first_popped_point_whose_perp_it_holds(name, space,
+                                                                     monkeypatch):
+    # with x the lowest point off p^perp: x over the closed base p^perp
+    # fills x^perp with its first batch, and p^perp u x, cold, holds p^perp
+    # when p is popped first; either way the first pop decides
+    sp = space(name)
+    asked = []
+    original = polar._perp_is_maximal
+    monkeypatch.setattr(polar, "_perp_is_maximal",
+                        lambda space, p: asked.append(p) or original(space, p))
+    cold = 0
+    for p, h in enumerate(sp.adj):
+        off = sp.all_bits & ~h
+        x = (off & -off).bit_length() - 1
+        asked.clear()
+        assert closure(sp, 1 << x, h).bits == sp.all_bits and asked == [x]
+        far = off & ~sp.adj[x]
+        assert closure(sp, 1 << x, h, far & -far) is None and asked == [x, x]
+        seeds = h | 1 << x
+        if seeds & -seeds == 1 << p:
+            asked.clear()
+            assert closure(sp, seeds).bits == sp.all_bits and asked == [p]
+            cold += 1
+    assert cold
+
+
+@pytest.mark.parametrize("name", ["H3_4", "Q6_2"])
+def test_each_point_perp_is_certified_once_on_first_use(name, fresh_space, monkeypatch):
+    # nothing is certified at build; closure walks no line class but the
+    # certificate's, from a point perp, and a certified point is never
+    # walked again
+    sp = fresh_space(name)
+    assert sp._perp_maximal == 0
+    owner = {h: p for p, h in enumerate(sp.adj)}
+    checked = []
+    original = polar._line_class
+    monkeypatch.setattr(polar, "_line_class", lambda space, s_bits, *args:
+                        checked.append(owner[s_bits]) or original(space, s_bits, *args))
+    N = len(sp.points)
+    rng = random.Random(17)
+    for _ in range(300):
+        closure(sp, rng.sample(range(N), rng.randint(2, 2 * sp.n + 2)))
+    assert len(checked) == len(set(checked)) >= 10
+    assert sp._perp_maximal == sum(1 << p for p in checked)
+
+
+def test_a_refused_certificate_takes_no_shortcut(fresh_space, monkeypatch):
+    # a class walk that falls short of the complement certifies nothing,
+    # and closure then runs to the end of its worklist
+    sp = fresh_space("H3_4")
+    lines = line_bits(sp)
+    monkeypatch.setattr(polar, "_line_class", lambda space, s_bits, p, avoid=0: 1 << p)
+    N = len(sp.points)
+    rng = random.Random(19)
+    for _ in range(100):
+        X = PointSet.of(sp, rng.sample(range(N), rng.randint(2, 6))).bits
+        assert closure(sp, X).bits == oracle_closure(lines, X)
+    assert sp._perp_maximal == 0
+
+
+# ---------------------------------------------------------------------------
 # subspace, singularity, ranks
 # ---------------------------------------------------------------------------
 

@@ -325,11 +325,11 @@ def test_grow_to_maximal_closes_once_per_class(name, space, monkeypatch):
 
 def test_grow_to_maximal_rejects_a_class_whose_closure_meets_the_ruled_out_points(monkeypatch):
     # no preset seed has been seen to reach a closure that meets the
-    # ruled-out points from a class that misses them, so this partial
-    # linear space builds one: over the non-collinear pair S = {a, b},
-    # x and p each close to everything, yet no line through S joins
-    # their classes {x, u, v} and {p, w, z}; only the lines uvp and wzx
-    # do.  S is already maximal.
+    # ruled-out points from a class that misses them (H3_9 does, below),
+    # so this partial linear space isolates one: over the non-collinear
+    # pair S = {a, b}, x and p each close to everything, yet no line
+    # through S joins their classes {x, u, v} and {p, w, z}; only the
+    # lines uvp and wzx do.  S is already maximal.
     a, b, x, u, v, p, w, z = range(8)
     lines = [(a, x, u), (b, x, v), (a, p, w), (b, p, z), (u, v, p), (w, z, x)]
     lbs = [sum(1 << i for i in pts) for pts in lines]
@@ -344,6 +344,30 @@ def test_grow_to_maximal_rejects_a_class_whose_closure_meets_the_ruled_out_point
     assert verify._grow_to_maximal(geometry, S).bits == S.bits \
         == oracle_grow_to_maximal(lbs, geometry.all_bits, S.bits)
     assert [c and c.bits for c in results] == [geometry.all_bits, None]
+
+
+def test_grow_to_maximal_rejects_a_class_whose_closure_meets_the_ruled_out_points_on_h3_9(
+        battery, monkeypatch):
+    # the real twin of the case above, in the hermitian quadrangle H(3, 9):
+    # after the first rejection, one class misses the ruled-out points but
+    # its closure with S meets them, and closing it without them would
+    # accept the whole space
+    sp = battery("H3_9")
+    S = closure(sp, [122, 215])
+    avoided = []
+    original = verify.closure
+
+    def spy(*args):
+        c = original(*args)
+        if len(args) > 3:
+            avoided.append(c)
+        return c
+
+    monkeypatch.setattr(verify, "closure", spy)
+    grown = verify._grow_to_maximal(sp, S)
+    assert grown.bits == oracle_grow_to_maximal(line_bits(sp), sp.all_bits, S.bits)
+    assert len(grown) == 25 and is_maximal_subspace(sp, grown)
+    assert sum(c is None for c in avoided) == 1 and len(avoided) > 1
 
 
 @pytest.mark.parametrize("name", ["Q6_2", "W5_2", "H4_4"])
