@@ -35,7 +35,6 @@ from .polar import (
     closure,
     extend_frame,
     find_partial_frame,
-    frame_span,
     perp,
     rank_nd,
     rank_of,
@@ -193,7 +192,7 @@ def _frame(make):
             ("rank", fr.rank),
             ("a", fr.a),
             ("b", fr.b),
-            ("span-size", len(frame_span(space, fr))),
+            ("span-size", len(closure(space, fr.point_set()))),
             ("span-rank", fr.rank),
         ]
     return handler

@@ -85,8 +85,6 @@ class Field:
                 val = self._mul_raw(val, alpha)
             if val == 1 and len(exp) == q - 1:
                 break
-        else:
-            raise FieldError(f"non-primitive generator for GF({p}^{k})")
         # exp is doubled so products of two logs never need a modular reduction
         self.exp = tuple(exp + exp)
         self.log = tuple(log)

@@ -61,9 +61,6 @@ class SesquilinearForm:
         su = [F.frob(x, m) for x in u]
         return tuple(_dot(F, su, col) for col in zip(*self.gram))
 
-    def __repr__(self):
-        return f"<{self.kind} form on GF({self.field.q})^{self.dim}>"
-
 
 def _dot(F, row, v) -> int:
     acc = 0
@@ -118,9 +115,6 @@ class QuadraticForm:
     field: Field
     dim: int
     upper: tuple
-
-    def __repr__(self):
-        return f"<quadratic form on GF({self.field.q})^{self.dim}>"
 
 
 def quadratic_form(F: Field, upper) -> QuadraticForm:

@@ -164,7 +164,9 @@ def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
         yield from enumerate_subspaces(space)
         return
     N = len(space.points)
-    hi = max(2, min(2 * space.n + 2, N))
+    # fewer points than N: the smallest rank-n polar space, Q+(2n-1, 2),
+    # has (2^n - 1)(2^(n-1) + 1) > 2n + 2 of them
+    hi = 2 * space.n + 2
     rng = plan.rng_for()
     for _ in range(plan.samples):
         size = rng.randint(2, hi)

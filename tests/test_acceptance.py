@@ -32,7 +32,7 @@ from polaris.polar import (
     closure,
     enumerate_subspaces,
     find_partial_frame,
-    frame_span,
+    radical_of_subspace,
     rank_nd,
     rank_of,
 )
@@ -121,7 +121,9 @@ def test_criterion_3_frames():
                 if fr is None:
                     continue
                 got += 1
-                span = frame_span(sp, fr)  # asserts non-degenerate, rank k
+                span = closure(sp, fr.point_set())
+                assert rank_of(sp, span) == k, f"{name}: span rank != {k}"
+                assert radical_of_subspace(sp, span).bits == 0, f"{name}: degenerate span"
                 wanted = preimage(emb, projective_span(emb, fr.point_set()))
                 assert span == wanted, f"{name} rank {k}: span != preimage"
                 if fr.rank == sp.n and span.bits == sp.all_bits:

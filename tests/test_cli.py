@@ -1,8 +1,10 @@
 import io
+import os
 
 import pytest
 
 from polaris.cli import build_parser, main
+from polaris.records import RecordWriter
 from polaris.verify import CheckReport
 
 
@@ -200,6 +202,18 @@ def test_gone_reader_keeps_the_exit_status(monkeypatch, failed, status):
     assert code == 0 and err.getvalue() == ""
 
 
+def test_a_closed_pipe_drops_the_record_and_points_the_fd_at_devnull():
+    # a stream with a file descriptor, unlike the one above: after the
+    # first broken pipe, later records and the final flush go nowhere
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as out:
+        writer = RecordWriter(out)
+        writer.emit("point", [("index", 0)])
+        assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+        writer.emit("point", [("index", 1)])
+
+
 def test_usage_errors_exit2():
     code, _, err = run_cli(["closure", "--preset", "W3_2", "--points", "zap"])
     assert code == 2 and "comma-separated" in err
@@ -209,6 +223,60 @@ def test_usage_errors_exit2():
     assert code == 2 and "--preset" in err
     code, _, _ = run_cli(["definitely-not-a-command"])
     assert code == 2
+
+
+SP43 = ("field p=3 k=1\nform kind=alternating dim=4\n"
+        "row 0 1 0 0\nrow 2 0 0 0\nrow 0 0 0 1\nrow 0 0 2 0\n")
+
+
+def _spec(old, new):
+    text = SP43.replace(old, new, 1)
+    assert text != SP43
+    return text
+
+
+# (argv, spec text written to the file that SPEC names, the whole error
+# message): one bad input per exit-2 message of the command line, the
+# spec parser and the frame commands
+EXIT_2 = {
+    "preset-and-spec": (["build", "--preset", "W3_2", "--spec", "SPEC"], SP43,
+                        "give either --preset or --spec, not both"),
+    "negative-samples": (["check", "theorem1", "--preset", "Q4_2", "--samples", "-1"], None,
+                         "--samples must be >= 0"),
+    "no-equals": (None, _spec("k=1", "k1"), "line 1: expected key=value, got 'k1'"),
+    "unknown-key": (None, _spec("k=1", "k=1 r=2"), "line 1: unknown key 'r'"),
+    "not-integer": (None, _spec("k=1", "k=one"), "line 1: k must be an integer, got 'one'"),
+    "duplicate-form": (None, _spec("row 0 1", "form kind=alternating dim=4\nrow 0 1"),
+                       "line 3: duplicate form block"),
+    "unknown-directive": (None, _spec("row 0 0 0 1", "col 0 0 0 1"),
+                          "line 5: unknown directive 'col'"),
+    "field-without-k": (None, _spec("p=3 k=1", "p=3"), "line 1: field block needs both p= and k="),
+    "field-without-p": (None, _spec("p=3 k=1", "k=1"), "line 1: field block needs both p= and k="),
+    "k-zero": (None, _spec("k=1", "k=0"), "line 1: k = 0 is not a positive integer"),
+    "dim-zero": (None, _spec("dim=4", "dim=0"), "line 2: dim must be in [1, 8], got 0"),
+    "dim-nine": (None, _spec("dim=4", "dim=9"), "line 2: dim must be in [1, 8], got 9"),
+    "short-row": (None, _spec("row 2 0 0 0", "row 2 0 0"), "line 4: row 1 has 3 entries, expected 4"),
+    "degenerate-sesquilinear": (None, _spec("row 0 0 0 1\nrow 0 0 2 0", "row 0 0 0 0\nrow 0 0 0 0"),
+                                "degenerate sesquilinear form (rad(f) != 0)"),
+    # (81^8 - 1)/80 projective points, refused before any sweep
+    "ambient-too-large": (None, "field p=3 k=4\nform kind=hermitian dim=8\n" + "".join(
+        "row " + " ".join("1" if i == j else "0" for j in range(8)) + "\n" for i in range(8)),
+        "ambient projective space too large to enumerate"),
+    "frame-rank-1": (["frame", "find", "--preset", "W3_2", "--k", "1"], None, "rank 1 < 2"),
+    "frame-rank-above-space": (["frame", "find", "--preset", "W3_2", "--k", "3"], None,
+                               "subspace rank 2 < requested 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2))
+def test_each_bad_input_exits_2_with_its_message(case, tmp_path):
+    argv, text, message = EXIT_2[case]
+    f = tmp_path / "case.spec"
+    if text is not None:
+        f.write_text(text)
+    argv = [str(f) if a == "SPEC" else a for a in argv or ["build", "--spec", "SPEC"]]
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", f"polaris: error: {message}\n")
 
 
 def test_spec_file_input(tmp_path):

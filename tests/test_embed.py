@@ -25,7 +25,6 @@ from polaris.polar import (
     closure,
     enumerate_subspaces,
     find_partial_frame,
-    frame_span,
     is_subspace,
     rank_nd,
 )
@@ -695,7 +694,7 @@ def test_hull_on_nonstandard_gram():
     W = w32_perm()
     emb = universal_embedding(W)
     fr = find_partial_frame(W, W.all_bits, 2)
-    span = frame_span(W, fr)
+    span = closure(W, fr.point_set())
     assert span == preimage(emb, projective_span(emb, fr.point_set()))
 
 
@@ -709,7 +708,7 @@ def test_hull_over_gf4_takes_the_square_root():
     emb = universal_embedding(W)
     assert emb.tag == "universal" and emb.dim == 5 and len(W.points) == 85
     fr = find_partial_frame(W, W.all_bits, 2)
-    assert frame_span(W, fr) == preimage(emb, projective_span(emb, fr.point_set()))
+    assert closure(W, fr.point_set()) == preimage(emb, projective_span(emb, fr.point_set()))
     report = check_theorem1(W, emb, SamplePlan(seed=0, samples=40))
     assert report.failed == 0 and report.applicable > 0
 
@@ -776,7 +775,7 @@ def test_frame_span_equals_preimage(name, space):
     sp = space(name)
     emb = universal_embedding(sp)
     fr = find_partial_frame(sp, sp.all_bits, 2)
-    span_pts = frame_span(sp, fr)
+    span_pts = closure(sp, fr.point_set())
     wanted = preimage(emb, projective_span(emb, fr.point_set()))
     assert span_pts == wanted
 
@@ -787,7 +786,7 @@ def test_complete_generating_frame_spans_2n(space):
     H = space("H3_4")
     emb = natural_embedding(H)
     fr = find_partial_frame(H, H.all_bits, 2)
-    assert frame_span(H, fr).bits == H.all_bits
+    assert closure(H, fr.point_set()).bits == H.all_bits
     assert len(projective_span(emb, fr.point_set())) == 2 * H.n == emb.dim
 
 

@@ -163,6 +163,22 @@ def test_division_by_zero_is_hard_error():
         F.pow(0, -1)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+    assert F.pow(0, 0) == 1 and F.pow(0, 2) == 0
+
+
+@pytest.mark.parametrize("code", [3, -1, "1", 1.0])
+def test_check_code_names_the_code_and_the_field(code):
+    F = field_make(3, 1)
+    assert F.check_code(2) == 2
+    with pytest.raises(FieldError) as err:
+        F.check_code(code)
+    assert str(err.value) == f"invalid element code {code!r} for GF(3)"
+
+
+def test_conway_str_skips_zero_coefficients():
+    # x^3 + x + 1 over GF(2) has no x^2 term
+    assert field_make(2, 3).conway_str() == "x^3 + x + 1"
+    assert field_make(3, 4).conway_str() == "x^4 + 2*x^3 + 2"
 
 
 def test_field_make_rejections():

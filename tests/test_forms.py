@@ -430,3 +430,15 @@ def test_sesquilinear_rejects_nonreflexive():
 def test_hermitian_requires_even_degree():
     with pytest.raises(FormError):
         sesquilinear_form(F3, [[1]], "hermitian")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: sesquilinear_form(F3, [[0, 1], [2, 0]], "orthogonal"),
+     "unknown sesquilinear kind 'orthogonal'"),
+    (lambda: sesquilinear_form(F3, [[0, 1], [2]], "alternating"), "gram matrix is not square"),
+    (lambda: quadratic_form(F2, [[0, 1], [0]]), "coefficient matrix is not square"),
+], ids=["kind", "gram", "upper"])
+def test_form_constructors_name_what_is_wrong(build, message):
+    with pytest.raises(FormError) as err:
+        build()
+    assert str(err.value) == message

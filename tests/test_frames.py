@@ -14,7 +14,6 @@ from polaris.polar import (
     enumerate_subspaces,
     extend_frame,
     find_partial_frame,
-    frame_span,
     perp,
     radical_of_subspace,
     rank_of,
@@ -182,7 +181,7 @@ def test_sampled_frames_satisfy_all_axioms(name, space):
             if got is None:
                 continue
             fr = check_partial_frame(sp, got[0], got[1])  # F1..F4 inside
-            span = frame_span(sp, fr)                      # rank k, no radical
+            span = closure(sp, fr.point_set())
             assert rank_of(sp, span) == k
             assert radical_of_subspace(sp, span).bits == 0
             found += 1
@@ -289,14 +288,14 @@ def test_find_frame_rejects_degenerate(space):
 def test_frame_span_examples(space):
     W = space("W3_2")
     fr = find_partial_frame(W, W.all_bits, 2)
-    g = frame_span(W, fr)
+    g = closure(W, fr.point_set())
     assert len(g) == 9 and rank_of(W, g) == 2
     H = space("H3_4")
     frH = find_partial_frame(H, H.all_bits, 2)
-    assert frame_span(H, frH).bits == H.all_bits
+    assert closure(H, frH.point_set()).bits == H.all_bits
     Q = space("Q6_2")
     frQ = find_partial_frame(Q, Q.all_bits, 2)
-    span2 = frame_span(Q, frQ)
+    span2 = closure(Q, frQ.point_set())
     assert span2.bits != Q.all_bits
     assert rank_of(Q, span2) == 2
     assert radical_of_subspace(Q, span2).bits == 0

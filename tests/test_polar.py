@@ -24,6 +24,7 @@ from polaris.polar import (
     build_polar_space,
     closure,
     enumerate_subspaces,
+    extend_frame,
     find_partial_frame,
     generating_points,
     is_hyperplane,
@@ -200,6 +201,31 @@ def test_point_cap_enforced():
     W = parse_spec(preset_text("W3_2"))
     with pytest.raises(GeometryError):
         build_space_from_spec(W, cap=10)
+
+
+def test_rows_and_lines_hold_what_the_build_does_not_test(every_space):
+    # every point lies in its own row, no row is every point, and each
+    # line has q + 1 points: the facts the build's docstring proves
+    sp = every_space
+    assert all((row >> i) & 1 and row != sp.all_bits for i, row in enumerate(sp.adj))
+    assert {len(line) for line in sp.lines} == {sp.q + 1}
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda W, Q: build_polar_space("W3_2"), "not a form: 'W3_2'"),
+    (lambda W, Q: closure(W, PointSet.of(Q, [0])), "PointSet belongs to a different space"),
+    (lambda W, Q: extend_frame(Q, find_partial_frame(W, W.all_bits, 2)),
+     "frame belongs to a different space"),
+], ids=["not-a-form", "pointset", "frame"])
+def test_library_refusals_name_the_problem(call, message, space):
+    with pytest.raises(GeometryError) as err:
+        call(space("W3_2"), space("Q6_2"))
+    assert str(err.value) == message
+
+
+def test_pointset_repr_lists_its_points(space):
+    # pytest prints it when an assertion on point sets fails
+    assert repr(PointSet.of(space("W3_2"), [7, 0, 3])) == "PointSet([0, 3, 7])"
 
 
 def test_grid_detection(space):
@@ -654,6 +680,25 @@ def test_is_maximal_subspace_matches_coatom_oracle(name, space):
         if bits != sp.all_bits:
             assert is_maximal_subspace(sp, PointSet(sp, bits)) == (bits in coatoms), \
                 PointSet(sp, bits).indices()
+
+
+def test_two_line_classes_of_one_subspace_close_to_the_whole_space_on_h3_9(battery):
+    # "at most one line class of a proper subspace S closes with S to the
+    # whole space" holds on every subspace of the walkable presets, and
+    # fails on H(3, 9): so maximality keeps its closures, one per class
+    sp = battery("H3_9")
+    S = closure(sp, [0, 1, 8])
+    assert S.indices() == (0, 1, 8)
+    lbs = line_bits(sp)
+    assert oracle_closure(lbs, S.bits) == S.bits
+    classes, todo = [], sp.all_bits & ~S.bits
+    while todo:
+        cls = oracle_line_class(lbs, sp.all_bits, S.bits, (todo & -todo).bit_length() - 1)
+        classes.append(cls)
+        todo &= ~cls
+    whole = [cls for cls in classes if oracle_closure(lbs, S.bits | cls) == sp.all_bits]
+    assert len(classes) == 183
+    assert [cls.bit_count() for cls in whole] == [48, 48]
 
 
 @pytest.mark.parametrize("name", ["W3_2", "Q4_2", "Qp3_2", "Qm5_2", "Qp5_2", "Qp3_4"])

@@ -17,6 +17,7 @@ import dataclasses
 from functools import cached_property
 from pathlib import Path
 
+import line_coverage
 import polaris
 from polaris.embed import Embedding
 from polaris.polar import PolarSpace
@@ -168,3 +169,12 @@ def test_core_modules_do_not_import_the_front_end():
                 mod = (node.module or "").removeprefix("polaris").lstrip(".")
                 imported |= {mod} if mod else {alias.name for alias in node.names}
         assert not imported & FRONT, (stem, sorted(imported & FRONT))
+
+
+def test_each_unreached_line_entry_names_one_line():
+    # `line_coverage.py` takes minutes; a stale or ambiguous entry in its
+    # table of lines no test reaches fails here at once
+    for name, text, reason in line_coverage.UNREACHED:
+        lines = (PACKAGE / name).read_text(encoding="utf-8").splitlines()
+        assert [line.strip() for line in lines].count(text) == 1, (name, text)
+        assert reason, (name, text)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from types import SimpleNamespace
@@ -6,6 +7,7 @@ import pytest
 
 from polaris import catalog, linalg, verify
 from polaris.catalog import build_preset
+from polaris.cli import main as cli_main
 from polaris.embed import arises_from, natural_embedding, universal_embedding
 from polaris.errors import UsageError
 from polaris.polar import (
@@ -484,6 +486,29 @@ def test_prop5_rejects_q42(space):
         check_prop5(space("Q4_2"), SamplePlan())
 
 
+def test_prop5_files_a_witness_and_fails_the_run(space, monkeypatch):
+    # H(3, 4) has no proper subspace of rank_nd >= 2, so the first
+    # candidate judged is made to read as rank_nd 2
+    judged = []
+    real = verify.rank_nd
+
+    def forced(sp, S):
+        judged.append(S)
+        return 2 if len(judged) == 1 else real(sp, S)
+
+    monkeypatch.setattr(verify, "rank_nd", forced)
+    r = check_prop5(space("H3_4"), SamplePlan(seed=0, samples=20, mode="random"))
+    assert r.consistent() and r.failed == 1
+    assert r.witnesses == [{"kind": "proper subspace of rank_nd >= 2",
+                            "points": judged[0].indices(), "rank_nd": 2}]
+    judged.clear()
+    out = io.StringIO()
+    code = cli_main(["check", "prop5", "--preset", "H3_4", "--samples", "20"],
+                    out=out, err=io.StringIO())
+    assert code == 1
+    assert "failed: 1\n" in out.getvalue() and "status: fail\n" in out.getvalue()
+
+
 def test_prop5_h39_built_from_spec_text():
     text = ("field p=3 k=2\n"
             "form kind=hermitian dim=4\n"
@@ -673,6 +698,12 @@ def test_exhaustive_cost_guard(space):
         SamplePlan(mode="exhaustive").resolved_mode(space("H3_4"))
 
 
+def test_unknown_sample_mode_is_refused(space):
+    with pytest.raises(UsageError) as err:
+        SamplePlan(mode="sometimes").resolved_mode(space("W3_2"))
+    assert str(err.value) == "unknown sample mode 'sometimes'"
+
+
 def test_exhaustive_mode_decisions_by_point_count():
     # auto goes exhaustive at 15 points or fewer; forcing it is allowed at
     # 20 points or fewer, and the refusal names the limit, not a subset count
@@ -805,3 +836,39 @@ def test_each_sampled_call_seeds_one_stream(space, monkeypatch):
         report = run()
         assert report.consistent()
         assert calls == [plan], report.check
+
+
+# ---------------------------------------------------------------------------
+# the family battery: spaces past the presets
+# ---------------------------------------------------------------------------
+
+# the first 16 hex digits of the sha256 of each report's records, seed 0
+# and 50 samples; prop5 runs where the universal embedding has d = 4
+BATTERY_DIGESTS = {
+    ("corollary2", "H3_9"): "c5fb49d5b7ab5077",
+    ("corollary2", "Q4_4"): "6ab9f0aa107a7e91",
+    ("corollary2", "Q4_5"): "1850057dada355b2",
+    ("corollary2", "Qm5_3"): "77a26b185c71c15d",
+    ("corollary2", "W3_4"): "b88f6d797a434ea6",
+    ("corollary2", "W3_5"): "76f4713d62159e6e",
+    ("problem5", "H3_9"): "351d9af2e9f58daf",
+    ("problem5", "Q4_4"): "f96c0fd3f145a89a",
+    ("problem5", "Q4_5"): "c61bf9453a7933c8",
+    ("problem5", "Qm5_3"): "329a772d5208bfd7",
+    ("problem5", "W3_4"): "6041098b039a7e72",
+    ("problem5", "W3_5"): "b6aed5c24883776c",
+    ("prop5", "H3_9"): "be54495aff84db34",
+    ("prop5", "W3_5"): "412d42974c9a729d",
+}
+BATTERY_CHECKS = {"corollary2": check_corollary2, "problem5": explore_problem5,
+                  "prop5": check_prop5}
+
+
+@pytest.mark.parametrize("check,name", sorted(BATTERY_DIGESTS))
+def test_battery_records_are_pinned(check, name, battery):
+    r = BATTERY_CHECKS[check](battery(name), SamplePlan(seed=0, samples=50, mode="random"))
+    assert r.consistent() and r.failed == 0 and r.applicable > 0
+    buf = io.StringIO()
+    RecordWriter(buf, "records").emit_report(r)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] \
+        == BATTERY_DIGESTS[check, name]
