@@ -16,9 +16,13 @@ sample sequences and reports, and a k-sample run is a prefix of a
 longer one.  The stream's key is the text `polaris-sample/<seed>`,
 which is injective in the seed, so distinct seeds (negative ones
 included) give distinct streams.  Candidate subspaces are closures of
-random seed sets with sizes uniform in [2, 2n+2].  `arises_from` judges
-a candidate by its points alone, so a sampled and an exhaustive
-candidate with the same points get the same verdict.
+random seed sets with sizes uniform in [2, 2n+2].  Each seed set is
+drawn straight into a bitset from the stream's `getrandbits`, and is
+the set that `random.sample` and `randint` would give from the same
+bits (CPython 3.11's algorithms), so records depend on MT19937 and this
+module alone, not on how a Python version implements those methods.
+`arises_from` judges a candidate by its points alone, so a sampled and
+an exhaustive candidate with the same points get the same verdict.
 Exhaustive mode walks the full subspace lattice by in/out branching on
 the highest free point, whose line class prunes the in-branch before
 any closure and whose class walk stops at the first point ruled out;
@@ -41,6 +45,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from math import ceil, log
 
 from .embed import Embedding, arises_from, line_meetings, universal_embedding
 from .errors import UsageError
@@ -105,9 +110,6 @@ class CheckReport:
     experimental: bool = False
     duration: float = 0.0
 
-    def skip(self, reason: str):
-        self.skipped[reason] = self.skipped.get(reason, 0) + 1
-
     def skip_total(self) -> int:
         return sum(self.skipped.values())
 
@@ -131,19 +133,24 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
     failure; an experimental report files the dict as an exhibit and
     counts the candidate as passed.  An exhaustive walk draws nothing, so
     its report carries no seed and no sample count."""
-    sampled = mode != "exhaustive"
-    report = CheckReport(check, _label(space), mode, plan.seed if sampled else None,
-                         plan.samples if sampled else None, experimental=experimental)
+    seeded = mode != "exhaustive"
+    report = CheckReport(check, _label(space), mode, plan.seed if seeded else None,
+                         plan.samples if seeded else None, experimental=experimental)
     seen = set()
+    skipped = report.skipped
+    all_bits = space.all_bits
+    sampled = 0
     start = time.perf_counter()
     for cand in candidates:
-        report.sampled += 1
+        sampled += 1
         bits = cand.bits
-        verdict = "duplicate" if bits in seen else \
-            "improper" if bits == space.all_bits else judge(cand)
+        if bits in seen:
+            skipped["duplicate"] = skipped.get("duplicate", 0) + 1
+            continue
         seen.add(bits)
+        verdict = "improper" if bits == all_bits else judge(cand)
         if isinstance(verdict, str):
-            report.skip(verdict)
+            skipped[verdict] = skipped.get(verdict, 0) + 1
             continue
         report.applicable += 1
         if verdict is None:
@@ -155,11 +162,50 @@ def _drive(check: str, space: PolarSpace, plan: SamplePlan, mode: str, candidate
             report.failed += 1
             report.witnesses.append(verdict)
     report.duration = time.perf_counter() - start
+    report.sampled = sampled
     return report
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), n > 0: k = n.bit_length() bits,
+    drawn again while r >= n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _draw(getrandbits, N: int, hi: int) -> int:
+    """A random seed set of points, as a bitset: the set
+    `rng.sample(range(N), rng.randint(2, hi))` gives, made from the same
+    `getrandbits` calls.  The size is 2 plus a bounded draw below hi - 1.
+    `sample` keeps a pool of the unchosen points when N is at most its
+    threshold, and else a set of the chosen ones.  The pool branch is a
+    Fisher-Yates shuffle, kept sparse: `moved` maps each vacated slot to
+    the point moved into it.  The set branch redraws while r >= N or
+    point r is already chosen."""
+    size = 2 + _below(getrandbits, hi - 1)
+    bits = 0
+    if N <= 21 or size > 5 and N <= 21 + 4 ** ceil(log(3 * size, 4)):
+        moved = {}
+        for m in range(N, N - size, -1):
+            j = _below(getrandbits, m)
+            bits |= 1 << moved.get(j, j)
+            moved[j] = moved.get(m - 1, m - 1)
+        return bits
+    k = N.bit_length()
+    for _ in range(size):
+        r = getrandbits(k)
+        while r >= N or bits >> r & 1:
+            r = getrandbits(k)
+        bits |= 1 << r
+    return bits
+
+
 def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
-    """Every subspace in exhaustive mode, else closures of random seed sets."""
+    """Every subspace in exhaustive mode, else closures of random seed
+    sets, each the set `random.sample` would draw (`_draw`)."""
     if mode == "exhaustive":
         yield from enumerate_subspaces(space)
         return
@@ -167,10 +213,9 @@ def _subspaces(space: PolarSpace, plan: SamplePlan, mode: str):
     # fewer points than N: the smallest rank-n polar space, Q+(2n-1, 2),
     # has (2^n - 1)(2^(n-1) + 1) > 2n + 2 of them
     hi = 2 * space.n + 2
-    rng = plan.rng_for()
+    getrandbits = plan.rng_for().getrandbits
     for _ in range(plan.samples):
-        size = rng.randint(2, hi)
-        yield closure(space, rng.sample(range(N), size))
+        yield closure(space, _draw(getrandbits, N, hi))
 
 
 def classify_subspace(space: PolarSpace, S: PointSet) -> str | None:
@@ -421,19 +466,21 @@ def explore_problem5(space: PolarSpace, plan: SamplePlan) -> CheckReport:
     hyperplanes (ovoids) or counterexamples.  The driver skips the whole
     space, and the judge every other candidate but the rank-1 subspaces.
     Exhaustive mode walks every subspace; sampled mode saturates a random
-    point to a maximal pairwise non-collinear set, which always is one.  A saturation
-    depends on its start point alone, so each start point is saturated
-    once per call and a repeat draw yields the same set, which the
-    report skips as a duplicate.  Experimental; no verdict."""
+    point, drawn by `_below` from the stream's `getrandbits` as
+    `randrange` would, to a maximal pairwise non-collinear set, which
+    always is one.  A saturation depends on its start point alone, so
+    each start point is saturated once per call and a repeat draw yields
+    the same set, which the report skips as a duplicate.  Experimental;
+    no verdict."""
     if space.n != 2:
         raise UsageError("problem5 concerns rank-2 spaces only")
     mode = plan.resolved_mode(space)
 
     def saturations():
-        rng = plan.rng_for()
+        getrandbits = plan.rng_for().getrandbits
         saturated = {}
         for _ in range(plan.samples):
-            p = rng.randrange(len(space.points))
+            p = _below(getrandbits, len(space.points))
             if p not in saturated:
                 saturated[p] = PointSet(space, _saturate(space, p))
             yield saturated[p]

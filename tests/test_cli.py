@@ -507,11 +507,15 @@ def test_record_stream_determinism(argv):
 
 
 def test_record_stream_determinism_across_processes():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "polaris.cli", "check", "theorem1",
             "--preset", "Q4_2", "--samples", "25", "--seed", "3"]
-    runs = [subprocess.run(argv, capture_output=True, text=True) for _ in range(2)]
+    runs = [subprocess.run(argv, capture_output=True, text=True, env=env) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
 

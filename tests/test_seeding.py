@@ -56,9 +56,9 @@ def test_guard_flags_seeding_inside_the_sampler(tmp_path):
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     verify = copy / "verify.py"
     text = verify.read_text(encoding="utf-8")
-    draw = "        size = rng.randint(2, hi)\n"
+    draw = "        yield closure(space, _draw(getrandbits, N, hi))\n"
     assert text.count(draw) == 1
     verify.write_text(text.replace(
-        draw, "        rng = random.Random(plan.seed * 1_000_003 + _)\n" + draw),
-        encoding="utf-8")
+        draw, "        getrandbits = random.Random(plan.seed * 1_000_003 + _).getrandbits\n"
+        + draw), encoding="utf-8")
     assert seeding_sites(copy) == sorted(SEEDING_SITES + ["verify._subspaces"])

@@ -782,14 +782,14 @@ def test_shorter_plan_draws_a_prefix_of_a_longer_one(seed, space):
 
 def test_opposite_seeds_draw_different_first_candidates(space, monkeypatch):
     # a candidate is the closure of its drawn seed set; the closure of a
-    # large seed set is often the whole space, so the drawn sets are
-    # compared, since they are what the stream decides
+    # large seed set is often the whole space, so the drawn sets' bits
+    # are compared, since they are what the stream decides
     sp = space("Q6_2")
     drawn = []
     original = verify.closure
     monkeypatch.setattr(verify, "closure",
-                        lambda sp, pts, *rest: drawn.append(tuple(pts))
-                        or original(sp, pts, *rest))
+                        lambda sp, bits, *rest: drawn.append(bits)
+                        or original(sp, bits, *rest))
 
     def first(seed):
         drawn.clear()
@@ -799,6 +799,35 @@ def test_opposite_seeds_draw_different_first_candidates(space, monkeypatch):
 
     for s in range(1, 21):
         assert first(s) != first(-s), s
+
+
+def _assert_draws_match_stdlib(N, hi, seeds):
+    # `_draw` must take the bits `random.sample` and `randint` take from
+    # a twin stream and give their set; the streams must agree after.
+    # The reference is CPython 3.11's `sample`: on a Python that samples
+    # differently this fails, while polaris's records stay the same
+    for seed in seeds:
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            bits = verify._draw(rng.getrandbits, N, hi)
+            want = {*twin.sample(range(N), twin.randint(2, hi))}
+            assert bits == sum(1 << p for p in want), (N, hi, seed)
+            assert rng.getrandbits(32) == twin.getrandbits(32), (N, hi, seed)
+
+
+def test_draws_equal_stdlib_sample_on_every_space(every_space):
+    # every size in [2, 2n+2]: the largest bound draws them all, and
+    # each smaller bound draws from its own range of sizes
+    N = len(every_space.points)
+    for hi in range(2, 2 * every_space.n + 3):
+        _assert_draws_match_stdlib(N, hi, range(25))
+
+
+@pytest.mark.parametrize("N", [21, 22, 85, 86])
+def test_draws_equal_stdlib_sample_at_the_pool_threshold(N):
+    # `sample` keeps a pool up to N = 21 for sizes 2-5, and up to N = 85
+    # for sizes 6-21; past it, a set of the chosen points
+    _assert_draws_match_stdlib(N, 8, range(100))
 
 
 def test_exhaustive_mode_draws_nothing(space, monkeypatch):
